@@ -628,33 +628,78 @@ class PoincareTable:
 def _monomials_of_bidegree(
     pres: AlgebraPresentation, w: int, d: int, include_unit_component: bool = True
 ) -> list[Monomial]:
-    """All valid monomials of bidegree exactly (w)[d]."""
+    """All valid monomials of bidegree exactly (w)[d], in lexicographic order
+    of exponent vectors.
+
+    Exponents are chosen generator by generator, and an exponent is kept only
+    when the later generators can use up what it leaves exactly, so no prefix
+    is extended that cannot reach (w)[d].  The monomials the later generators
+    can put on a remainder are memoised for this call only; the last
+    generator's exponent is forced by the remainder.  The pruning uses
+    generator bidegrees and the module-generator limit, never leading terms,
+    which is why the dense oracle may share this function.
+    """
     n = len(pres.gens)
-    out: list[Monomial] = []
-    mono = [0] * n
+    gen_w, gen_d = pres.gen_w, pres.gen_d
+    module_idx = pres.module_idx if pres.is_module else ()
+    keep_unit = include_unit_component or not pres.is_module
+    if n == 0:
+        return [()] if w == 0 and d == 0 and keep_unit else []
+    last = n - 1
+    lw, ld = gen_w[last], gen_d[last]
+    last_limited = last in module_idx
+    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
 
-    def rec(i: int, rw: int, rd: int, mods: int):
-        if i == n:
-            if rw == 0 and rd == 0:
-                if mods or include_unit_component or not pres.is_module:
-                    out.append(tuple(mono))
-            return
-        gw, gd = pres.gen_w[i], pres.gen_d[i]
-        is_mod = i in pres.module_idx
-        caps = []
-        if gw > 0:
-            caps.append(rw // gw)
-        if gd > 0:
-            caps.append(rd // gd)
-        cap = min(caps) if caps else 0
-        if is_mod and pres.is_module:
-            cap = min(cap, 0 if mods else 1)
-        for e in range(cap + 1):
-            mono[i] = e
-            rec(i + 1, rw - e * gw, rd - e * gd, mods + (e if is_mod else 0))
-        mono[i] = 0
+    def closing(rw: int, rd: int, mods: int) -> int | None:
+        """The last generator's exponent that leaves nothing, if valid."""
+        e = rw // lw if lw > 0 else rd // ld if ld > 0 else 0
+        if e < 0 or e * lw != rw or e * ld != rd:
+            return None
+        if last_limited:
+            mods += e
+            if mods > 1:
+                return None
+        return e if mods or keep_unit else None
 
-    rec(0, w, d, 0)
+    def tails(i: int, rw: int, rd: int, mods: int) -> list[Monomial]:
+        """Exponents of generators i.. that use up (rw)[rd] exactly."""
+        key = (i, rw, rd, mods)
+        found = memo.get(key)
+        if found is None:
+            gw, gd = gen_w[i], gen_d[i]
+            if gw > 0:
+                cap = rw // gw
+                if gd > 0 and rd // gd < cap:
+                    cap = rd // gd
+            elif gd > 0:
+                cap = rd // gd
+            else:
+                cap = 0
+            limited = i in module_idx
+            if limited and cap > 1 - mods:
+                cap = 1 - mods
+            found = []
+            if i + 1 < last:
+                for e in range(cap + 1):
+                    for t in tails(
+                        i + 1, rw - e * gw, rd - e * gd, mods + e if limited else mods
+                    ):
+                        found.append((e,) + t)
+            else:
+                for e in range(cap + 1):
+                    f = closing(rw - e * gw, rd - e * gd, mods + e if limited else mods)
+                    if f is not None:
+                        found.append((e, f))
+            memo[key] = found
+        return found
+
+    if n == 1:
+        e = closing(w, d, 0)
+        return [] if e is None else [(e,)]
+    out = tails(0, w, d, 0)
+    # tails refers to itself, so the memo would otherwise wait for the cycle
+    # collector; free it now
+    memo.clear()
     return out
 
 

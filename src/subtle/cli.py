@@ -98,6 +98,8 @@ def _apply_config(args) -> None:
     args.explicit_box = args.box is not None
     if args.box is None:
         args.box = list(DEFAULT_BOX)
+    if min(args.box) < 0:
+        raise SubtleError(f"--box needs W, D >= 0, got {args.box[0]} {args.box[1]}")
     if args.format is None:
         args.format = "text"
     if args.seed is None:
@@ -205,15 +207,24 @@ def _cmd_ring(args) -> int:
     return 0
 
 
+def _map_index(map_arg: str) -> int:
+    """The n of a comp:n or pq:n map argument."""
+    text = map_arg.split(":", 1)[1]
+    try:
+        return int(text)
+    except ValueError:
+        raise SubtleError(f"bad map {map_arg!r}: {text!r} is not an integer") from None
+
+
 def _cmd_hom(args) -> int:
     model = _resolve_model(args.model)
     w, d = args.box
     bound = w + d
     map_arg = args.map
     if map_arg.startswith("comp:"):
-        h = comp_map(model, int(map_arg.split(":")[1]), bound)
+        h = comp_map(model, _map_index(map_arg), bound)
     elif map_arg.startswith("pq:"):
-        h = twist_iso(model, int(map_arg.split(":")[1]), bound)
+        h = twist_iso(model, _map_index(map_arg), bound)
     elif Path(map_arg).is_file():
         h = load_map_descriptor(map_arg, model, bound)
     else:
@@ -222,8 +233,7 @@ def _cmd_hom(args) -> int:
     if args.action == "kernel":
         if not map_arg.startswith("comp:"):
             raise SubtleError("kernel checking is defined for comp:n maps")
-        n = int(map_arg.split(":")[1])
-        ideal = comp_kernel_ideal(model, n, bound)
+        ideal = comp_kernel_ideal(model, _map_index(map_arg), bound)
         rep = kernel_match(h, ideal, w, d)
         if args.format == "json":
             _emit(args, _json(rep.to_json_obj()))

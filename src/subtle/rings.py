@@ -135,11 +135,20 @@ def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
 
 @lru_cache(maxsize=None)
 def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
-    """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd."""
-    if n % 2 == 1:
-        pres = build_BOpn(model, n, bound)
-        return _finish(pres, model, f"BOh:{n}")
-    pres = build_BO(model, 2 * n, bound)
+    """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd.
+
+    The result is a relabelled copy, so the cached BOp:n or BO:2n keeps its
+    own block id.
+    """
+    base = build_BOpn(model, n, bound) if n % 2 == 1 else build_BO(model, 2 * n, bound)
+    pres = AlgebraPresentation(
+        base.gens,
+        base.relations,
+        base.groebner,
+        base.truncation_bound,
+        base.is_module,
+        base.has_unit,
+    )
     return _finish(pres, model, f"BOh:{n}")
 
 

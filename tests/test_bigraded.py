@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from subtle.bigraded import (
+    _monomials_of_bidegree,
     CLASS,
     MILNOR,
     MODULE_GEN,
@@ -165,6 +167,82 @@ def test_poincare_matches_dense_oracle(rels):
     gens = h_real() + [GenSpec("c1", Bidegree(1, 2)), GenSpec("d1", Bidegree(1, 3))]
     p = presentation_new(gens, rels, 12)
     assert poincare_table(p, 5, 5).same_entries(oracle_table(p, 5, 5))
+
+
+def _naive_monomials(pres, w, d, include_unit_component=True):
+    # every exponent vector under the per-generator caps, filtered afterwards;
+    # itertools.product yields them in the lexicographic order of the engine
+    caps = []
+    for gw, gd in zip(pres.gen_w, pres.gen_d):
+        caps.append(min(x // g for x, g in ((w, gw), (d, gd)) if g > 0))
+    out = []
+    for m in itertools.product(*(range(c + 1) for c in caps)):
+        if pres.mono_bidegree(m) != Bidegree(w, d):
+            continue
+        mods = pres.module_count(m)
+        if pres.is_module and (mods > 1 or (mods == 0 and not include_unit_component)):
+            continue
+        out.append(m)
+    return out
+
+
+def _random_gens(rng, module_gens=0):
+    # bidegrees in [0,3]x[0,3] minus (0)[0]; zero-weight ones like u1 or mu
+    # at (0)[1] included
+    degs = [(a, b) for a in range(4) for b in range(4) if a or b]
+    gens = [
+        GenSpec(f"x{i}", Bidegree(*rng.choice(degs)), CLASS)
+        for i in range(rng.randint(1, 4))
+    ]
+    gens += [
+        GenSpec(f"m{i}", Bidegree(0, rng.randint(1, 3)), MODULE_GEN)
+        for i in range(module_gens)
+    ]
+    rng.shuffle(gens)
+    return gens
+
+
+def test_monomial_enumeration_matches_naive_random():
+    rng = random.Random(20250801)
+    for trial in range(40):
+        module_gens = rng.choice([0, 0, 1, 2])
+        gens = _random_gens(rng, module_gens)
+        p = presentation_new(gens, [], 12, is_module=module_gens > 0)
+        for w in range(-1, 6):
+            for d in range(-1, 6):
+                for unit in (True, False):
+                    got = _monomials_of_bidegree(p, w, d, unit)
+                    assert got == _naive_monomials(p, w, d, unit), (trial, gens, w, d, unit)
+
+
+def test_monomial_enumeration_edge_cells():
+    p = presentation_new([], [], 4)
+    assert _monomials_of_bidegree(p, 0, 0) == [()]
+    assert _monomials_of_bidegree(p, 1, 0) == []
+    gens = h_real() + [GenSpec("mu", Bidegree(0, 1), MODULE_GEN)]
+    m = presentation_new(gens, [], 6, is_module=True)
+    assert _monomials_of_bidegree(m, 0, 0) == [(0, 0, 0)]
+    assert _monomials_of_bidegree(m, 0, 0, include_unit_component=False) == []
+    assert _monomials_of_bidegree(m, 0, 2) == []  # mu^2 is not a valid product
+    assert _monomials_of_bidegree(m, -1, 1) == []
+
+
+def test_poincare_matches_dense_oracle_random():
+    # random homogeneous presentations, rings and modules alike
+    rng = random.Random(7)
+    for trial in range(40):
+        module_gens = rng.choice([0, 0, 1])
+        gens = _random_gens(rng, module_gens)
+        shell = presentation_new(gens, [], 10, is_module=module_gens > 0)
+        rels = []
+        for _ in range(rng.randint(1, 3)):
+            # a cell a product of two generators lands in, so rarely empty
+            a, b = rng.choice(gens).bidegree, rng.choice(gens).bidegree
+            cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d)
+            if cell:
+                rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
+        p = presentation_new(gens, rels, 10, is_module=module_gens > 0)
+        assert poincare_table(p, 5, 5) == oracle_table(p, 5, 5), (trial, gens, rels)
 
 
 def test_normal_form_soundness_random():

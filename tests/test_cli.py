@@ -106,6 +106,23 @@ def test_unknown_model_exits_2():
     assert code == 2
 
 
+def test_bad_map_index_exits_2(capsys):
+    for action in ("verify", "kernel"):
+        code, out = run_cli("hom", action, "comp:x", "--model", "real", "--box", "4", "4")
+        assert code == 2 and out == ""
+        assert "'x' is not an integer" in capsys.readouterr().err
+    code, _ = run_cli("hom", "verify", "pq:", "--model", "real", "--box", "2", "2")
+    assert code == 2
+
+
+def test_negative_box_exits_2(capsys):
+    code, out = run_cli("ring", "table", "BU:1", "--model", "real", "--box", "-1", "3")
+    assert code == 2 and out == ""
+    assert "--box" in capsys.readouterr().err
+    code, _ = run_cli("ring", "table", "BU:1", "--model", "real", "--box", "2", "-1")
+    assert code == 2
+
+
 def test_usage_error_exits_2():
     assert cli.run(["ring"]) == 2
     assert cli.run(["frobnicate"]) == 2

@@ -5,6 +5,7 @@ from subtle.errors import UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model
 from subtle.oracle import oracle_entry, oracle_table
+from subtle.steenrod import sq1_check, sq1_define
 from subtle.rings import (
     block_presentation,
     block_table,
@@ -93,6 +94,19 @@ def test_bohtilde_parity(real):
     assert "v3" in odd.names
     zero = build_BOhtilde(real, 0, 8)
     assert [g.name for g in zero.gens] == ["rho", "tau"]
+
+
+def test_bohtilde_leaves_cached_blocks_labelled(real):
+    # BOh:n is a relabelled copy; the cached BOp:n / BO:2n keep their ids
+    odd = build_BOhtilde(real, 1, 8)
+    bop = build_BOpn(real, 1, 8)
+    assert odd.block_id == "BOh:1" and bop.block_id == "BOp:1"
+    assert odd.groebner == bop.groebner and odd.names == bop.names
+    even = build_BOhtilde(real, 2, 8)
+    assert even.block_id == "BOh:2" and build_BO(real, 4, 8).block_id == "BO:4"
+    report, _ = sq1_check(sq1_define(bop), 3, 3)
+    assert "BOp:1" in report.render_text()
+    assert "BOh:1" not in report.render_text()
 
 
 def test_npow_tables(real, fq):
