@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import parse as parse_mod
@@ -110,13 +111,12 @@ class AlgebraPresentation:
     # ----- monomial helpers -------------------------------------------------
 
     def mono_bidegree(self, m: Monomial) -> Bidegree:
-        w = sum(e * gw for e, gw in zip(m, self.gen_w))
-        d = sum(e * gd for e, gd in zip(m, self.gen_d))
+        w = sum(map(mul, m, self.gen_w))
+        d = sum(map(mul, m, self.gen_d))
         return Bidegree(w, d)
 
     def mono_key(self, m: Monomial):
-        b = self.mono_bidegree(m)
-        return (b.d, b.w, tuple(reversed(m)))
+        return (sum(map(mul, m, self.gen_d)), sum(map(mul, m, self.gen_w)), m[::-1])
 
     def module_count(self, m: Monomial) -> int:
         return sum(m[i] for i in self.module_idx)
@@ -129,9 +129,10 @@ class AlgebraPresentation:
 
     def poly_bidegree(self, p: Poly) -> Bidegree | None:
         """Common bidegree of all monomials, or None if mixed/zero."""
-        degs = {self.mono_bidegree(m) for m in p}
+        gen_w, gen_d = self.gen_w, self.gen_d
+        degs = {(sum(map(mul, m, gen_w)), sum(map(mul, m, gen_d))) for m in p}
         if len(degs) == 1:
-            return degs.pop()
+            return Bidegree(*degs.pop())
         return None
 
     # ----- reduction --------------------------------------------------------
@@ -234,6 +235,10 @@ class Element:
         return Element(self.pres, self.monomials ^ other.monomials)
 
     def __mul__(self, other: "Element") -> "Element":
+        return self.pres.element_from_monomials(self.product_monomials(other))
+
+    def product_monomials(self, other: "Element") -> set[Monomial]:
+        """The product before normal form: monomial products summed over GF(2)."""
         self._check(other)
         pres = self.pres
         if pres.is_module:
@@ -247,7 +252,7 @@ class Element:
         for ma in self.monomials:
             for mb in other.monomials:
                 acc ^= {_mono_mul(ma, mb)}
-        return pres.element_from_monomials(acc)
+        return acc
 
     def __pow__(self, n: int) -> "Element":
         result = self.pres.one()

@@ -79,20 +79,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_box(value) -> bool:
+    # type() rather than isinstance: JSON true/false load as bool, an int subclass
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(type(x) is int and x >= 0 for x in value)
+    )
+
+
+def _preset(preset: dict, key: str, valid, what: str):
+    """The config file's value for a flag, None when absent; exit 2 when bad."""
+    value = preset.get(key)
+    if value is not None and not valid(value):
+        raise SubtleError(f"config {key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _apply_config(args) -> None:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             preset = json.load(fh)
+        if not isinstance(preset, dict):
+            raise SubtleError(f"config {args.config} must hold a JSON object")
         if args.model is None:
-            args.model = preset.get("model")
-        if args.box is None and preset.get("box") is not None:
-            args.box = [int(x) for x in preset["box"]]
+            args.model = _preset(preset, "model", lambda v: isinstance(v, str), "a string")
+        if args.box is None:
+            args.box = _preset(preset, "box", _is_box, "two non-negative integers")
         if args.format is None:
-            args.format = preset.get("format")
+            args.format = _preset(
+                preset, "format", lambda v: v in ("text", "json"), '"text" or "json"'
+            )
         if args.seed is None:
-            args.seed = preset.get("seed")
+            args.seed = _preset(preset, "seed", lambda v: type(v) is int, "an integer")
         if args.out is None:
-            args.out = preset.get("out")
+            args.out = _preset(preset, "out", lambda v: isinstance(v, str), "a string")
     if args.model is None:
         args.model = "real"
     args.explicit_box = args.box is not None

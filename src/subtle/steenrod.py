@@ -118,14 +118,18 @@ def load_derivation_descriptor(path: str, pres: AlgebraPresentation) -> Derivati
 
 
 def sq1_apply(der: Derivation, el: Element) -> Element:
-    """Leibniz expansion followed by normal form."""
+    """Leibniz expansion followed by one normal form.
+
+    The unreduced products rest * Sq1(x_i) are summed first and reduced once:
+    full reduction is GF(2)-linear, so this is the sum of their normal forms.
+    """
     pres = der.pres
     if el.pres is not pres:
         raise UnknownDerivationValue("element belongs to another presentation")
     b = el.bidegree()
     if b is not None and b.total + 1 > pres.truncation_bound:
         raise ExceedsBound("Sq1 image exceeds the truncation bound")
-    total = pres.zero()
+    acc: set = set()
     for mono in el.monomials:
         for idx, e in enumerate(mono):
             if e % 2 == 0:
@@ -136,8 +140,8 @@ def sq1_apply(der: Derivation, el: Element) -> Element:
             rest = list(mono)
             rest[idx] -= 1
             partial = Element(pres, frozenset([tuple(rest)]))
-            total = total + partial * val
-    return total
+            acc ^= partial.product_monomials(val)
+    return pres.element_from_monomials(acc)
 
 
 def _partial(pres: AlgebraPresentation, poly, idx: int):

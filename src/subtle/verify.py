@@ -312,14 +312,14 @@ def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
             for dd in range(d + 1)
             for m in standard_monomials(pres, ww, dd, pres.has_unit)
         ]
-        for a in monos:
-            ba = a.bidegree()
-            for b in monos:
-                bb = b.bidegree()
-                if ba.total + bb.total + 1 > pres.truncation_bound:
+        # Sq1 of each monomial once; Sq1(a * b) is still computed for every pair
+        images = [(a, a.bidegree().total, sq1_apply(solved, a)) for a in monos]
+        for a, ta, sa in images:
+            for b, tb, sb in images:
+                if ta + tb + 1 > pres.truncation_bound:
                     continue
                 lhs = sq1_apply(solved, a * b)
-                rhs = sq1_apply(solved, a) * b + a * sq1_apply(solved, b)
+                rhs = sa * b + a * sb
                 if lhs != rhs:
                     return CheckResult(
                         8, "Sq1 suite", False,

@@ -227,6 +227,28 @@ def test_monomial_enumeration_edge_cells():
     assert _monomials_of_bidegree(m, -1, 1) == []
 
 
+def test_mono_key_and_poly_bidegree_match_naive_random():
+    rng = random.Random(5)
+    for trial in range(40):
+        module_gens = rng.choice([0, 0, 1, 2])
+        gens = _random_gens(rng, module_gens)
+        p = presentation_new(gens, [], 12, is_module=module_gens > 0)
+        assert p.poly_bidegree(frozenset()) is None
+        for _ in range(20):
+            m = tuple(rng.randint(0, 3) for _ in gens)
+            b = Bidegree(0, 0)
+            for g, e in zip(gens, m):
+                for _ in range(e):
+                    b = b + g.bidegree
+            assert p.mono_bidegree(m) == b, (trial, gens, m)
+            assert p.mono_key(m) == (b.d, b.w, tuple(reversed(m))), (trial, gens, m)
+            same = frozenset(_monomials_of_bidegree(p, b.w, b.d) + [m])
+            assert p.poly_bidegree(same) == b, (trial, gens, m)
+            # no generator sits in (0)[0], so raising an exponent moves the bidegree
+            bigger = (m[0] + 1,) + m[1:]
+            assert p.poly_bidegree(frozenset([m, bigger])) is None, (trial, gens, m)
+
+
 def test_poincare_matches_dense_oracle_random():
     # random homogeneous presentations, rings and modules alike
     rng = random.Random(7)

@@ -3,6 +3,8 @@ import json
 from contextlib import redirect_stdout
 from importlib import resources
 
+import pytest
+
 from subtle import cli
 from subtle.verify import GOLDEN_COMMANDS
 
@@ -151,6 +153,30 @@ def test_config_file_presets(tmp_path):
     # explicit flags win over the config file
     code, out = run_cli("ring", "table", "H", "--config", str(cfg), "--box", "2", "2")
     assert json.loads(out)["box"] == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[3, 3]",
+        '{"box": ["a", 3]}',
+        '{"box": [3]}',
+        '{"box": 3}',
+        '{"box": [1.5, 2]}',
+        '{"box": [true, 2]}',
+        '{"box": [-1, 2]}',
+        '{"model": 3}',
+        '{"format": "xml"}',
+        '{"seed": "x"}',
+        '{"out": 3}',
+    ],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    code, out = run_cli("ring", "table", "H", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "config" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path):

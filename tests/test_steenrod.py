@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from subtle.bigraded import Element, standard_monomials
 from subtle.errors import (
     BidegreeMismatch,
+    InvalidModuleProduct,
     MissingRhoDesignation,
     UnknownDerivationValue,
 )
 from subtle.milnor import build_field_model
 from subtle.rings import (
+    block_presentation,
     build_BO,
     build_BOpn,
     build_BUn,
@@ -44,6 +48,67 @@ def test_leibniz_random_pairs(real):
         for b_raw in samples:
             a, b = bo3.el(a_raw), bo3.el(b_raw)
             assert sq1_apply(der, a * b) == sq1_apply(der, a) * b + a * sq1_apply(der, b)
+
+
+def _sq1_reference(der, el):
+    # the term-by-term Leibniz expansion: one normal form and one sum per term
+    pres = der.pres
+    total = pres.zero()
+    for mono in el.monomials:
+        for idx, e in enumerate(mono):
+            if e % 2 == 0:
+                continue
+            val = der.value(pres.names[idx])
+            if val.is_zero():
+                continue
+            rest = list(mono)
+            rest[idx] -= 1
+            total = total + Element(pres, frozenset([tuple(rest)])) * val
+    return total
+
+
+def _random_element(rng, pres, wmax, dmax, module_part):
+    # a random nonzero sum of standard monomials of one cell, all of them
+    # module monomials or all module-free
+    while True:
+        w, d = rng.randint(0, wmax), rng.randint(0, dmax)
+        basis = [
+            m for m in standard_monomials(pres, w, d, True)
+            if bool(pres.module_count(m)) == module_part
+        ]
+        if basis:
+            picked = rng.sample(basis, rng.randint(1, len(basis)))
+            return Element(pres, frozenset(picked))
+
+
+@pytest.mark.parametrize("block", ["BO:3", "BOp:1", "Npow:2"])
+def test_leibniz_random_elements(real, block):
+    rng = random.Random(20250801)
+    pres = block_presentation(real, block, 12)
+    _, der = sq1_check(sq1_define(pres), 5, 5)
+    checked = 0
+    for _ in range(60):
+        # in the module only one factor may carry a module generator
+        a = _random_element(rng, pres, 5, 5, False)
+        b = _random_element(rng, pres, 5, 5, pres.is_module and rng.random() < 0.5)
+        for x in (a, b):
+            assert sq1_apply(der, x) == _sq1_reference(der, x)
+        if a.bidegree().total + b.bidegree().total + 1 > pres.truncation_bound:
+            continue
+        ab = a * b
+        assert sq1_apply(der, ab) == _sq1_reference(der, ab)
+        assert sq1_apply(der, ab) == sq1_apply(der, a) * b + a * sq1_apply(der, b)
+        checked += 1
+    assert checked >= 20
+
+
+def test_module_product_guard(real):
+    # Sq1(rho) set to a module monomial: rest * Sq1(rho) for mu1*rho is the
+    # product mu1 * rho*mu1 of two module elements
+    npow = build_Npow(real, 2, 8)
+    der = sq1_define(npow, {"rho": "rho*mu1", "mu1": "0", "mu2": "0"})
+    with pytest.raises(InvalidModuleProduct):
+        sq1_apply(der, npow.el("mu1*rho"))
 
 
 def test_value_bidegree_guard(real):
