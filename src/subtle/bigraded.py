@@ -137,13 +137,6 @@ class AlgebraPresentation:
 
     # ----- reduction --------------------------------------------------------
 
-    def _find_reducer(self, m: Monomial) -> tuple[Monomial, Poly] | None:
-        for lm, g in zip(self._gb_lms, self.groebner):
-            t = _mono_div(m, lm)
-            if t is not None and (not self.is_module or self.module_count(t) == 0):
-                return t, g
-        return None
-
     def reduce_poly(self, p: Iterable[Monomial]) -> Poly:
         return _reduce_full(set(p), self.groebner, self._gb_lms, self)
 
@@ -345,18 +338,23 @@ def _mul_mono_poly(t: Monomial, p: Poly) -> set[Monomial]:
     return {_mono_mul(t, m) for m in p}
 
 
+def _reducer(m: Monomial, basis, lms, pres: AlgebraPresentation):
+    """The first (cofactor, g) with lm(g) dividing m, or None; in a module
+    only module-free cofactors count."""
+    for lm, g in zip(lms, basis):
+        t = _mono_div(m, lm)
+        if t is not None and (not pres.is_module or pres.module_count(t) == 0):
+            return t, g
+    return None
+
+
 def _reduce_full(work: set, basis, lms, pres: AlgebraPresentation) -> Poly:
     """Full normal form: reduce every reducible monomial, largest first."""
     done: set[Monomial] = set()
     while work:
         m = max(work, key=pres.mono_key)
         work.discard(m)
-        red = None
-        for lm, g in zip(lms, basis):
-            t = _mono_div(m, lm)
-            if t is not None and (not pres.is_module or pres.module_count(t) == 0):
-                red = (t, g)
-                break
+        red = _reducer(m, basis, lms, pres)
         if red is None:
             done.add(m)
         else:
@@ -374,34 +372,11 @@ def _buchberger(
     pres: AlgebraPresentation, polys: list[Poly], bound: int
 ) -> list[Poly]:
     """Truncated Buchberger completion; returns the reduced basis."""
-
-    def reduce_against(p: set, basis: list[Poly], lms: list[Monomial]) -> Poly:
-        done: set[Monomial] = set()
-        while p:
-            m = max(p, key=pres.mono_key)
-            p.discard(m)
-            hit = None
-            for lm, g in zip(lms, basis):
-                t = _mono_div(m, lm)
-                if t is not None and (
-                    not pres.is_module or pres.module_count(t) == 0
-                ):
-                    hit = (t, g)
-                    break
-            if hit is None:
-                done.add(m)
-            else:
-                t, g = hit
-                prod = _mul_mono_poly(t, g)
-                prod.discard(m)
-                p ^= prod
-        return frozenset(done)
-
     basis: list[Poly] = []
     lms: list[Monomial] = []
     nonzero = [p for p in polys if p]
     for p in sorted(nonzero, key=lambda q: pres.mono_key(pres.lead_monomial(q))):
-        r = reduce_against(set(p), basis, lms)
+        r = _reduce_full(set(p), basis, lms, pres)
         if r:
             basis.append(r)
             lms.append(pres.lead_monomial(r))
@@ -432,7 +407,7 @@ def _buchberger(
         ):
             continue  # coprime criterion (polynomial components only)
         s = set(_mul_mono_poly(ti, basis[i])) ^ _mul_mono_poly(tj, basis[j])
-        r = reduce_against(s, basis, lms)
+        r = _reduce_full(s, basis, lms, pres)
         if r:
             new_lm = pres.lead_monomial(r)
             for k in range(len(basis)):
@@ -450,7 +425,7 @@ def _buchberger(
             other_lms = [pres.lead_monomial(b) for b in others]
             if not basis[i]:
                 continue
-            r = reduce_against(set(basis[i]), others, other_lms)
+            r = _reduce_full(set(basis[i]), others, other_lms, pres)
             if r != basis[i]:
                 basis[i] = r
                 changed = True
@@ -714,7 +689,7 @@ def standard_monomials(
     """Monomial basis of the (w)[d] piece: monomials no leading term divides."""
     out = []
     for m in _monomials_of_bidegree(pres, w, d, include_unit_component):
-        if pres._find_reducer(m) is None:
+        if _reducer(m, pres.groebner, pres._gb_lms, pres) is None:
             out.append(m)
     out.sort(key=pres.mono_key)
     return out

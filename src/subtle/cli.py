@@ -40,6 +40,7 @@ from . import verify as verify_mod
 
 DEFAULT_BOX = (8, 8)
 DEFAULT_SEED = 20250801
+CONFIG_KEYS = ("box", "format", "model", "out", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None, help="write the report to a file")
     shared.add_argument("--config", default=None, help="JSON file presetting flags")
 
-    parser = argparse.ArgumentParser(prog="subtle", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="subtle",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_field = sub.add_parser("field", parents=[shared])
@@ -102,6 +107,10 @@ def _apply_config(args) -> None:
             preset = json.load(fh)
         if not isinstance(preset, dict):
             raise SubtleError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(preset) - set(CONFIG_KEYS))
+        if unknown:
+            known = ", ".join(CONFIG_KEYS)
+            raise SubtleError(f"unknown config key {json.dumps(unknown[0])}; known: {known}")
         if args.model is None:
             args.model = _preset(preset, "model", lambda v: isinstance(v, str), "a string")
         if args.box is None:

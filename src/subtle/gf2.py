@@ -8,16 +8,6 @@ membership and kernel computations short and fast at desk scale.
 from __future__ import annotations
 
 
-def rank(rows: list[int]) -> int:
-    """Rank of the span of the given bit rows."""
-    pivots: dict[int, int] = {}
-    for row in rows:
-        row = _reduce(row, pivots)
-        if row:
-            pivots[row.bit_length() - 1] = row
-    return len(pivots)
-
-
 def _reduce(row: int, pivots: dict[int, int]) -> int:
     while row:
         h = row.bit_length() - 1
@@ -52,36 +42,9 @@ class RowSpace:
         return len(self.pivots)
 
 
-def kernel_of_map(images: list[int]) -> list[int]:
-    """Kernel basis of the linear map sending domain basis vector i to images[i].
-
-    Returns ints over the domain basis; bit i set means basis vector i enters
-    the kernel combination.
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel: list[int] = []
-    for i, img in enumerate(images):
-        row, tag = img, 1 << i
-        while row:
-            h = row.bit_length() - 1
-            if h not in pivots:
-                pivots[h] = (row, tag)
-                break
-            prow, ptag = pivots[h]
-            row ^= prow
-            tag ^= ptag
-        else:
-            kernel.append(tag)
-    return kernel
-
-
-def solve(columns: list[int], target: int) -> tuple[int | None, list[int]]:
-    """Solve sum_{i in x} columns[i] = target over GF(2).
-
-    Returns (particular solution as a bitset over column indices or None,
-    kernel basis of the column combination map).  Deterministic for fixed
-    input order.
-    """
+def _eliminate(columns: list[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Forward elimination tagging each row with the columns it sums: returns
+    (leading bit -> (row, tag), tags of the combinations that vanish)."""
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     for i, col in enumerate(columns):
@@ -96,6 +59,26 @@ def solve(columns: list[int], target: int) -> tuple[int | None, list[int]]:
             tag ^= ptag
         else:
             kernel.append(tag)
+    return pivots, kernel
+
+
+def kernel_of_map(images: list[int]) -> list[int]:
+    """Kernel basis of the linear map sending domain basis vector i to images[i].
+
+    Returns ints over the domain basis; bit i set means basis vector i enters
+    the kernel combination.
+    """
+    return _eliminate(images)[1]
+
+
+def solve(columns: list[int], target: int) -> tuple[int | None, list[int]]:
+    """Solve sum_{i in x} columns[i] = target over GF(2).
+
+    Returns (particular solution as a bitset over column indices or None,
+    kernel basis of the column combination map).  Deterministic for fixed
+    input order.
+    """
+    pivots, kernel = _eliminate(columns)
     row, tag = target, 0
     while row:
         h = row.bit_length() - 1

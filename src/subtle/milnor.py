@@ -28,7 +28,6 @@ from .bigraded import (
     IdealGens,
     colon_ideal,
     presentation_new,
-    quotient,
     standard_monomials,
 )
 from .errors import AlphaIsSquare, SubtleError, ZeroElement
@@ -192,8 +191,3 @@ def km_annihilator(model: FieldModel, f=None, degree_bound: int = 8) -> IdealGen
         raise ZeroElement("annihilator of 0 is the whole ring")
     return colon_ideal(pres, None, f_el, 2 * degree_bound)
 
-
-def km_quotient_dimensions(model: FieldModel, ideal: IdealGens, max_degree: int) -> list[int]:
-    """Dimensions of (model ring)/(ideal) per degree; used for Ann bookkeeping."""
-    q = quotient(model.presentation, ideal)
-    return [len(standard_monomials(q, n, n)) for n in range(max_degree + 1)]

@@ -89,8 +89,7 @@ def atom_tensor(a: Atom, b: Atom) -> Atom:
     if x.base == "N" and y.base == "Ma":
         return Atom("Ma", 0, twist, shift)
     if x.base == "N" and y.base == "Mt":
-        n = x if x.base == "N" else y
-        return Atom("Mt", 0, twist, shift + n.power)
+        return Atom("Mt", 0, twist, shift + x.power)
     if x.base == "N" and y.base == "Xa":
         return Atom("Xa", 0, twist, shift)
     if x.base == "Ma" and y.base == "Xa":
@@ -109,10 +108,6 @@ def motive_tensor(a: FormalMotive, b: FormalMotive) -> FormalMotive:
         for y in b.atoms:
             out.append(atom_tensor(x, y))
     return FormalMotive.of(*out)
-
-
-def motive_sum(a: FormalMotive, b: FormalMotive) -> FormalMotive:
-    return a + b
 
 
 def affine_quadric_motive(n: int) -> FormalMotive:

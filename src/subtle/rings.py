@@ -52,7 +52,7 @@ def _require_alpha(model: FieldModel) -> str:
 
 def _present(gens, rels, bound: int, **kwargs) -> AlgebraPresentation:
     """presentation_new with the bound raised to fit the relations themselves."""
-    shell = presentation_new(gens, [], bound)
+    shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
     needed = bound
     for r in rels:
         poly = shell.raw_to_poly(r)

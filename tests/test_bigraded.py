@@ -249,22 +249,99 @@ def test_mono_key_and_poly_bidegree_match_naive_random():
             assert p.poly_bidegree(frozenset([m, bigger])) is None, (trial, gens, m)
 
 
+def _random_presentation(rng, bound, max_rels=3):
+    """A random homogeneous ring (two times in three) or module presentation."""
+    module_gens = rng.choice([0, 0, 1])
+    gens = _random_gens(rng, module_gens)
+    shell = presentation_new(gens, [], bound, is_module=module_gens > 0)
+    rels = []
+    for _ in range(rng.randint(1, max_rels)):
+        # a cell a product of two generators lands in, so rarely empty
+        a, b = rng.choice(gens).bidegree, rng.choice(gens).bidegree
+        cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d)
+        if cell and (a + b).total <= bound:
+            rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
+    return presentation_new(gens, rels, bound, is_module=module_gens > 0)
+
+
+def _random_cell_poly(rng, p, factors):
+    """A few monomials of the cell a product of `factors` generators lands in."""
+    cell = Bidegree(0, 0)
+    for _ in range(factors):
+        cell = cell + rng.choice(p.gens).bidegree
+    monos = _monomials_of_bidegree(p, cell.w, cell.d)
+    return cell, frozenset(rng.sample(monos, min(len(monos), rng.randint(1, 3))))
+
+
 def test_poincare_matches_dense_oracle_random():
     # random homogeneous presentations, rings and modules alike
     rng = random.Random(7)
     for trial in range(40):
-        module_gens = rng.choice([0, 0, 1])
-        gens = _random_gens(rng, module_gens)
-        shell = presentation_new(gens, [], 10, is_module=module_gens > 0)
-        rels = []
-        for _ in range(rng.randint(1, 3)):
-            # a cell a product of two generators lands in, so rarely empty
-            a, b = rng.choice(gens).bidegree, rng.choice(gens).bidegree
-            cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d)
-            if cell:
-                rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
-        p = presentation_new(gens, rels, 10, is_module=module_gens > 0)
-        assert poincare_table(p, 5, 5) == oracle_table(p, 5, 5), (trial, gens, rels)
+        p = _random_presentation(rng, 10)
+        assert poincare_table(p, 5, 5) == oracle_table(p, 5, 5), (trial, p.gens, p.relations)
+
+
+def test_normal_form_idempotent_and_additive_random():
+    rng = random.Random(13)
+    for trial in range(30):
+        p = _random_presentation(rng, 10)
+        for _ in range(10):
+            # mixed bidegrees on purpose: reduction is linear cell by cell
+            a = _random_cell_poly(rng, p, 2)[1] ^ _random_cell_poly(rng, p, 3)[1]
+            b = _random_cell_poly(rng, p, rng.randint(1, 3))[1]
+            na, nb = p.reduce_poly(a), p.reduce_poly(b)
+            assert p.reduce_poly(na) == na, (trial, p.gens, p.relations, a)
+            assert p.reduce_poly(a ^ b) == na ^ nb, (trial, p.gens, p.relations, a, b)
+
+
+def test_normal_form_multiplicative_random():
+    rng = random.Random(17)
+    checked = 0
+    for trial in range(30):
+        # more relations than elsewhere, so that completion has S-pairs to add
+        p = _random_presentation(rng, 10, max_rels=6)
+        for _ in range(10):
+            ca, a = _random_cell_poly(rng, p, rng.randint(1, 2))
+            cb, b = _random_cell_poly(rng, p, rng.randint(1, 2))
+            if (ca + cb).total > p.truncation_bound:
+                continue
+            if p.is_module and any(map(p.module_count, a)) and any(map(p.module_count, b)):
+                continue  # two module factors do not multiply
+            raw = set()
+            for ma in a:
+                for mb in b:
+                    raw ^= {tuple(x + y for x, y in zip(ma, mb))}
+            ea, eb = p.element_from_monomials(a), p.element_from_monomials(b)
+            assert p.element_from_monomials(raw) == ea * eb, (trial, p.gens, p.relations, a, b)
+            checked += 1
+    assert checked > 100
+
+
+def test_standard_monomials_are_the_irreducible_monomials_random():
+    rng = random.Random(19)
+    for trial in range(30):
+        p = _random_presentation(rng, 10)
+        for w in range(6):
+            for d in range(6):
+                cell = _monomials_of_bidegree(p, w, d, p.has_unit)
+                fixed = [m for m in cell if p.reduce_poly([m]) == {m}]
+                assert standard_monomials(p, w, d, p.has_unit) == sorted(
+                    fixed, key=p.mono_key
+                ), (trial, p.gens, p.relations, w, d)
+
+
+def test_extend_bound_keeps_the_smaller_box_random():
+    rng = random.Random(23)
+    for trial in range(20):
+        p = _random_presentation(rng, 8, max_rels=6)
+        big = p.extend_bound(12)
+        assert big.truncation_bound == 12 and big.extend_bound(8) is big
+        assert poincare_table(big, 4, 4) == poincare_table(p, 4, 4), (trial, p.gens, p.relations)
+        assert poincare_table(big, 6, 2) == poincare_table(p, 6, 2), (trial, p.gens, p.relations)
+        for _ in range(5):
+            cell, a = _random_cell_poly(rng, p, 2)
+            if cell.total <= 8:
+                assert big.reduce_poly(a) == p.reduce_poly(a), (trial, p.gens, p.relations, a)
 
 
 def test_normal_form_soundness_random():

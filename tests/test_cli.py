@@ -169,6 +169,7 @@ def test_config_file_presets(tmp_path):
         '{"format": "xml"}',
         '{"seed": "x"}',
         '{"out": 3}',
+        '{"boxx": [2, 2]}',
     ],
 )
 def test_bad_config_file_exits_2(tmp_path, capsys, text):
@@ -176,7 +177,16 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text):
     cfg.write_text(text, encoding="utf-8")
     code, out = run_cli("ring", "table", "H", "--config", str(cfg))
     assert code == 2 and out == ""
-    assert "config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config" in err
+    # the message names the offending key
+    assert all(key in err for key in json.loads(text) if isinstance(key, str))
+
+
+def test_help_keeps_example_lines():
+    code, out = run_cli("--help")
+    assert code == 0
+    assert "\n    subtle ring table BU:1         --model real --box 4 4\n" in out
 
 
 def test_out_flag_writes_file(tmp_path):
