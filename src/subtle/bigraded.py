@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import mul
+from operator import ge, mul, sub
 from typing import Iterable, Sequence
 
 from . import parse as parse_mod
@@ -321,15 +321,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -338,13 +329,14 @@ def _mul_mono_poly(t: Monomial, p: Poly) -> set[Monomial]:
     return {_mono_mul(t, m) for m in p}
 
 
-def _reducer(m: Monomial, basis, lms, pres: AlgebraPresentation):
-    """The first (cofactor, g) with lm(g) dividing m, or None; in a module
-    only module-free cofactors count."""
-    for lm, g in zip(lms, basis):
-        t = _mono_div(m, lm)
-        if t is not None and (not pres.is_module or pres.module_count(t) == 0):
-            return t, g
+def _reducer(m: Monomial, lms, pres: AlgebraPresentation) -> int | None:
+    """Index of the first leading monomial in lms dividing m, or None; in a
+    module only a divisor leaving a module-free cofactor counts."""
+    for k, lm in enumerate(lms):
+        if all(map(ge, m, lm)) and (
+            not pres.is_module or all(m[i] == lm[i] for i in pres.module_idx)
+        ):
+            return k
     return None
 
 
@@ -354,13 +346,13 @@ def _reduce_full(work: set, basis, lms, pres: AlgebraPresentation) -> Poly:
     while work:
         m = max(work, key=pres.mono_key)
         work.discard(m)
-        red = _reducer(m, basis, lms, pres)
-        if red is None:
+        k = _reducer(m, lms, pres)
+        if k is None:
             done.add(m)
         else:
-            t, g = red
-            prod = _mul_mono_poly(t, g)
-            prod.discard(m)  # m cancels against t*lm(g)
+            t = tuple(map(sub, m, lms[k]))
+            prod = _mul_mono_poly(t, basis[k])
+            prod.discard(m)  # m cancels against t*lms[k]
             work ^= prod
     return frozenset(done)
 
@@ -393,8 +385,8 @@ def _buchberger(
         lcm = _mono_lcm(lmi, lmj)
         if pres.is_module and pres.module_count(lcm) > 1:
             continue
-        ti = _mono_div(lcm, lmi)
-        tj = _mono_div(lcm, lmj)
+        ti = tuple(map(sub, lcm, lmi))
+        tj = tuple(map(sub, lcm, lmj))
         if pres.is_module and (
             pres.module_count(ti) or pres.module_count(tj)
         ):
@@ -605,6 +597,16 @@ class PoincareTable:
         return "\n".join(lines)
 
 
+# Dead enumeration states, kept for the life of the process and shared by every
+# presentation of the same generator shape: generator bidegrees, module-generator
+# indices and unit-component flag.  _DEAD[shape][i, rw, mods] has bit rd set
+# when generators i.. cannot use up the remainder (rw)[rd] exactly.  A flag is a
+# fact about the shape alone, so sharing one cannot change a result, and an
+# update lost to a concurrent call only drops a flag.  Only flags are kept,
+# never monomials, so a shape costs a few dozen rows of ints.
+_DEAD: dict[tuple, dict[tuple[int, int, int], int]] = {}
+
+
 def _monomials_of_bidegree(
     pres: AlgebraPresentation, w: int, d: int, include_unit_component: bool = True
 ) -> list[Monomial]:
@@ -613,18 +615,26 @@ def _monomials_of_bidegree(
 
     Exponents are chosen generator by generator, and an exponent is kept only
     when the later generators can use up what it leaves exactly, so no prefix
-    is extended that cannot reach (w)[d].  The monomials the later generators
-    can put on a remainder are memoised for this call only; the last
-    generator's exponent is forced by the remainder.  The pruning uses
-    generator bidegrees and the module-generator limit, never leading terms,
-    which is why the dense oracle may share this function.
+    is extended that cannot reach (w)[d]; the last generator's exponent is
+    forced by the remainder.  A remainder that generators i.. cannot use up
+    is a dead state.  Deadness depends on the generator shape alone, so dead
+    states are flagged in ``_DEAD``, which outlives the call and the
+    presentation: every later call on the same shape skips them without
+    entering them.  The monomials of each state entered are memoised for
+    this call only.  Generator bidegrees are taken to be non-negative, as every
+    builder's are.  Only generator bidegrees, the module-generator limit and
+    the unit flag are used, never leading terms, which is why the dense
+    oracle may share this function.
     """
     n = len(pres.gens)
-    gen_w, gen_d = pres.gen_w, pres.gen_d
     module_idx = pres.module_idx if pres.is_module else ()
     keep_unit = include_unit_component or not pres.is_module
     if n == 0:
         return [()] if w == 0 and d == 0 and keep_unit else []
+    if w < 0 or d < 0:
+        return []
+    gen_w, gen_d = pres.gen_w, pres.gen_d
+    dead = _DEAD.setdefault((gen_w, gen_d, module_idx, keep_unit), {})
     last = n - 1
     lw, ld = gen_w[last], gen_d[last]
     last_limited = last in module_idx
@@ -660,22 +670,30 @@ def _monomials_of_bidegree(
                 cap = 1 - mods
             found = []
             if i + 1 < last:
+                j = i + 1
                 for e in range(cap + 1):
-                    for t in tails(
-                        i + 1, rw - e * gw, rd - e * gd, mods + e if limited else mods
-                    ):
+                    cw, cd = rw - e * gw, rd - e * gd
+                    cm = mods + e if limited else mods
+                    if dead.get((j, cw, cm), 0) >> cd & 1:
+                        continue
+                    for t in tails(j, cw, cd, cm):
                         found.append((e,) + t)
             else:
                 for e in range(cap + 1):
                     f = closing(rw - e * gw, rd - e * gd, mods + e if limited else mods)
                     if f is not None:
                         found.append((e, f))
+            if not found:
+                row = (i, rw, mods)
+                dead[row] = dead.get(row, 0) | 1 << rd
             memo[key] = found
         return found
 
     if n == 1:
         e = closing(w, d, 0)
         return [] if e is None else [(e,)]
+    if dead.get((0, w, 0), 0) >> d & 1:
+        return []
     out = tails(0, w, d, 0)
     # tails refers to itself, so the memo would otherwise wait for the cycle
     # collector; free it now
@@ -689,7 +707,7 @@ def standard_monomials(
     """Monomial basis of the (w)[d] piece: monomials no leading term divides."""
     out = []
     for m in _monomials_of_bidegree(pres, w, d, include_unit_component):
-        if _reducer(m, pres.groebner, pres._gb_lms, pres) is None:
+        if _reducer(m, pres._gb_lms, pres) is None:
             out.append(m)
     out.sort(key=pres.mono_key)
     return out

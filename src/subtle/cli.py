@@ -35,7 +35,7 @@ from .maps import (
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
 from .rings import block_presentation, block_table
-from .steenrod import sq1_check, sq1_define
+from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
 
 DEFAULT_BOX = (8, 8)
@@ -282,7 +282,7 @@ def _cmd_hom(args) -> int:
 def _cmd_sq1(args) -> int:
     model = _resolve_model(args.model)
     w, d = args.box
-    pres = block_presentation(model, args.block, w + d + 2)
+    pres = sq1_presentation(model, args.block, w, d)
     if args.values:
         from .steenrod import load_derivation_descriptor
 

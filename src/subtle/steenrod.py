@@ -30,6 +30,8 @@ from .errors import (
     UnknownDerivationValue,
 )
 from .gf2 import solve
+from .milnor import FieldModel
+from .rings import block_presentation
 
 SQ1_SHIFT = Bidegree(0, 1)
 
@@ -285,6 +287,22 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
     for name in der.unknown:
         rows.append((name, len(kernel), str(solved[name])))
     return der.with_values(solved), tuple(rows)
+
+
+def sq1_presentation(
+    model: FieldModel, block: str, wmax: int, dmax: int
+) -> AlgebraPresentation:
+    """The block built with a bound that fits ``sq1_check`` on the box.
+
+    The check applies Sq1 twice to every generator as well as to the box's
+    monomials, so the bound is max(wmax + dmax, largest generator total) + 2.
+    """
+    pres = block_presentation(model, block, wmax + dmax + 2)
+    top = max((g.bidegree.total for g in pres.gens), default=0)
+    need = max(wmax + dmax, top) + 2
+    if need > pres.truncation_bound:
+        pres = block_presentation(model, block, need)
+    return pres
 
 
 def sq1_check(der: Derivation, wmax: int, dmax: int) -> tuple[SqReport, Derivation]:

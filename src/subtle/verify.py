@@ -43,7 +43,7 @@ from .rings import (
     check_colimit,
     npow_bu_table,
 )
-from .steenrod import sq1_apply, sq1_check, sq1_define
+from .steenrod import sq1_apply, sq1_check, sq1_define, sq1_presentation
 
 MODELS = ("real", "finite_field")
 
@@ -297,9 +297,8 @@ def check_motive_suite(seed: int = 20250801) -> CheckResult:
 def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
     w, d = _box((5, 5), box)
     model = build_field_model("real")
-    bound = w + d + 2
     for block in ("BO:4", "BOp:1"):
-        pres = block_presentation(model, block, bound)
+        pres = sq1_presentation(model, block, w, d)
         report, solved = sq1_check(sq1_define(pres), w, d)
         if not report.ok:
             return CheckResult(

@@ -98,6 +98,21 @@ def test_sq1_check_exit():
     assert code == 2  # no {-1} designation on the builtin finite field
 
 
+@pytest.mark.parametrize("block", ["BO:4", "BU:2", "BOp:2", "Npow:2"])
+def test_sq1_check_small_box_exits_0(block):
+    # Sq1 o Sq1 of a generator above the box (u4 has total 6) still fits the bound
+    for w in range(3):
+        for d in range(3):
+            code, out = run_cli("sq1", "check", block, "--model", "real", "--box", str(w), str(d))
+            assert code == 0, (block, w, d, out)
+            assert "Sq1 o Sq1 = 0 on box: True" in out
+
+
+def test_verify_all_small_box_exits_0():
+    code, out = run_cli("verify", "all", "--box", "2", "2")
+    assert code == 0, out
+
+
 def test_unknown_block_exits_2():
     code, _ = run_cli("ring", "table", "QQ:1", "--model", "real")
     assert code == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from subtle.bigraded import Bidegree, Element, poincare_table, standard_monomials
@@ -305,6 +307,27 @@ def test_oracle_full_box(real, fq):
     for model, block in ((real, "BU:2"), (fq, "Npow:2")):
         pres = block_presentation(model, block, 16)
         assert poincare_table(pres, 8, 8).same_entries(oracle_table(pres, 8, 8))
+
+
+def _random_model(rng, trial):
+    """A field model on a, b, c: one to three relations, each a sum of one to
+    three quadratic monomials, and alpha a random nonzero sum of generators."""
+    names = ["a", "b", "c"]
+    quads = [x + "^2" if x == y else x + "*" + y for i, x in enumerate(names) for y in names[i:]]
+    rels = ["+".join(rng.sample(quads, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+    alpha = "+".join(rng.sample(names, rng.randint(1, 3)))
+    return build_field_model(
+        {"name": f"random{trial}", "generators": names, "relations": rels, "alpha": alpha}
+    )
+
+
+def test_engine_matches_oracle_on_random_models():
+    rng = random.Random(2024)
+    for trial in range(10):
+        model = _random_model(rng, trial)
+        for block in ("BU:2", "BO:3", "Npow:2"):
+            pres = block_presentation(model, block, 12)
+            assert poincare_table(pres, 6, 6) == oracle_table(pres, 6, 6), (str(model), block)
 
 
 def test_parse_block_id_errors():
