@@ -78,7 +78,9 @@ class GenSpec:
 
 class AlgebraPresentation:
     """Finitely presented bigraded algebra (or H-module) with a truncated
-    Groebner basis.  Immutable after construction; identity-based equality.
+    Groebner basis.  Identity-based equality.  Immutable: the constructor sets
+    every attribute, the ``model`` and ``block_id`` labels included, and any
+    later assignment or deletion raises ``AttributeError``.
     """
 
     def __init__(
@@ -89,24 +91,32 @@ class AlgebraPresentation:
         truncation_bound: int,
         is_module: bool = False,
         has_unit: bool = True,
+        model=None,
+        block_id: str | None = None,
     ):
-        self.gens = tuple(gens)
-        self.relations = tuple(relations)
-        self.groebner = tuple(groebner)
-        self.truncation_bound = truncation_bound
-        self.is_module = is_module
-        self.has_unit = has_unit
-        self.names = tuple(g.name for g in self.gens)
-        self.index = {g.name: i for i, g in enumerate(self.gens)}
-        self.gen_w = tuple(g.bidegree.w for g in self.gens)
-        self.gen_d = tuple(g.bidegree.d for g in self.gens)
-        self.module_idx = tuple(
-            i for i, g in enumerate(self.gens) if g.origin == MODULE_GEN
+        gens = tuple(gens)
+        attrs = vars(self)
+        attrs.update(
+            gens=gens,
+            relations=tuple(relations),
+            groebner=tuple(groebner),
+            truncation_bound=truncation_bound,
+            is_module=is_module,
+            has_unit=has_unit,
+            model=model,
+            block_id=block_id,
+            names=tuple(g.name for g in gens),
+            index={g.name: i for i, g in enumerate(gens)},
+            gen_w=tuple(g.bidegree.w for g in gens),
+            gen_d=tuple(g.bidegree.d for g in gens),
+            module_idx=tuple(i for i, g in enumerate(gens) if g.origin == MODULE_GEN),
         )
-        self._gb_lms = tuple(self.lead_monomial(g) for g in self.groebner)
-        # attached by builders for convenience (not part of identity)
-        self.model = None
-        self.block_id: str | None = None
+        attrs["_gb_lms"] = tuple(self.lead_monomial(g) for g in self.groebner)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"presentations are immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -199,16 +209,15 @@ class AlgebraPresentation:
         """Return a presentation certified up to the larger bound."""
         if bound <= self.truncation_bound:
             return self
-        p = presentation_new(
+        return presentation_new(
             self.gens,
             list(self.relations),
             bound,
             is_module=self.is_module,
             has_unit=self.has_unit,
+            model=self.model,
+            block_id=self.block_id,
         )
-        p.model = self.model
-        p.block_id = self.block_id
-        return p
 
 @dataclass(frozen=True, eq=False)
 class Element:
@@ -435,6 +444,8 @@ def presentation_new(
     bound: int,
     is_module: bool = False,
     has_unit: bool = True,
+    model=None,
+    block_id: str | None = None,
 ) -> AlgebraPresentation:
     """Build a presentation and compute its truncated Groebner basis.
 
@@ -463,7 +474,7 @@ def presentation_new(
         b = shell.poly_bidegree(poly)
         if b is None:
             raise NonHomogeneousRelation(
-                f"relation {poly_str(shell, poly)!r} mixes bidegrees"
+                f"relation {str(Element(shell, poly))!r} mixes bidegrees"
             )
         if b.total > bound:
             raise BoundTooSmall(
@@ -488,7 +499,7 @@ def presentation_new(
 
     gb = _buchberger(shell, work, bound)
     return AlgebraPresentation(
-        gens, rel_polys, gb, bound, is_module, has_unit
+        gens, rel_polys, gb, bound, is_module, has_unit, model, block_id
     )
 
 
@@ -503,10 +514,6 @@ def _as_internal_poly(pres: AlgebraPresentation, raw) -> Poly:
         ):
             return raw  # already exponent vectors over these generators
     return pres.raw_to_poly(raw)
-
-
-def poly_str(pres: AlgebraPresentation, poly: Poly) -> str:
-    return str(Element(pres, frozenset(poly)))
 
 
 def normal_form(pres: AlgebraPresentation, raw) -> Element:
@@ -713,6 +720,20 @@ def standard_monomials(
     return out
 
 
+def cell_coordinates(basis: Sequence[Monomial]):
+    """The coordinate map of one cell: a reduced polynomial of that cell goes
+    to the GF(2) vector with bit i set when ``basis[i]`` occurs in it."""
+    index = {m: i for i, m in enumerate(basis)}
+
+    def coords(poly: Iterable[Monomial]) -> int:
+        vec = 0
+        for m in poly:
+            vec |= 1 << index[m]
+        return vec
+
+    return coords
+
+
 def poincare_table(
     pres: AlgebraPresentation, wmax: int, dmax: int
 ) -> PoincareTable:
@@ -737,15 +758,14 @@ def quotient(pres: AlgebraPresentation, ideal: IdealGens | Sequence) -> AlgebraP
     extra = ideal.polys() if isinstance(ideal, IdealGens) else [
         _as_internal_poly(pres, g) for g in ideal
     ]
-    q = presentation_new(
+    return presentation_new(
         pres.gens,
         list(pres.relations) + list(extra),
         pres.truncation_bound,
         is_module=pres.is_module,
         has_unit=pres.has_unit,
+        model=pres.model,
     )
-    q.model = pres.model
-    return q
 
 
 def colon_ideal(
@@ -784,15 +804,13 @@ def colon_ideal(
             basis = standard_monomials(q, w, d, q.has_unit)
             if not basis:
                 continue
-            target = standard_monomials(q, w + fb.w, d + fb.d, q.has_unit)
-            t_index = {m: i for i, m in enumerate(target)}
-            images = []
-            for m in basis:
-                prod = q.reduce_poly(_mul_mono_poly(m, f_el.monomials))
-                vec = 0
-                for mm in prod:
-                    vec |= 1 << t_index[mm]
-                images.append(vec)
+            coords = cell_coordinates(
+                standard_monomials(q, w + fb.w, d + fb.d, q.has_unit)
+            )
+            images = [
+                coords(q.reduce_poly(_mul_mono_poly(m, f_el.monomials)))
+                for m in basis
+            ]
             for combo in kernel_of_map(images):
                 monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
                 candidates.append(pres.element_from_monomials(monos))

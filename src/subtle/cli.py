@@ -34,6 +34,7 @@ from .maps import (
 )
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
+from .parse import load_descriptor
 from .rings import block_presentation, block_table
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
@@ -103,10 +104,7 @@ def _preset(preset: dict, key: str, valid, what: str):
 
 def _apply_config(args) -> None:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            preset = json.load(fh)
-        if not isinstance(preset, dict):
-            raise SubtleError(f"config {args.config} must hold a JSON object")
+        preset = load_descriptor(args.config, "config")
         unknown = sorted(set(preset) - set(CONFIG_KEYS))
         if unknown:
             known = ", ".join(CONFIG_KEYS)
@@ -137,16 +135,12 @@ def _apply_config(args) -> None:
 
 
 def _resolve_model(name: str):
-    if name in BUILTIN_MODELS:
-        return build_field_model(name)
-    if Path(name).is_file():
-        return build_field_model(name)
     search = os.environ.get("SUBTLE_MODEL_DIR")
-    if search:
+    if search and name not in BUILTIN_MODELS and not Path(name).is_file():
         for candidate in (Path(search) / name, Path(search) / f"{name}.json"):
             if candidate.is_file():
                 return build_field_model(str(candidate))
-    raise SubtleError(f"cannot resolve model {name!r}")
+    return build_field_model(name)
 
 
 def _emit(args, text: str) -> None:

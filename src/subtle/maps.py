@@ -8,13 +8,13 @@ from GF(2) ranks of the induced maps between standard-monomial bases.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .bigraded import (
     AlgebraPresentation,
     Element,
     IdealGens,
+    cell_coordinates,
     poincare_table,
     quotient,
     standard_monomials,
@@ -27,11 +27,11 @@ from .errors import (
 )
 from .gf2 import RowSpace
 from .milnor import FieldModel
+from .parse import element_strings, load_descriptor
 from .rings import (
     block_presentation,
-    build_BOhtilde,
-    build_BUn,
     build_xalpha_with_us,
+    _fit_bound,
     _ann_strings,
     _require_alpha,
 )
@@ -182,14 +182,11 @@ def hom_verify(h: Homomorphism, wmax: int, dmax: int) -> HomReport:
             for d in range(dmax + 1):
                 src_basis = standard_monomials(h.source, w, d, h.source.has_unit)
                 tgt_basis = standard_monomials(h.target, w, d, h.target.has_unit)
-                t_index = {m: i for i, m in enumerate(tgt_basis)}
+                coords = cell_coordinates(tgt_basis)
                 space = RowSpace()
                 for m in src_basis:
                     img = h.apply(Element(h.source, frozenset([m])))
-                    vec = 0
-                    for mm in img.monomials:
-                        vec |= 1 << t_index[mm]
-                    space.add(vec)
+                    space.add(coords(img.monomials))
                 rank = space.rank
                 rows.append((w, d, rank, len(src_basis), len(tgt_basis)))
                 if rank != len(tgt_basis):
@@ -218,8 +215,8 @@ def comp_map(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
     class to d_n for odd n."""
     if n < 1:
         raise SubtleError("comparison map needs n >= 1")
-    src = build_BOhtilde(model, n, bound)
-    tgt = build_BUn(model, n, bound)
+    src = block_presentation(model, f"BOh:{n}", bound)
+    tgt = block_presentation(model, f"BU:{n}", bound)
     images: dict[str, Element] = {}
     for gen in src.gens:
         name = gen.name
@@ -240,7 +237,7 @@ def comp_map(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
 def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
     """The stated kernel ideal of the comparison map, with the top odd class
     name substituted for n odd."""
-    src = build_BOhtilde(model, n, bound)
+    src = block_presentation(model, f"BOh:{n}", bound)
     alpha = _require_alpha(model)
     anns = _ann_strings(model, bound)
     top_v = f"v{2 * n + 1}"
@@ -261,12 +258,7 @@ def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
                 f"{uname(4 * i + 3)}*u{4 * j + 2} + {uname(4 * j + 3)}*u{4 * i + 2}"
             )
     # the pair generators may outgrow the requested bound; widen to fit
-    needed = bound
-    for g in gens:
-        b = src.poly_bidegree(src.raw_to_poly(g))
-        if b is not None:
-            needed = max(needed, b.total)
-    src = src.extend_bound(needed)
+    src = src.extend_bound(_fit_bound(src, gens, bound))
     elements = tuple(src.el(g) for g in gens)
     return IdealGens(src, elements, bound)
 
@@ -480,12 +472,16 @@ def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomo
     {"source": blockId, "target": blockId, "images": {gen: element-string}}.
     Generators absent from "images" map to their same-named target generators.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
+    desc = load_descriptor(path, "map descriptor")
+    for key in ("source", "target"):
+        if not isinstance(desc.get(key), str):
+            raise SubtleError(
+                f"map descriptor {key} must be a block id string, got {desc.get(key)!r}"
+            )
+    given = element_strings(desc.get("images", {}), "map descriptor images")
     src = block_presentation(model, desc["source"], bound)
     tgt = block_presentation(model, desc["target"], bound)
     images: dict[str, Element] = {}
-    given = desc.get("images", {})
     for gen in src.gens:
         if gen.name in given:
             images[gen.name] = tgt.el(given[gen.name])

@@ -15,7 +15,6 @@ Built-in models:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .bigraded import (
     standard_monomials,
 )
 from .errors import AlphaIsSquare, SubtleError, ZeroElement
+from .parse import load_descriptor
 
 KMElement = Element
 
@@ -57,18 +57,19 @@ BUILTIN_MODELS = {
 }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class FieldModel:
-    """Immutable Milnor K-theory mod 2 model with a designated symbol."""
+    """Immutable Milnor K-theory mod 2 model with a designated symbol.  Equality
+    and hash cover the descriptor content only, so equal models share blocks."""
 
     tag: str
     generators: tuple[str, ...]
     relation_strings: tuple[str, ...]
     alpha_string: str | None
     minus_one_string: str | None
-    presentation: AlgebraPresentation
+    presentation: AlgebraPresentation = field(compare=False)
     degree_bound: int
-    _ann_cache: dict = field(default_factory=dict, repr=False)
+    _ann_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def alpha(self) -> KMElement:
@@ -117,6 +118,14 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     builtin is the one descriptor allowed to omit alpha.
     """
     descriptor = _resolve_descriptor(spec)
+    for key in ("generators", "relations"):
+        value = descriptor.get(key, [])
+        if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
+            raise SubtleError(f"model {key} must be a list of strings, got {value!r}")
+    for key in ("alpha", "minus_one", "name"):
+        value = descriptor.get(key)
+        if value is not None and not isinstance(value, str):
+            raise SubtleError(f"model {key} must be a string or null, got {value!r}")
     generators = list(descriptor.get("generators", []))
     relations = list(descriptor.get("relations", []))
     alpha = descriptor.get("alpha")
@@ -138,7 +147,7 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     if minus_one is not None:
         pres.el(minus_one)  # validates
 
-    model = FieldModel(
+    return FieldModel(
         tag=tag,
         generators=tuple(generators),
         relation_strings=tuple(relations),
@@ -147,8 +156,6 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
         presentation=pres,
         degree_bound=degree_bound,
     )
-    pres.model = model
-    return model
 
 
 def _resolve_descriptor(spec) -> dict:
@@ -160,16 +167,18 @@ def _resolve_descriptor(spec) -> dict:
     if name in BUILTIN_MODELS:
         return dict(BUILTIN_MODELS[name])
     path = Path(name)
-    if path.is_file():
-        with open(path, "r", encoding="utf-8") as fh:
-            descriptor = json.load(fh)
-        builtin = descriptor.get("builtin")
-        if builtin:
-            base = dict(BUILTIN_MODELS[builtin])
-            base.update({k: v for k, v in descriptor.items() if v is not None})
-            return base
+    if not path.is_file():
+        raise SubtleError(f"unknown model {name!r} (not builtin, not a file)")
+    descriptor = load_descriptor(path, "model descriptor")
+    builtin = descriptor.get("builtin")
+    if builtin is None:
         return descriptor
-    raise SubtleError(f"unknown model {name!r} (not builtin, not a file)")
+    if not isinstance(builtin, str) or builtin not in BUILTIN_MODELS:
+        known = ", ".join(BUILTIN_MODELS)
+        raise SubtleError(f"model builtin {builtin!r} is unknown; known: {known}")
+    base = dict(BUILTIN_MODELS[builtin])
+    base.update({k: v for k, v in descriptor.items() if v is not None})
+    return base
 
 
 def km_normal_form(model: FieldModel, raw) -> KMElement:

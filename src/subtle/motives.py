@@ -25,17 +25,21 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bigraded import PoincareTable, poincare_table, standard_monomials, Element
+from .bigraded import (
+    Element,
+    PoincareTable,
+    cell_coordinates,
+    poincare_table,
+    standard_monomials,
+)
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .gf2 import RowSpace
 from .milnor import FieldModel
-from .rings import (
-    block_table,
-    build_H,
-    build_Npow,
-)
+from .rings import block_presentation, block_table
 
 BASES = ("N", "Ma", "Mt", "Xa", "Xt")
+# bases whose table is a block's table
+_ATOM_BLOCKS = {"Mt": "Mtilde", "Xa": "Xalpha", "Xt": "Xtilde"}
 _BASE_RANK = {b: i for i, b in enumerate(BASES)}
 
 
@@ -185,26 +189,22 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     cell is determined.
     """
     bound = wmax + dmax + 2
-    h = poincare_table(build_H(model, bound), wmax, dmax + 1)
-    n1_pres = build_Npow(model, 1, bound)
+    h_pres = block_presentation(model, "H", bound)
+    h = poincare_table(h_pres, wmax, dmax + 1)
+    n1_pres = block_presentation(model, "Npow:1", bound)
     n1 = poincare_table(n1_pres, wmax, dmax + 1)
-    h_pres = build_H(model, bound)
 
     def mu_rank(w: int, d: int) -> int:
         if d < 0:
             return 0
         domain = standard_monomials(h_pres, w, d)
-        target = standard_monomials(n1_pres, w, d + 1, True)
-        t_index = {m: i for i, m in enumerate(target)}
+        coords = cell_coordinates(standard_monomials(n1_pres, w, d + 1, True))
         mu1 = n1_pres.gen("mu1")
         space = RowSpace()
         for m in domain:
             named = Element(h_pres, frozenset([m])).as_named()
             img = n1_pres.el(named) * mu1
-            vec = 0
-            for mm in img.monomials:
-                vec |= 1 << t_index[mm]
-            space.add(vec)
+            space.add(coords(img.monomials))
         return space.rank
 
     counts = []
@@ -234,12 +234,8 @@ def atom_table(model: FieldModel, atom: Atom, wmax: int, dmax: int) -> PoincareT
             )
     elif atom.base == "Ma":
         base = malpha_table(model, wmax, dmax)
-    elif atom.base == "Mt":
-        base = block_table(model, "Mtilde", wmax, dmax)
-    elif atom.base == "Xa":
-        base = block_table(model, "Xalpha", wmax, dmax)
-    elif atom.base == "Xt":
-        base = block_table(model, "Xtilde", wmax, dmax)
+    elif atom.base in _ATOM_BLOCKS:
+        base = block_table(model, _ATOM_BLOCKS[atom.base], wmax, dmax)
     else:
         raise UnsupportedAtom(f"unknown atom base {atom.base!r}")
     return base.shift(atom.twist, atom.shift)

@@ -8,6 +8,7 @@ files and the CLI.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .errors import SubtleError
@@ -22,6 +23,23 @@ RawPoly = frozenset
 
 class ParseError(SubtleError):
     pass
+
+
+def load_descriptor(path, what: str) -> dict:
+    """The JSON object in a descriptor or config file; SubtleError, naming
+    ``what``, when the file holds any other JSON value."""
+    with open(path, "r", encoding="utf-8") as fh:
+        value = json.load(fh)
+    if not isinstance(value, dict):
+        raise SubtleError(f"{what} {path} must hold a JSON object")
+    return value
+
+
+def element_strings(value, what: str) -> dict:
+    """A descriptor's generator -> element-string mapping, checked."""
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise SubtleError(f"{what} must map generators to element strings, got {value!r}")
+    return value
 
 
 def tokenize(text: str) -> list[str]:

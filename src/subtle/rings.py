@@ -14,12 +14,15 @@ Block identifiers (CLI-facing):
     XBU:n        Xalpha freely extended by c_1..c_n
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
+
+``block_presentation`` holds the package's one build cache, keyed by (model
+content, block, bound): package code asks it for a block, and the public
+``build_*`` functions build afresh on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .bigraded import (
     MILNOR,
@@ -50,57 +53,56 @@ def _require_alpha(model: FieldModel) -> str:
     return model.alpha_string
 
 
-def _present(gens, rels, bound: int, **kwargs) -> AlgebraPresentation:
-    """presentation_new with the bound raised to fit the relations themselves."""
+def _fit_bound(pres: AlgebraPresentation, raws, bound: int) -> int:
+    """The bound raised to the largest total degree among homogeneous raws."""
+    for r in raws:
+        b = pres.poly_bidegree(pres.raw_to_poly(r))
+        if b is not None:
+            bound = max(bound, b.total)
+    return bound
+
+
+def _present(
+    model: FieldModel, block_id: str, gens, rels, bound: int, **kwargs
+) -> AlgebraPresentation:
+    """The block over H: H's generators and relations, then the block's own
+    ``gens`` and ``rels``, with the bound raised to fit the relations
+    themselves; labelled with its model and block id."""
+    gens = h_gens(model) + gens
+    rels = list(model.relation_strings) + rels
     shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
-    needed = bound
-    for r in rels:
-        poly = shell.raw_to_poly(r)
-        if poly:
-            b = shell.poly_bidegree(poly)
-            if b is not None:
-                needed = max(needed, b.total)
-    return presentation_new(gens, rels, needed, **kwargs)
+    needed = _fit_bound(shell, rels, bound)
+    return presentation_new(
+        gens, rels, needed, model=model, block_id=block_id, **kwargs
+    )
 
 
 def _ann_strings(model: FieldModel, bound: int) -> list[str]:
     return [str(g) for g in model.annihilator(bound).gens]
 
 
-def _finish(pres: AlgebraPresentation, model: FieldModel, block_id: str):
-    pres.model = model
-    pres.block_id = block_id
-    return pres
-
-
-@lru_cache(maxsize=None)
 def build_H(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
     """The coefficient ring: model generators plus tau at (1)[0]."""
-    pres = _present(h_gens(model), model.relation_strings, bound)
-    return _finish(pres, model, "H")
+    return _present(model, "H", [], [], bound)
 
 
 def u_bidegree(i: int) -> Bidegree:
     return Bidegree(i // 2, i)
 
 
-@lru_cache(maxsize=None)
 def build_BO(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Free H-algebra on u_1..u_n, deg u_i = ([i/2])[i]."""
-    gens = h_gens(model) + [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n + 1)]
-    pres = _present(gens, model.relation_strings, bound)
-    return _finish(pres, model, f"BO:{n}")
+    gens = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n + 1)]
+    return _present(model, f"BO:{n}", gens, [], bound)
 
 
-@lru_cache(maxsize=None)
 def build_BUn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Unitary classes: c_i at (i)[2i], d_j at (j)[2j+1] for odd j, modulo
     tau*d_j + alpha*c_j, Ann(alpha)*d_j and c_j'*d_j + c_j*d_j'."""
-    gens = h_gens(model)
-    gens += [GenSpec(f"c{i}", Bidegree(i, 2 * i)) for i in range(1, n + 1)]
+    gens = [GenSpec(f"c{i}", Bidegree(i, 2 * i)) for i in range(1, n + 1)]
     odd = [j for j in range(1, n + 1) if j % 2 == 1]
     gens += [GenSpec(f"d{j}", Bidegree(j, 2 * j + 1)) for j in odd]
-    rels = list(model.relation_strings)
+    rels = []
     if n >= 1:
         alpha = _require_alpha(model)
         anns = _ann_strings(model, bound)
@@ -110,11 +112,9 @@ def build_BUn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation
         for a_idx, j in enumerate(odd):
             for jp in odd[a_idx + 1:]:
                 rels.append(f"c{jp}*d{j} + c{j}*d{jp}")
-    pres = _present(gens, rels, bound)
-    return _finish(pres, model, f"BU:{n}")
+    return _present(model, f"BU:{n}", gens, rels, bound)
 
 
-@lru_cache(maxsize=None)
 def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """u_1..u_2n and v_{2n+1}, modulo tau*v + alpha*u_2n and Ann(alpha)*v."""
     if n < 1:
@@ -123,116 +123,85 @@ def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
         )
     alpha = _require_alpha(model)
     v = f"v{2 * n + 1}"
-    gens = h_gens(model)
-    gens += [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, 2 * n + 1)]
+    gens = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, 2 * n + 1)]
     gens.append(GenSpec(v, Bidegree(n, 2 * n + 1)))
-    rels = list(model.relation_strings)
-    rels.append(f"tau*{v} + ({alpha})*u{2 * n}")
+    rels = [f"tau*{v} + ({alpha})*u{2 * n}"]
     rels += [f"({a})*{v}" for a in _ann_strings(model, bound)]
-    pres = _present(gens, rels, bound)
-    return _finish(pres, model, f"BOp:{n}")
+    return _present(model, f"BOp:{n}", gens, rels, bound)
 
 
-@lru_cache(maxsize=None)
 def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd.
 
     The result is a relabelled copy, so the cached BOp:n or BO:2n keeps its
     own block id.
     """
-    base = build_BOpn(model, n, bound) if n % 2 == 1 else build_BO(model, 2 * n, bound)
-    pres = AlgebraPresentation(
-        base.gens,
-        base.relations,
-        base.groebner,
-        base.truncation_bound,
-        base.is_module,
-        base.has_unit,
+    base = block_presentation(model, f"BOp:{n}" if n % 2 == 1 else f"BO:{2 * n}", bound)
+    return AlgebraPresentation(
+        base.gens, base.relations, base.groebner, base.truncation_bound,
+        base.is_module, base.has_unit, model, f"BOh:{n}",
     )
-    return _finish(pres, model, f"BOh:{n}")
 
 
-@lru_cache(maxsize=None)
+def _xalpha(model: FieldModel, block_id: str, free, bound: int) -> AlgebraPresentation:
+    """Xalpha freely extended by the generators ``free``."""
+    rels = [f"tau*mu + ({_require_alpha(model)})"]
+    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
+    return _present(model, block_id, [GenSpec("mu", Bidegree(0, 1))] + free, rels, bound)
+
+
 def build_Xalpha(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
     """Ring with mu at (0)[1] adjoined: tau*mu = alpha, Ann(alpha)*mu = 0."""
-    alpha = _require_alpha(model)
-    gens = h_gens(model) + [GenSpec("mu", Bidegree(0, 1))]
-    rels = list(model.relation_strings)
-    rels.append(f"tau*mu + ({alpha})")
-    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
-    pres = _present(gens, rels, bound)
-    return _finish(pres, model, "Xalpha")
+    return _xalpha(model, "Xalpha", [], bound)
 
 
-@lru_cache(maxsize=None)
 def build_Npow(model: FieldModel, m: int, bound: int = 16) -> AlgebraPresentation:
     """H-module on mu_1..mu_m with tau*mu_i = alpha*mu_{i-1} (mu_0 = 1)."""
     if m == 0:
-        return build_H(model, bound)
+        return block_presentation(model, "H", bound)
     alpha = _require_alpha(model)
-    gens = h_gens(model)
-    gens += [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, m + 1)]
-    rels = list(model.relation_strings)
+    gens = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, m + 1)]
+    rels = []
     anns = _ann_strings(model, bound)
     for i in range(1, m + 1):
         prev = f"mu{i - 1}" if i > 1 else "1"
         rels.append(f"tau*mu{i} + ({alpha})*{prev}")
         rels += [f"({a})*mu{i}" for a in anns]
-    pres = _present(gens, rels, bound, is_module=True)
-    return _finish(pres, model, f"Npow:{m}")
+    return _present(model, f"Npow:{m}", gens, rels, bound, is_module=True)
 
 
-@lru_cache(maxsize=None)
+def _tau_torsion(model: FieldModel, block_id: str, mus, bound: int) -> AlgebraPresentation:
+    """Module on the generators ``mus``, each killed by tau and by Ann(alpha)."""
+    _require_alpha(model)
+    anns = _ann_strings(model, bound)
+    rels = []
+    for mu in mus:
+        rels.append(f"tau*{mu.name}")
+        rels += [f"({a})*{mu.name}" for a in anns]
+    return _present(model, block_id, mus, rels, bound, is_module=True, has_unit=False)
+
+
 def build_Mtilde(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
     """Single-diagonal module: mu with tau*mu = 0 and Ann(alpha)*mu = 0."""
-    alpha = _require_alpha(model)
-    gens = h_gens(model) + [GenSpec("mu", Bidegree(0, 1), MODULE_GEN)]
-    rels = list(model.relation_strings)
-    rels.append("tau*mu")
-    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
-    pres = _present(gens, rels, bound, is_module=True, has_unit=False)
-    return _finish(pres, model, "Mtilde")
+    return _tau_torsion(model, "Mtilde", [GenSpec("mu", Bidegree(0, 1), MODULE_GEN)], bound)
 
 
-@lru_cache(maxsize=None)
 def build_Xtilde(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
     """One diagonal copy per mu_i, i >= 1, truncated at the working bound."""
-    alpha = _require_alpha(model)
-    gens = h_gens(model)
-    gens += [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, bound + 1)]
-    rels = list(model.relation_strings)
-    anns = _ann_strings(model, bound)
-    for i in range(1, bound + 1):
-        rels.append(f"tau*mu{i}")
-        rels += [f"({a})*mu{i}" for a in anns]
-    pres = _present(gens, rels, bound, is_module=True, has_unit=False)
-    return _finish(pres, model, "Xtilde")
+    mus = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, bound + 1)]
+    return _tau_torsion(model, "Xtilde", mus, bound)
 
 
-@lru_cache(maxsize=None)
 def build_X_BU(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Xalpha freely extended by c_1..c_n."""
-    alpha = _require_alpha(model)
-    gens = h_gens(model) + [GenSpec("mu", Bidegree(0, 1))]
-    gens += [GenSpec(f"c{i}", Bidegree(i, 2 * i)) for i in range(1, n + 1)]
-    rels = list(model.relation_strings)
-    rels.append(f"tau*mu + ({alpha})")
-    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
-    pres = _present(gens, rels, bound)
-    return _finish(pres, model, f"XBU:{n}")
+    free = [GenSpec(f"c{i}", Bidegree(i, 2 * i)) for i in range(1, n + 1)]
+    return _xalpha(model, f"XBU:{n}", free, bound)
 
 
-@lru_cache(maxsize=None)
 def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> AlgebraPresentation:
     """Xalpha freely extended by u_1..u_{n_u}; both sides of the twist map."""
-    alpha = _require_alpha(model)
-    gens = h_gens(model) + [GenSpec("mu", Bidegree(0, 1))]
-    gens += [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n_u + 1)]
-    rels = list(model.relation_strings)
-    rels.append(f"tau*mu + ({alpha})")
-    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
-    pres = _present(gens, rels, bound)
-    return _finish(pres, model, f"XBO:{n_u}")
+    free = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n_u + 1)]
+    return _xalpha(model, f"XBO:{n_u}", free, bound)
 
 
 # ----- dimension-table-only blocks --------------------------------------------
@@ -252,7 +221,7 @@ def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
 def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     """Table of the inverse block: Ann part on the Milnor diagonal plus a
     tau-shifted copy of H (the grading convention recorded in the design)."""
-    h = poincare_table(build_H(model, wmax + dmax + 2), wmax, dmax)
+    h = poincare_table(block_presentation(model, "H", wmax + dmax + 2), wmax, dmax)
     ann = ann_dimensions(model, wmax)
     counts = tuple(
         tuple(
@@ -279,7 +248,8 @@ def npow_bu_table(
 
     def npow_tab(k: int) -> PoincareTable:
         if k not in npow_cache:
-            npow_cache[k] = poincare_table(build_Npow(model, k, bound), wmax, dmax)
+            pres = block_presentation(model, f"Npow:{k}", bound)
+            npow_cache[k] = poincare_table(pres, wmax, dmax)
         return npow_cache[k]
 
     def rec(l: int, shift_w: int, shift_d: int, odd_sum: int):
@@ -338,10 +308,10 @@ class ColimitReport:
 def check_colimit(model: FieldModel, wmax: int, dmax: int) -> ColimitReport:
     """Power-block tables must stabilize cellwise to the Xalpha table."""
     bound = wmax + dmax
-    target = poincare_table(build_Xalpha(model, bound), wmax, dmax)
+    target = poincare_table(block_presentation(model, "Xalpha", bound), wmax, dmax)
     top = dmax + 1
     tables = [
-        poincare_table(build_Npow(model, m, bound), wmax, dmax)
+        poincare_table(block_presentation(model, f"Npow:{m}", bound), wmax, dmax)
         for m in range(top + 1)
     ]
     stab: list[tuple[int | None, ...]] = []
@@ -365,6 +335,26 @@ def check_colimit(model: FieldModel, wmax: int, dmax: int) -> ColimitReport:
 # ----- block dispatch ----------------------------------------------------------
 
 
+# kind -> (number of integer parameters, builder or None for table-only kinds)
+BLOCKS = {
+    "H": (0, build_H),
+    "BO": (1, build_BO),
+    "BU": (1, build_BUn),
+    "BOp": (1, build_BOpn),
+    "BOh": (1, build_BOhtilde),
+    "Npow": (1, build_Npow),
+    "Mtilde": (0, build_Mtilde),
+    "Xalpha": (0, build_Xalpha),
+    "Xtilde": (0, build_Xtilde),
+    "XBU": (1, build_X_BU),
+    "nbar": (0, None),
+    "NpowBU": (2, None),
+}
+
+# the one build cache: (model, kind, parameters, bound) -> presentation
+_BUILT: dict[tuple, AlgebraPresentation] = {}
+
+
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
     parts = block.split(":")
     kind = parts[0]
@@ -372,12 +362,7 @@ def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
         args = tuple(int(x) for x in parts[1:])
     except ValueError as exc:
         raise UnsupportedBlock(f"bad block id {block!r}") from exc
-    known = {
-        "H": 0, "BO": 1, "BU": 1, "BOp": 1, "BOh": 1, "Npow": 1,
-        "Mtilde": 0, "nbar": 0, "Xalpha": 0, "Xtilde": 0, "XBU": 1,
-        "NpowBU": 2,
-    }
-    if kind not in known or len(args) != known[kind]:
+    if kind not in BLOCKS or len(args) != BLOCKS[kind][0]:
         raise UnsupportedBlock(f"unknown block id {block!r}")
     if any(a < 0 for a in args):
         raise UnsupportedBlock(f"block parameters must be >= 0 in {block!r}")
@@ -387,29 +372,16 @@ def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
 def block_presentation(
     model: FieldModel, block: str, bound: int = 16
 ) -> AlgebraPresentation:
-    """Presentation for a block id; table-only blocks are rejected."""
+    """Presentation for a block id, built once per (model content, block,
+    bound) and shared; table-only blocks are rejected."""
     kind, args = parse_block_id(block)
-    if kind == "H":
-        return build_H(model, bound)
-    if kind == "BO":
-        return build_BO(model, args[0], bound)
-    if kind == "BU":
-        return build_BUn(model, args[0], bound)
-    if kind == "BOp":
-        return build_BOpn(model, args[0], bound)
-    if kind == "BOh":
-        return build_BOhtilde(model, args[0], bound)
-    if kind == "Npow":
-        return build_Npow(model, args[0], bound)
-    if kind == "Mtilde":
-        return build_Mtilde(model, bound)
-    if kind == "Xalpha":
-        return build_Xalpha(model, bound)
-    if kind == "Xtilde":
-        return build_Xtilde(model, bound)
-    if kind == "XBU":
-        return build_X_BU(model, args[0], bound)
-    raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
+    builder = BLOCKS[kind][1]
+    if builder is None:
+        raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
+    key = (model, kind, args, bound)
+    if key not in _BUILT:
+        _BUILT[key] = builder(model, *args, bound)
+    return _BUILT[key]
 
 
 def block_table(

@@ -11,7 +11,6 @@ solution space instead of inventing a value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .bigraded import (
@@ -21,6 +20,7 @@ from .bigraded import (
     AlgebraPresentation,
     Bidegree,
     Element,
+    cell_coordinates,
     standard_monomials,
 )
 from .errors import (
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .gf2 import solve
 from .milnor import FieldModel
+from .parse import element_strings, load_descriptor
 from .rings import block_presentation
 
 SQ1_SHIFT = Bidegree(0, 1)
@@ -114,9 +115,9 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
 def load_derivation_descriptor(path: str, pres: AlgebraPresentation) -> Derivation:
     """Derivation from a JSON descriptor {"values": {gen: element-string}};
     generators absent from the file keep their defaults (or stay unknown)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
-    return sq1_define(pres, desc.get("values", {}))
+    desc = load_descriptor(path, "derivation descriptor")
+    values = element_strings(desc.get("values", {}), "derivation descriptor values")
+    return sq1_define(pres, values)
 
 
 def sq1_apply(der: Derivation, el: Element) -> Element:
@@ -214,7 +215,6 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
     if not der.unknown:
         return der, ()
 
-    columns: list[int] = []
     col_meta: list[tuple[str, object]] = []  # (gen name, basis monomial)
     var_basis: dict[str, list] = {}
     for name in der.unknown:
@@ -234,7 +234,7 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
         if rb is None:
             continue
         cell_basis = standard_monomials(pres, rb.w, rb.d + 1, True)
-        cell_index = {m: i for i, m in enumerate(cell_basis)}
+        coords = cell_coordinates(cell_basis)
 
         known = pres.zero()
         for idx, gname in enumerate(pres.names):
@@ -247,10 +247,8 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
             if val.is_zero():
                 continue
             known = known + pres.element_from_monomials(part) * val
-        for m in known.monomials:
-            target_bits |= 1 << (row_offset + cell_index[m])
+        target_bits |= coords(known.monomials) << row_offset
 
-        col = 0
         for ci, (gname, bmono) in enumerate(col_meta):
             idx = pres.index[gname]
             part = _partial(pres, rel, idx)
@@ -259,10 +257,7 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
             contrib = pres.element_from_monomials(part) * Element(
                 pres, frozenset([bmono])
             )
-            bits = 0
-            for m in contrib.monomials:
-                bits |= 1 << (row_offset + cell_index[m])
-            col_bits[ci] ^= bits
+            col_bits[ci] ^= coords(contrib.monomials) << row_offset
         row_offset += len(cell_basis)
 
     particular, kernel = solve(col_bits, target_bits)

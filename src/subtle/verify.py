@@ -37,8 +37,6 @@ from .oracle import oracle_table
 from .rings import (
     block_presentation,
     block_table,
-    build_BUn,
-    build_Xalpha,
     build_xalpha_with_us,
     check_colimit,
     npow_bu_table,
@@ -341,8 +339,8 @@ def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
 
 def check_specialization() -> CheckResult:
     model = build_field_model("real")
-    bu2 = build_BUn(model, 2, 12)
-    xa = build_Xalpha(model, 12)
+    bu2 = block_presentation(model, "BU:2", 12)
+    xa = block_presentation(model, "Xalpha", 12)
     # split form: all classes vanish
     _, rep = specialize_classes(
         bu2, {"c1": "0", "c2": "0", "d1": "0"}, xa, "split-form"

@@ -198,6 +198,66 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text):
     assert all(key in err for key in json.loads(text) if isinstance(key, str))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["a"]',
+        '{"builtin": "nope"}',
+        '{"builtin": ["real"]}',
+        '{"generators": "ab", "relations": [], "alpha": "a"}',
+        '{"generators": ["a"], "relations": [3], "alpha": "a"}',
+        '{"generators": ["a"], "relations": "a^2", "alpha": "a"}',
+        '{"generators": ["a"], "relations": [], "alpha": 3}',
+        '{"generators": ["a"], "relations": [], "alpha": "a", "minus_one": ["a"]}',
+        '{"name": [1], "generators": ["a"], "relations": [], "alpha": "a"}',
+    ],
+)
+@pytest.mark.parametrize("via", ["path", "model_dir"])
+def test_bad_model_file_exits_2(tmp_path, monkeypatch, capsys, text, via):
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    name = str(path)
+    if via == "model_dir":
+        monkeypatch.setenv("SUBTLE_MODEL_DIR", str(tmp_path))
+        name = "m"
+    code, out = run_cli("field", "show", "--model", name)
+    assert code == 2 and out == ""
+    assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["BO:1"]',
+        '{"target": "BU:1"}',
+        '{"source": 3, "target": "BU:1"}',
+        '{"source": "BOh:1"}',
+        '{"source": "BOh:1", "target": "BU:1", "images": ["u1"]}',
+        '{"source": "BOh:1", "target": "BU:1", "images": {"u1": 0}}',
+    ],
+)
+def test_bad_map_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "map.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli("hom", "verify", str(path), "--model", "real", "--box", "3", "3")
+    assert code == 2 and out == ""
+    assert "map descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ['["v3"]', '{"values": {"v3": 5}}', '{"values": ["x"]}', '{"values": "v3"}']
+)
+def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "der.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(
+        "sq1", "check", "BOp:1", "--model", "real", "--box", "3", "3",
+        "--values", str(path),
+    )
+    assert code == 2 and out == ""
+    assert "derivation descriptor" in capsys.readouterr().err
+
+
 def test_help_keeps_example_lines():
     code, out = run_cli("--help")
     assert code == 0

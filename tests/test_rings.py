@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from subtle.bigraded import Bidegree, Element, poincare_table, standard_monomials
+from subtle.bigraded import Bidegree, Element, poincare_table, quotient, standard_monomials
 from subtle.errors import UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model
@@ -109,6 +109,42 @@ def test_bohtilde_leaves_cached_blocks_labelled(real):
     report, _ = sq1_check(sq1_define(bop), 3, 3)
     assert "BOp:1" in report.render_text()
     assert "BOh:1" not in report.render_text()
+
+
+@pytest.mark.parametrize("attr", ["block_id", "groebner", "model", "truncation_bound"])
+def test_built_presentation_refuses_assignment(real, attr):
+    pres = block_presentation(real, "BU:1", 8)
+    before = getattr(pres, attr)
+    with pytest.raises(AttributeError):
+        setattr(pres, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(pres, attr)
+    assert getattr(pres, attr) is before
+
+
+def test_models_equal_by_content_share_blocks():
+    m1, m2 = build_field_model("real"), build_field_model("real")
+    assert m1 is not m2 and m1 == m2 and hash(m1) == hash(m2)
+    assert block_presentation(m1, "BU:2", 8) is block_presentation(m2, "BU:2", 8)
+    assert block_presentation(m1, "BU:2", 8) is not block_presentation(m1, "BU:2", 9)
+    base = {"name": "m", "generators": ["a", "b"], "relations": ["a*b"], "alpha": "a"}
+    other_alpha = build_field_model(dict(base, alpha="b"))
+    other_rels = build_field_model(dict(base, relations=["a^2"]))
+    assert build_field_model(base) == build_field_model(base)
+    assert other_alpha != build_field_model(base) and other_rels != build_field_model(base)
+    assert block_presentation(other_alpha, "BU:1", 8) is not block_presentation(
+        build_field_model(base), "BU:1", 8
+    )
+
+
+def test_extend_bound_and_quotient_keep_labels(real):
+    pres = block_presentation(real, "BOp:1", 8)
+    assert pres.model == real and pres.block_id == "BOp:1"
+    big = pres.extend_bound(10)
+    assert big is not pres and big.truncation_bound == 10
+    assert big.model is pres.model and big.block_id == "BOp:1"
+    q = quotient(pres, ["u1"])
+    assert q.model is pres.model and q.block_id is None
 
 
 def test_npow_tables(real, fq):
