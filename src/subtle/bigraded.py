@@ -710,12 +710,12 @@ def _monomials_of_bidegree(
     return out
 
 
-def standard_monomials(
-    pres: AlgebraPresentation, w: int, d: int, include_unit_component: bool = True
-) -> list[Monomial]:
-    """Monomial basis of the (w)[d] piece: monomials no leading term divides."""
+def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
+    """Monomial basis of the (w)[d] piece: monomials no leading term divides.
+    A module without a unit component (``has_unit`` false) leaves out the
+    monomials free of module generators."""
     out = []
-    for m in _monomials_of_bidegree(pres, w, d, include_unit_component):
+    for m in _monomials_of_bidegree(pres, w, d, pres.has_unit):
         if _reducer(m, pres._gb_lms, pres) is None:
             out.append(m)
     out.sort(key=pres.mono_key)
@@ -747,7 +747,7 @@ def poincare_table(
         )
     counts = tuple(
         tuple(
-            len(standard_monomials(pres, w, d, pres.has_unit))
+            len(standard_monomials(pres, w, d))
             for d in range(dmax + 1)
         )
         for w in range(wmax + 1)
@@ -803,12 +803,10 @@ def colon_ideal(
     for total in range(0, bound - fb.total + 1):
         for w in range(0, total + 1):
             d = total - w
-            basis = standard_monomials(q, w, d, q.has_unit)
+            basis = standard_monomials(q, w, d)
             if not basis:
                 continue
-            coords = cell_coordinates(
-                standard_monomials(q, w + fb.w, d + fb.d, q.has_unit)
-            )
+            coords = cell_coordinates(standard_monomials(q, w + fb.w, d + fb.d))
             images = [
                 coords(q.reduce_poly(_mul_mono_poly(m, f_el.monomials)))
                 for m in basis

@@ -8,34 +8,36 @@ membership and kernel computations short and fast at desk scale.
 from __future__ import annotations
 
 
-def _reduce(row: int, pivots: dict[int, int]) -> int:
+def _reduce(row: int, tag: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Clear leading bits of ``row`` against the pivots, summing their tags
+    into ``tag``; stops at 0 or at the first leading bit with no pivot."""
     while row:
-        h = row.bit_length() - 1
-        p = pivots.get(h)
+        p = pivots.get(row.bit_length() - 1)
         if p is None:
-            return row
-        row ^= p
-    return 0
+            break
+        row ^= p[0]
+        tag ^= p[1]
+    return row, tag
 
 
 class RowSpace:
     """Incrementally built row space with membership queries."""
 
     def __init__(self, rows: list[int] | None = None):
-        self.pivots: dict[int, int] = {}
+        self.pivots: dict[int, tuple[int, int]] = {}
         for row in rows or []:
             self.add(row)
 
     def add(self, row: int) -> bool:
         """Insert a row; returns True if it enlarged the span."""
-        row = _reduce(row, self.pivots)
+        row = _reduce(row, 0, self.pivots)[0]
         if row:
-            self.pivots[row.bit_length() - 1] = row
+            self.pivots[row.bit_length() - 1] = (row, 0)
             return True
         return False
 
     def contains(self, row: int) -> bool:
-        return _reduce(row, self.pivots) == 0
+        return _reduce(row, 0, self.pivots)[0] == 0
 
     @property
     def rank(self) -> int:
@@ -48,15 +50,9 @@ def _eliminate(columns: list[int]) -> tuple[dict[int, tuple[int, int]], list[int
     pivots: dict[int, tuple[int, int]] = {}
     kernel: list[int] = []
     for i, col in enumerate(columns):
-        row, tag = col, 1 << i
-        while row:
-            h = row.bit_length() - 1
-            if h not in pivots:
-                pivots[h] = (row, tag)
-                break
-            prow, ptag = pivots[h]
-            row ^= prow
-            tag ^= ptag
+        row, tag = _reduce(col, 1 << i, pivots)
+        if row:
+            pivots[row.bit_length() - 1] = (row, tag)
         else:
             kernel.append(tag)
     return pivots, kernel
@@ -79,12 +75,5 @@ def solve(columns: list[int], target: int) -> tuple[int | None, list[int]]:
     input order.
     """
     pivots, kernel = _eliminate(columns)
-    row, tag = target, 0
-    while row:
-        h = row.bit_length() - 1
-        if h not in pivots:
-            return None, kernel
-        prow, ptag = pivots[h]
-        row ^= prow
-        tag ^= ptag
-    return tag, kernel
+    row, tag = _reduce(target, 0, pivots)
+    return (None if row else tag), kernel

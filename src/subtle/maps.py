@@ -37,16 +37,12 @@ from .rings import (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Homomorphism:
     source: AlgebraPresentation
     target: AlgebraPresentation
     images: dict[str, Element]
     label: str = "hom"
-    verified_box: tuple[int, int] | None = None
-    well_defined: bool | None = None
-    surjective_on_box: bool | None = None
-    injective_on_box: bool | None = None
     _powers: dict = field(default_factory=dict, repr=False)
 
     def image_of(self, name: str) -> Element:
@@ -180,8 +176,8 @@ def hom_verify(h: Homomorphism, wmax: int, dmax: int) -> HomReport:
     if well:
         for w in range(wmax + 1):
             for d in range(dmax + 1):
-                src_basis = standard_monomials(h.source, w, d, h.source.has_unit)
-                tgt_basis = standard_monomials(h.target, w, d, h.target.has_unit)
+                src_basis = standard_monomials(h.source, w, d)
+                tgt_basis = standard_monomials(h.target, w, d)
                 coords = cell_coordinates(tgt_basis)
                 space = RowSpace()
                 for m in src_basis:
@@ -196,14 +192,7 @@ def hom_verify(h: Homomorphism, wmax: int, dmax: int) -> HomReport:
     else:
         surj = inj = False
 
-    report = HomReport(
-        h.label, wmax, dmax, well, offender, tuple(rows), surj, inj
-    )
-    h.verified_box = (wmax, dmax)
-    h.well_defined = well
-    h.surjective_on_box = surj
-    h.injective_on_box = inj
-    return report
+    return HomReport(h.label, wmax, dmax, well, offender, tuple(rows), surj, inj)
 
 
 # ----- the named comparison maps ------------------------------------------------
@@ -448,7 +437,6 @@ def specialize_classes(
         zero = img.is_zero()
         well = well and zero
         rel_rows.append((str(rel_el), str(img), zero))
-    h.well_defined = well
 
     powers_of_two = [
         name
@@ -470,7 +458,8 @@ def specialize_classes(
 def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomorphism:
     """Build a homomorphism from a JSON descriptor
     {"source": blockId, "target": blockId, "images": {gen: element-string}}.
-    Generators absent from "images" map to their same-named target generators.
+    Generators absent from "images" map to their same-named target generators,
+    and a key that names no source generator exits 2.
     """
     desc = load_descriptor(path, "map descriptor")
     for key in ("source", "target"):
@@ -481,15 +470,17 @@ def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomo
     given = element_strings(desc.get("images", {}), "map descriptor images")
     src = block_presentation(model, desc["source"], bound)
     tgt = block_presentation(model, desc["target"], bound)
-    images: dict[str, Element] = {}
+    images: dict = dict(given)
     for gen in src.gens:
-        if gen.name in given:
-            images[gen.name] = tgt.el(given[gen.name])
-        elif gen.name in tgt.index:
-            images[gen.name] = tgt.gen(gen.name)
-        else:
+        if gen.name in images:
+            continue
+        if gen.name not in tgt.index:
             raise UnknownGenerator(
                 f"descriptor misses image for {gen.name!r} and target has no such generator"
             )
+        images[gen.name] = tgt.gen(gen.name)
     label = f"{desc['source']}->{desc['target']}"
-    return hom_define(src, tgt, images, label)
+    try:
+        return hom_define(src, tgt, images, label)
+    except UnknownGenerator as exc:
+        raise UnknownGenerator(f"map descriptor images: {exc}") from None

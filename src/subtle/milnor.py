@@ -57,6 +57,11 @@ BUILTIN_MODELS = {
 }
 
 
+# Ann({alpha}) per (model, bound), for the life of the process: models equal
+# by content share one entry.
+_ANN: dict[tuple[FieldModel, int], IdealGens] = {}
+
+
 @dataclass(frozen=True)
 class FieldModel:
     """Immutable Milnor K-theory mod 2 model with a designated symbol.  Equality
@@ -69,7 +74,6 @@ class FieldModel:
     minus_one_string: str | None
     presentation: AlgebraPresentation = field(compare=False)
     degree_bound: int
-    _ann_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def alpha(self) -> KMElement:
@@ -97,11 +101,12 @@ class FieldModel:
         ]
 
     def annihilator(self, degree_bound: int | None = None) -> IdealGens:
-        """Ann({alpha}), cached per bound."""
+        """Ann({alpha}), cached per model content and bound in ``_ANN``."""
         bound = degree_bound if degree_bound is not None else self.degree_bound
-        if bound not in self._ann_cache:
-            self._ann_cache[bound] = km_annihilator(self, self.alpha, bound)
-        return self._ann_cache[bound]
+        key = (self, bound)
+        if key not in _ANN:
+            _ANN[key] = km_annihilator(self, self.alpha, bound)
+        return _ANN[key]
 
     def __str__(self) -> str:
         rels = ", ".join(self.relation_strings) if self.relation_strings else "none"

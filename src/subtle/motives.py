@@ -198,7 +198,7 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
         if d < 0:
             return 0
         domain = standard_monomials(h_pres, w, d)
-        coords = cell_coordinates(standard_monomials(n1_pres, w, d + 1, True))
+        coords = cell_coordinates(standard_monomials(n1_pres, w, d + 1))
         mu1 = n1_pres.gen("mu1")
         space = RowSpace()
         for m in domain:

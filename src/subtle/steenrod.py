@@ -28,6 +28,7 @@ from .errors import (
     ExceedsBound,
     MissingRhoDesignation,
     UnknownDerivationValue,
+    UnknownGenerator,
 )
 from .gf2 import solve
 from .milnor import FieldModel
@@ -37,12 +38,11 @@ from .rings import block_presentation
 SQ1_SHIFT = Bidegree(0, 1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Derivation:
     pres: AlgebraPresentation
     values: dict[str, Element]
     unknown: tuple[str, ...]
-    verified_box: tuple[int, int] | None = None
 
     def value(self, name: str) -> Element:
         if name in self.unknown:
@@ -89,11 +89,15 @@ def _default_value(pres: AlgebraPresentation, gen, model) -> Element | None:
 def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivation:
     """Derivation with default values, optionally overridden per generator.
 
-    Generators with neither default nor override are recorded as unknown.
+    Generators with neither default nor override are recorded as unknown; an
+    override for a name that is no generator raises UnknownGenerator.
     """
     resolved: dict[str, Element] = {}
     unknown: list[str] = []
     overrides = values or {}
+    for name in overrides:
+        if name not in pres.index:
+            raise UnknownGenerator(f"presentation has no generator {name!r}")
     for gen in pres.gens:
         if gen.name in overrides:
             raw = overrides[gen.name]
@@ -114,10 +118,36 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
 
 def load_derivation_descriptor(path: str, pres: AlgebraPresentation) -> Derivation:
     """Derivation from a JSON descriptor {"values": {gen: element-string}};
-    generators absent from the file keep their defaults (or stay unknown)."""
+    generators absent from the file keep their defaults (or stay unknown),
+    and a key that names no generator exits 2."""
     desc = load_descriptor(path, "derivation descriptor")
     values = element_strings(desc.get("values", {}), "derivation descriptor values")
-    return sq1_define(pres, values)
+    try:
+        return sq1_define(pres, values)
+    except UnknownGenerator as exc:
+        raise UnknownGenerator(f"derivation descriptor values: {exc}") from None
+
+
+def _leibniz(pres: AlgebraPresentation, poly, value) -> set:
+    """The Leibniz expansion of Sq1 on a polynomial, before normal form.
+
+    Each odd exponent of x_i in a monomial contributes rest * value(x_i), with
+    rest the monomial with that exponent lowered by one; ``value`` maps a
+    generator name to its Sq1 value, or to None for 0.
+    """
+    acc: set = set()
+    for mono in poly:
+        for idx, e in enumerate(mono):
+            if e % 2 == 0:
+                continue
+            val = value(pres.names[idx])
+            if val is None or val.is_zero():
+                continue
+            rest = list(mono)
+            rest[idx] -= 1
+            partial = Element(pres, frozenset([tuple(rest)]))
+            acc ^= partial.product_monomials(val)
+    return acc
 
 
 def sq1_apply(der: Derivation, el: Element) -> Element:
@@ -132,30 +162,7 @@ def sq1_apply(der: Derivation, el: Element) -> Element:
     b = el.bidegree()
     if b is not None and b.total + 1 > pres.truncation_bound:
         raise ExceedsBound("Sq1 image exceeds the truncation bound")
-    acc: set = set()
-    for mono in el.monomials:
-        for idx, e in enumerate(mono):
-            if e % 2 == 0:
-                continue
-            val = der.value(pres.names[idx])
-            if val.is_zero():
-                continue
-            rest = list(mono)
-            rest[idx] -= 1
-            partial = Element(pres, frozenset([tuple(rest)]))
-            acc ^= partial.product_monomials(val)
-    return pres.element_from_monomials(acc)
-
-
-def _partial(pres: AlgebraPresentation, poly, idx: int):
-    """Formal partial derivative: monomials with odd exponent, divided."""
-    out = set()
-    for mono in poly:
-        if mono[idx] % 2 == 1:
-            rest = list(mono)
-            rest[idx] -= 1
-            out ^= {tuple(rest)}
-    return frozenset(out)
+    return pres.element_from_monomials(_leibniz(pres, el.monomials, der.value))
 
 
 @dataclass(frozen=True)
@@ -207,81 +214,50 @@ class SqReport:
 def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None, str | None], ...]]:
     """Solve the descent constraints for unknown generator values.
 
-    Sets up, per relation r, nf(Sq1_known(r) + sum_g partial_g(r) * X_g) = 0
-    as one GF(2) linear system over the coordinates of all unknown values,
-    and returns the solved derivation plus (name, solution dim, value) rows.
+    Asks nf(Sq1(r)) = 0 for every relation r, as one GF(2) linear system over
+    the coordinates of all unknown values.  Sq1 is linear in the generator
+    values: the known values give the target, and each unknown's basis
+    monomial, taken alone as its value, gives one column.  Returns the solved
+    derivation plus (name, solution dim, value) rows.
     """
     pres = der.pres
     if not der.unknown:
         return der, ()
 
-    col_meta: list[tuple[str, object]] = []  # (gen name, basis monomial)
     var_basis: dict[str, list] = {}
+    values = [der.values.get]  # generator values of the target, then of each column
     for name in der.unknown:
-        gen = pres.gens[pres.index[name]]
-        cell = gen.bidegree + SQ1_SHIFT
-        basis = standard_monomials(pres, cell.w, cell.d, True)
-        var_basis[name] = basis
-        for b in basis:
-            col_meta.append((name, b))
+        cell = pres.gens[pres.index[name]].bidegree + SQ1_SHIFT
+        var_basis[name] = standard_monomials(pres, cell.w, cell.d)
+        for b in var_basis[name]:
+            values.append({name: Element(pres, frozenset([b]))}.get)
 
+    bits = [0] * len(values)
     row_offset = 0
-    col_bits = [0] * len(col_meta)
-    target_bits = 0
     for rel in pres.relations:
-        rel_el = Element(pres, rel)
-        rb = rel_el.bidegree()
+        rb = pres.poly_bidegree(rel)
         if rb is None:
             continue
-        cell_basis = standard_monomials(pres, rb.w, rb.d + 1, True)
+        cell_basis = standard_monomials(pres, rb.w, rb.d + 1)
         coords = cell_coordinates(cell_basis)
-
-        known = pres.zero()
-        for idx, gname in enumerate(pres.names):
-            part = _partial(pres, rel, idx)
-            if not part:
-                continue
-            if gname in der.unknown:
-                continue
-            val = der.values[gname]
-            if val.is_zero():
-                continue
-            known = known + pres.element_from_monomials(part) * val
-        target_bits |= coords(known.monomials) << row_offset
-
-        for ci, (gname, bmono) in enumerate(col_meta):
-            idx = pres.index[gname]
-            part = _partial(pres, rel, idx)
-            if not part:
-                continue
-            contrib = pres.element_from_monomials(part) * Element(
-                pres, frozenset([bmono])
-            )
-            col_bits[ci] ^= coords(contrib.monomials) << row_offset
+        for i, value in enumerate(values):
+            bits[i] |= coords(pres.reduce_poly(_leibniz(pres, rel, value))) << row_offset
         row_offset += len(cell_basis)
 
-    particular, kernel = solve(col_bits, target_bits)
-    rows: list[tuple[str, int | None, str | None]] = []
+    particular, kernel = solve(bits[1:], bits[0])
     if particular is None:
-        for name in der.unknown:
-            rows.append((name, None, None))
-        return der, tuple(rows)
+        return der, tuple((name, None, None) for name in der.unknown)
 
     solved: dict[str, Element] = {}
-    offset = 0
     for name in der.unknown:
         basis = var_basis[name]
-        monos = {
-            basis[i]
-            for i in range(len(basis))
-            if particular >> (offset + i) & 1
-        }
-        solved[name] = pres.element_from_monomials(monos)
-        offset += len(basis)
+        solved[name] = pres.element_from_monomials(
+            b for i, b in enumerate(basis) if particular >> i & 1
+        )
+        particular >>= len(basis)
     # per-generator slice of the global solution space dimension
-    for name in der.unknown:
-        rows.append((name, len(kernel), str(solved[name])))
-    return der.with_values(solved), tuple(rows)
+    rows = tuple((name, len(kernel), str(solved[name])) for name in der.unknown)
+    return der.with_values(solved), rows
 
 
 def sq1_presentation(
@@ -290,10 +266,15 @@ def sq1_presentation(
     """The block built with a bound that fits ``sq1_check`` on the box.
 
     The check applies Sq1 twice to every generator as well as to the box's
-    monomials, so the bound is max(wmax + dmax, largest generator total) + 2.
+    monomials, and once to every relation, so the bound is max(wmax + dmax,
+    largest generator total, largest relation total - 1) + 2.
     """
     pres = block_presentation(model, block, wmax + dmax + 2)
     top = max((g.bidegree.total for g in pres.gens), default=0)
+    for rel in pres.relations:
+        rb = pres.poly_bidegree(rel)
+        if rb is not None:
+            top = max(top, rb.total - 1)
     need = max(wmax + dmax, top) + 2
     if need > pres.truncation_bound:
         pres = block_presentation(model, block, need)
@@ -333,7 +314,7 @@ def sq1_check(der: Derivation, wmax: int, dmax: int) -> tuple[SqReport, Derivati
         if square:
             for w in range(wmax + 1):
                 for d in range(dmax + 1):
-                    for m in standard_monomials(pres, w, d, pres.has_unit):
+                    for m in standard_monomials(pres, w, d):
                         el = Element(pres, frozenset([m]))
                         out = sq1_apply(solved, sq1_apply(solved, el))
                         if not out.is_zero():
@@ -350,5 +331,4 @@ def sq1_check(der: Derivation, wmax: int, dmax: int) -> tuple[SqReport, Derivati
     report = SqReport(
         label, wmax, dmax, descends, offender, square, sq_offender, unknown_rows
     )
-    solved.verified_box = (wmax, dmax)
     return report, solved

@@ -307,7 +307,7 @@ def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
             Element(pres, frozenset([m]))
             for ww in range(w + 1)
             for dd in range(d + 1)
-            for m in standard_monomials(pres, ww, dd, pres.has_unit)
+            for m in standard_monomials(pres, ww, dd)
         ]
         # Sq1 of each monomial once; Sq1(a * b) is still computed for every pair
         images = [(a, a.bidegree().total, sq1_apply(solved, a)) for a in monos]

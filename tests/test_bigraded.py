@@ -339,7 +339,7 @@ def test_standard_monomials_are_the_irreducible_monomials_random():
             for d in range(6):
                 cell = _monomials_of_bidegree(p, w, d, p.has_unit)
                 fixed = [m for m in cell if p.reduce_poly([m]) == {m}]
-                assert standard_monomials(p, w, d, p.has_unit) == sorted(
+                assert standard_monomials(p, w, d) == sorted(
                     fixed, key=p.mono_key
                 ), (trial, p.gens, p.relations, w, d)
 

@@ -234,6 +234,7 @@ def test_bad_model_file_exits_2(tmp_path, monkeypatch, capsys, text, via):
         '{"source": "BOh:1"}',
         '{"source": "BOh:1", "target": "BU:1", "images": ["u1"]}',
         '{"source": "BOh:1", "target": "BU:1", "images": {"u1": 0}}',
+        '{"source": "BOh:1", "target": "BU:1", "images": {"u1": "0", "u2": "c1", "v3": "d1", "zz": "0"}}',
     ],
 )
 def test_bad_map_file_exits_2(tmp_path, capsys, text):
@@ -245,7 +246,8 @@ def test_bad_map_file_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "text", ['["v3"]', '{"values": {"v3": 5}}', '{"values": ["x"]}', '{"values": "v3"}']
+    "text",
+    ['["v3"]', '{"values": {"v3": 5}}', '{"values": ["x"]}', '{"values": "v3"}', '{"values": {"zz": "0"}}'],
 )
 def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "der.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,13 @@ from subtle.rings import (
     build_Xalpha,
     build_xalpha_with_us,
 )
+
+
+def test_homomorphism_refuses_assignment(real):
+    h = identity_hom(build_BO(real, 2, 10))
+    hom_verify(h, 3, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.label = "other"
 
 
 def test_identity_hom_verifies(real):

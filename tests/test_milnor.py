@@ -96,6 +96,11 @@ def test_annihilator_two_generator_model(two_gen):
         assert len(standard_monomials(q, n, n)) == 1
 
 
+def test_annihilator_shared_by_content_equal_models():
+    ann = build_field_model("real").annihilator(8)
+    assert build_field_model("real").annihilator(8) is ann
+
+
 def test_annihilator_of_zero_rejected(fq):
     with pytest.raises(ZeroElement):
         km_annihilator(fq, "s^2", 6)

@@ -257,7 +257,7 @@ def test_nbar_matches_exact_sequence_bookkeeping(real, fq):
             if d < 0:
                 return 0
             domain = standard_monomials(xa, w, d)
-            target = standard_monomials(xt, w, d + 1, False)
+            target = standard_monomials(xt, w, d + 1)
             t_index = {m: i for i, m in enumerate(target)}
             space = RowSpace()
             for m in domain:
