@@ -411,8 +411,12 @@ def specialize_classes(
     Coefficient generators map to their same-named counterparts; every class
     generator needs an entry in ``assignments``.  The report lists each
     relation's image (all must vanish for a well-defined specialization) and
-    whether every assigned c_{2^r} vanishes (the splitting criterion).
+    whether every assigned c_{2^r} vanishes (the splitting criterion).  A
+    key that names no generator of ``ring`` raises UnknownGenerator.
     """
+    for name in assignments:
+        if name not in ring.index:
+            raise UnknownGenerator(f"ring has no generator {name!r}")
     images: dict[str, Element] = {}
     for gen in ring.gens:
         if gen.name in assignments:

@@ -165,6 +165,61 @@ def sq1_apply(der: Derivation, el: Element) -> Element:
     return pres.element_from_monomials(_leibniz(pres, el.monomials, der.value))
 
 
+def leibniz_offender(
+    der: Derivation, wmax: int, dmax: int
+) -> tuple[Element, Element] | None:
+    """The first generator product x * c on which Leibniz fails, or None.
+
+    On a ring presentation, checks Sq1(x*c) = Sq1(x)*c + x*Sq1(c) for every
+    generator x whose bidegree lies in the box (wmax, dmax) and every standard
+    monomial c with
+
+        bidegree(x) + bidegree(c) <= (2*wmax, 2*dmax)  (componentwise), and
+        total(x) + total(c) + 1 <= truncation bound.
+
+    Sq1(x) and Sq1(c) are computed once each.  None certifies Leibniz
+    Sq1(a*b) = Sq1(a)*b + a*Sq1(b) for all standard monomials a, b of the box
+    with total(a) + total(b) + 1 <= bound, by induction on the degree of a.
+    Degree 0 is a = 1, where Sq1(1) = 0.  Otherwise write a = x*a' for a
+    generator x dividing a:
+
+    - a' is standard, because standard monomials form an order ideal, and
+      bidegree(x) <= bidegree(a') + bidegree(x) = bidegree(a), so x and a'
+      lie in the box;
+    - normal-form multiplication is associative below the bound, so
+      a*b = x * nf(a'*b), and nf(a'*b) is a sum of standard monomials c of
+      bidegree bidegree(a) - bidegree(x) + bidegree(b); these lie in the
+      doubled box above, not in general in the box itself;
+    - sq1_apply and multiplication are GF(2)-linear, so the pairs (x, c) give
+      Sq1(a*b) = Sq1(x)*a'*b + x*Sq1(a'*b);
+    - by induction on a', Sq1(a'*b) = Sq1(a')*b + a'*Sq1(b), and the pair
+      (x, a') gives Sq1(a) = Sq1(x)*a' + x*Sq1(a'); substituting both gives
+      Sq1(a*b) = Sq1(a)*b + a*Sq1(b).
+    """
+    pres = der.pres
+    bound = pres.truncation_bound
+    cells: dict[tuple[int, int], list] = {}
+    images: dict = {}  # standard monomial -> (its element, its Sq1)
+    for gen in pres.gens:
+        gb = gen.bidegree
+        if gb.w > wmax or gb.d > dmax or gb.total + 1 > bound:
+            continue
+        x = pres.gen(gen.name)
+        sx = sq1_apply(der, x)
+        for w in range(2 * wmax - gb.w + 1):
+            for d in range(min(2 * dmax - gb.d, bound - 1 - gb.total - w) + 1):
+                if (w, d) not in cells:
+                    cells[w, d] = standard_monomials(pres, w, d)
+                for m in cells[w, d]:
+                    if m not in images:
+                        c = Element(pres, frozenset([m]))
+                        images[m] = (c, sq1_apply(der, c))
+                    c, sc = images[m]
+                    if sq1_apply(der, x * c) != sx * c + x * sc:
+                        return x, c
+    return None
+
+
 @dataclass(frozen=True)
 class SqReport:
     label: str
@@ -227,8 +282,14 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
     var_basis: dict[str, list] = {}
     values = [der.values.get]  # generator values of the target, then of each column
     for name in der.unknown:
-        cell = pres.gens[pres.index[name]].bidegree + SQ1_SHIFT
-        var_basis[name] = standard_monomials(pres, cell.w, cell.d)
+        gen = pres.gens[pres.index[name]]
+        cell = gen.bidegree + SQ1_SHIFT
+        # a ring generator's value is a ring element: a module monomial as its
+        # value would meet the module factor of a relation's monomial
+        var_basis[name] = [
+            b for b in standard_monomials(pres, cell.w, cell.d)
+            if gen.origin == MODULE_GEN or pres.module_count(b) == 0
+        ]
         for b in var_basis[name]:
             values.append({name: Element(pres, frozenset([b]))}.get)
 

@@ -18,6 +18,7 @@ from subtle.maps import (
     twist_iso,
 )
 from subtle.rings import (
+    block_presentation,
     build_BO,
     build_BOhtilde,
     build_BUn,
@@ -206,6 +207,13 @@ def test_specialize_negative_control(real):
     _, rep = specialize_classes(bu1, {"c1": "rho*mu", "d1": "0"}, xa)
     assert not rep.well_defined
     assert rep.first_failing == "tau*d1 + rho*c1"
+
+
+def test_specialize_unknown_assignment_key_raises(real):
+    bu1 = block_presentation(real, "BU:1", 10)
+    h = block_presentation(real, "H", 10)
+    with pytest.raises(UnknownGenerator, match="'zz'"):
+        specialize_classes(bu1, {"c1": "0", "d1": "0", "zz": "rho"}, h)
 
 
 def test_specialize_oddform_u_relations(real, fq):

@@ -32,6 +32,7 @@ from subtle.rings import (
     build_xalpha_with_us,
 )
 from subtle.steenrod import (
+    leibniz_offender,
     sq1_apply,
     sq1_check,
     sq1_define,
@@ -290,6 +291,16 @@ def test_sq1_presentation_fits_the_relations(model, block, w, d):
     assert report.ok
 
 
+def _value_candidates(pres, gen):
+    # the standard monomials of gen's Sq1 cell that may occur in its value:
+    # a class generator takes ring values only
+    cell = gen.bidegree + Bidegree(0, 1)
+    return [
+        b for b in standard_monomials(pres, cell.w, cell.d)
+        if gen.origin == MODULE_GEN or not pres.module_count(b)
+    ]
+
+
 def _sq1_solve_reference(der):
     # the system built from formal partial derivatives of each relation and
     # products multiplied out by hand, beside sq1_apply's own expansion
@@ -306,8 +317,7 @@ def _sq1_solve_reference(der):
 
     col_meta, var_basis = [], {}
     for name in der.unknown:
-        cell = pres.gens[pres.index[name]].bidegree + Bidegree(0, 1)
-        var_basis[name] = standard_monomials(pres, cell.w, cell.d)
+        var_basis[name] = _value_candidates(pres, pres.gens[pres.index[name]])
         col_meta += [(name, b) for b in var_basis[name]]
     row_offset, target_bits = 0, 0
     col_bits = [0] * len(col_meta)
@@ -389,18 +399,14 @@ def test_solver_matches_partial_derivative_reference_random(module_gens, has_uni
         odd = sorted({i for rel in pres.relations for m in rel for i, e in enumerate(m) if e % 2})
         if trial % 2 and odd:
             gen = pres.gens[rng.choice(odd)]
-            basis = standard_monomials(pres, gen.bidegree.w, gen.bidegree.d + 1)
+            basis = _value_candidates(pres, gen)
             if basis:
                 picked = rng.sample(basis, rng.randint(1, len(basis)))
                 der = sq1_define(pres, {gen.name: Element(pres, frozenset(picked))})
         rows = _solver_rows(lambda d: sq1_solve(d)[1], der)
-        if rows == "two module factors":
-            # a module monomial as a class generator's value, times a module
-            # monomial of a relation.  The reference reduces that monomial's
-            # partial derivative first and skips the product when it is 0, so
-            # it may return rows here; no block has class generators in a
-            # module.  Everywhere else both return the same rows.
-            continue
+        # a class generator takes ring values only, so no product of two
+        # module factors arises in the system
+        assert rows != "two module factors", (trial, pres.gens, pres.relations)
         assert rows == _solver_rows(_sq1_solve_reference, der), (trial, pres.gens, pres.relations)
         solved += 1
         constrained += rows[0][1] is None or any(value != "0" for _, _, value in rows)
@@ -413,3 +419,61 @@ def test_solver_matches_partial_derivative_reference_on_blocks(real, block):
     der = sq1_define(block_presentation(real, block, 12))
     assert der.unknown
     assert sq1_solve(der)[1] == _sq1_solve_reference(der)
+
+
+def _leibniz_all_pairs_offender(der, wmax, dmax):
+    # Leibniz on every pair of standard monomials of the box whose product
+    # stays inside the bound: the reference that leibniz_offender certifies
+    # from generator products
+    pres = der.pres
+    monos = [
+        Element(pres, frozenset([m]))
+        for w in range(wmax + 1)
+        for d in range(dmax + 1)
+        for m in standard_monomials(pres, w, d)
+    ]
+    images = [(a, a.bidegree().total, sq1_apply(der, a)) for a in monos]
+    for a, ta, sa in images:
+        for b, tb, sb in images:
+            if ta + tb + 1 > pres.truncation_bound:
+                continue
+            if sq1_apply(der, a * b) != sa * b + a * sb:
+                return a, b
+    return None
+
+
+@pytest.mark.parametrize("block", ["BO:4", "BOp:1"])
+def test_leibniz_all_pairs_on_criterion_8_box(real, block):
+    pres = sq1_presentation(real, block, 5, 5)
+    report, der = sq1_check(sq1_define(pres), 5, 5)
+    assert report.ok
+    assert leibniz_offender(der, 5, 5) is None
+    assert _leibniz_all_pairs_offender(der, 5, 5) is None
+
+
+def test_generator_leibniz_implies_all_pairs_random():
+    # the soundness of criterion 8: whenever the generator products pass, so
+    # does every pair of the box.  Solved derivations pass; random values
+    # mostly break descent and with it Leibniz.  The converse need not hold,
+    # since the generator products reach outside the box.
+    rng = random.Random(20250808)
+    passed = failed = 0
+    for trial in range(80):
+        pres = _random_solver_presentation(rng, 10, 0, True)
+        der, _ = sq1_solve(sq1_define(pres))
+        if trial % 2 or der.unknown:
+            values = {}
+            for gen in pres.gens:
+                basis = _value_candidates(pres, gen)
+                picked = rng.sample(basis, rng.randint(min(1, len(basis)), len(basis)))
+                values[gen.name] = Element(pres, frozenset(picked))
+            der = sq1_define(pres, values)
+        wmax, dmax = rng.randint(2, 4), rng.randint(2, 4)
+        if leibniz_offender(der, wmax, dmax) is None:
+            assert _leibniz_all_pairs_offender(der, wmax, dmax) is None, (
+                trial, pres.gens, pres.relations, der.values
+            )
+            passed += 1
+        else:
+            failed += 1
+    assert passed >= 20 and failed >= 5
