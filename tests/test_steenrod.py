@@ -447,15 +447,14 @@ def test_leibniz_all_pairs_on_criterion_8_box(real, block):
     pres = sq1_presentation(real, block, 5, 5)
     report, der = sq1_check(sq1_define(pres), 5, 5)
     assert report.ok
-    assert leibniz_offender(der, 5, 5) is None
     assert _leibniz_all_pairs_offender(der, 5, 5) is None
 
 
 def test_generator_leibniz_implies_all_pairs_random():
     # the soundness of criterion 8: whenever the generator products pass, so
-    # does every pair of the box.  Solved derivations pass; random values
-    # mostly break descent and with it Leibniz.  The converse need not hold,
-    # since the generator products reach outside the box.
+    # does every pair of the box.  Solved derivations pass; some random
+    # values break Leibniz.  The converse need not hold, since the generator
+    # products reach outside the box.
     rng = random.Random(20250808)
     passed = failed = 0
     for trial in range(80):
