@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from operator import ge, mul, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
 from . import parse as parse_mod
@@ -329,11 +329,11 @@ class IdealGens:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mul_mono_poly(t: Monomial, p: Poly) -> set[Monomial]:

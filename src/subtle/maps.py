@@ -9,11 +9,16 @@ from GF(2) ranks of the induced maps between standard-monomial bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
+from types import MappingProxyType
+from typing import Mapping
 
 from .bigraded import (
     AlgebraPresentation,
     Element,
     IdealGens,
+    Monomial,
     cell_coordinates,
     poincare_table,
     quotient,
@@ -39,39 +44,72 @@ from .rings import (
 
 @dataclass(frozen=True, eq=False)
 class Homomorphism:
+    """A map fixed by its generator images; ``images`` is read-only, because
+    the memo of monomial images is built from it.
+
+    ``apply`` memoises the reduced image of each source monomial ``m`` as
+    ``nf(image(m / x_k) * image(x_k))``, with ``k`` the last nonzero index of
+    ``m``: one product and one reduction per monomial.  The memo holds monomial
+    sets, not elements; every empty image is one shared set, and nothing is
+    stored for a monomial containing a generator whose image is 0.
+    """
+
     source: AlgebraPresentation
     target: AlgebraPresentation
-    images: dict[str, Element]
+    images: Mapping[str, Element]
     label: str = "hom"
-    _powers: dict = field(default_factory=dict, repr=False)
+    _gen_images: tuple = field(init=False, repr=False)
+    _zero_gens: tuple = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        images = dict(self.images)
+        for name, el in images.items():
+            if el.pres is not self.target:
+                raise SubtleError(f"image of {name!r} does not belong to the target")
+        gen_images = tuple(images[name] for name in self.source.names)
+        zero_gens = tuple(i for i, el in enumerate(gen_images) if el.is_zero())
+        unit = (0,) * len(self.source.names)
+        object.__setattr__(self, "images", MappingProxyType(images))
+        object.__setattr__(self, "_gen_images", gen_images)
+        object.__setattr__(self, "_zero_gens", zero_gens)
+        object.__setattr__(self, "_memo", {unit: self.target.one().monomials})
 
     def image_of(self, name: str) -> Element:
         return self.images[name]
 
     def apply(self, el: Element) -> Element:
-        """Image of an element: substitute generator images, then reduce."""
+        """Image of an element: the GF(2) sum of its monomials' reduced
+        images, itself a normal form, so it is not reduced again."""
         if el.pres is not self.source:
             raise SubtleError("element does not belong to the source")
-        total = self.target.zero()
-        for mono in el.monomials:
-            term = self.target.one()
-            for idx, e in enumerate(mono):
-                if not e:
-                    continue
-                term = term * self._power(idx, e)
-            total = total + term
-        return total
+        total = reduce(xor, map(self._image, el.monomials), _EMPTY)
+        return Element(self.target, total)
 
-    def _power(self, idx: int, e: int) -> Element:
-        key = (idx, e)
-        if key not in self._powers:
-            name = self.source.names[idx]
-            base = self.images[name]
-            acc = self.target.one()
-            for _ in range(e):
-                acc = acc * base
-            self._powers[key] = acc
-        return self._powers[key]
+    def _image(self, m: Monomial) -> frozenset:
+        memo = self._memo
+        img = memo.get(m)
+        if img is not None:
+            return img
+        if any(m[i] for i in self._zero_gens):
+            return _EMPTY
+        # walk down to a memoised divisor (the unit monomial is seeded), then
+        # multiply back up one generator at a time
+        chain = []
+        while m not in memo:
+            k = len(m) - 1
+            while not m[k]:
+                k -= 1
+            chain.append((m, k))
+            m = m[:k] + (m[k] - 1,) + m[k + 1:]
+        img = memo[m]
+        for m, k in reversed(chain):
+            prod = Element(self.target, img).product_monomials(self._gen_images[k])
+            img = memo[m] = self.target.reduce_poly(prod) or _EMPTY
+        return img
+
+
+_EMPTY: frozenset = frozenset()
 
 
 def hom_define(
@@ -420,8 +458,7 @@ def specialize_classes(
     images: dict[str, Element] = {}
     for gen in ring.gens:
         if gen.name in assignments:
-            raw = assignments[gen.name]
-            images[gen.name] = raw if isinstance(raw, Element) else target.el(raw)
+            images[gen.name] = target.el(assignments[gen.name])
         elif gen.name in target.index:
             images[gen.name] = target.gen(gen.name)
         else:

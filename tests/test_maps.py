@@ -1,11 +1,19 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from subtle.bigraded import IdealGens, poincare_table, quotient
-from subtle.errors import BidegreeMismatch, UnknownGenerator
+from subtle.bigraded import (
+    Element,
+    IdealGens,
+    poincare_table,
+    quotient,
+    standard_monomials,
+)
+from subtle.errors import BidegreeMismatch, SubtleError, UnknownGenerator
 from subtle.maps import (
+    Homomorphism,
     comp_kernel_ideal,
     comp_map,
     hom_compose,
@@ -26,6 +34,61 @@ from subtle.rings import (
     build_Xalpha,
     build_xalpha_with_us,
 )
+from test_bigraded import _random_presentation
+
+
+def _apply_reference(h, el):
+    """Image by substitution: each generator power built by repeated
+    multiplication, one reduction per factor, then the GF(2) sum."""
+    if el.pres is not h.source:
+        raise SubtleError("element does not belong to the source")
+    total = h.target.zero()
+    for mono in el.monomials:
+        term = h.target.one()
+        for name, e in zip(h.source.names, mono):
+            if e:
+                term = term * h.image_of(name) ** e
+        total = total + term
+    return total
+
+
+def _random_sums(rng, pres, bound, count):
+    """Random sums of standard monomials from cells of total degree <= bound."""
+    cells = [(w, d) for w in range(bound + 1) for d in range(bound + 1 - w)]
+    out = []
+    while len(out) < count:
+        monos = set()
+        for _ in range(rng.randint(1, 3)):
+            basis = standard_monomials(pres, *rng.choice(cells))
+            monos ^= set(rng.sample(basis, min(len(basis), rng.randint(1, 3))))
+        if monos:
+            out.append(Element(pres, frozenset(monos)))
+    return out
+
+
+def _assert_apply_matches_reference(rng, h, count, tag):
+    bound = min(h.source.truncation_bound, h.target.truncation_bound)
+    sums = _random_sums(rng, h.source, bound, count)
+    # visit twice in different orders: a memo entry must not depend on what
+    # was asked before it
+    for el in sums + sums[::-1]:
+        assert h.apply(el) == _apply_reference(h, el), (tag, str(el))
+
+
+def _random_hom(rng, bound):
+    """A map from a random presentation to a random ring presentation: each
+    generator goes to a random sum of standard monomials of its bidegree,
+    or to 0."""
+    source = _random_presentation(rng, bound)
+    target = _random_presentation(rng, bound)
+    while target.is_module:
+        target = _random_presentation(rng, bound)
+    images = {}
+    for gen in source.gens:
+        basis = standard_monomials(target, gen.bidegree.w, gen.bidegree.d)
+        k = rng.randint(0, min(len(basis), 3))
+        images[gen.name] = Element(target, frozenset(rng.sample(basis, k)))
+    return hom_define(source, target, images, "random")
 
 
 def test_homomorphism_refuses_assignment(real):
@@ -33,6 +96,48 @@ def test_homomorphism_refuses_assignment(real):
     hom_verify(h, 3, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         h.label = "other"
+    with pytest.raises(TypeError):
+        h.images["u1"] = h.target.zero()
+    assert str(h.image_of("u1")) == "u1"
+
+
+def test_homomorphism_rejects_image_outside_target(real):
+    bo2 = build_BO(real, 2, 10)
+    other = build_BO(real, 2, 12)
+    images = {g.name: bo2.gen(g.name) for g in bo2.gens}
+    images["u2"] = other.gen("u2")
+    with pytest.raises(SubtleError, match="'u2'"):
+        Homomorphism(bo2, bo2, images)
+
+
+def test_apply_matches_reference_on_named_maps(real, fq):
+    rng = random.Random(29)
+    for model in (real, fq):
+        maps = [comp_map(model, n, 10) for n in (1, 2, 3)]
+        maps += [twist_iso(model, n, 10) for n in (1, 2)]
+        # comp maps send u1 to 0
+        assert any(img.is_zero() for img in maps[0].images.values())
+        for h in maps:
+            _assert_apply_matches_reference(rng, h, 25, (model.tag, h.label))
+
+
+def test_apply_matches_reference_random():
+    rng = random.Random(31)
+    zero_images = 0
+    for trial in range(40):
+        h = _random_hom(rng, 8)
+        zero_images += sum(img.is_zero() for img in h.images.values())
+        _assert_apply_matches_reference(rng, h, 15, trial)
+    assert zero_images
+
+
+def test_compose_images_match_reference(real, fq):
+    for model in (real, fq):
+        for n in (1, 2):
+            t = twist_iso(model, n, 10)
+            again = hom_compose(t, t)
+            for name, img in t.images.items():
+                assert again.image_of(name) == _apply_reference(t, img)
 
 
 def test_identity_hom_verifies(real):
@@ -207,6 +312,16 @@ def test_specialize_negative_control(real):
     _, rep = specialize_classes(bu1, {"c1": "rho*mu", "d1": "0"}, xa)
     assert not rep.well_defined
     assert rep.first_failing == "tau*d1 + rho*c1"
+
+
+def test_specialize_accepts_element_of_another_presentation(real):
+    bu1 = build_BUn(real, 1, 10)
+    xa = build_Xalpha(real, 10)
+    foreign = build_Xalpha(real, 12).el("rho*mu")
+    _, from_string = specialize_classes(bu1, {"c1": "rho*mu", "d1": "0"}, xa)
+    _, from_element = specialize_classes(bu1, {"c1": foreign, "d1": "0"}, xa)
+    assert from_element == from_string
+    assert from_element.relation_images[0][1] == "rho^2*mu"
 
 
 def test_specialize_unknown_assignment_key_raises(real):
