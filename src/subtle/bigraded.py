@@ -21,7 +21,7 @@ tau, then class generators, so e.g. tau*d1 + alpha*c1 is d1-leading.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, ge, mul, sub
 from typing import Iterable, Sequence
 
@@ -76,36 +76,36 @@ class GenSpec:
         return f"{self.name}{self.bidegree}"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class AlgebraPresentation:
     """Finitely presented bigraded algebra (or H-module) with a truncated
-    Groebner basis.  Identity-based equality.  Immutable: the constructor sets
-    every attribute, the ``model`` and ``block_id`` labels included, and any
-    later assignment or deletion raises ``AttributeError``.
+    Groebner basis.  Identity-based equality.  Immutable: construction sets
+    every field, the ``model`` and ``block_id`` labels included, and any later
+    assignment or deletion raises ``FrozenInstanceError``, an
+    ``AttributeError``.
     """
 
-    def __init__(
-        self,
-        gens: Sequence[GenSpec],
-        relations: Sequence[Poly],
-        groebner: Sequence[Poly],
-        truncation_bound: int,
-        is_module: bool = False,
-        has_unit: bool = True,
-        model=None,
-        block_id: str | None = None,
-    ):
-        gens = tuple(gens)
-        # one object.__setattr__ each, in one order: filling __dict__ directly
-        # would give each instance a plain dict, with reads about 3x slower
+    gens: Sequence[GenSpec]
+    relations: Sequence[Poly]
+    groebner: Sequence[Poly]
+    truncation_bound: int
+    is_module: bool = False
+    has_unit: bool = True
+    model: object = None
+    block_id: str | None = None
+    names: tuple[str, ...] = field(init=False)
+    index: dict[str, int] = field(init=False)
+    gen_w: tuple[int, ...] = field(init=False)
+    gen_d: tuple[int, ...] = field(init=False)
+    module_idx: tuple[int, ...] = field(init=False)
+    _gb_lms: tuple[Monomial, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        gens = tuple(self.gens)
         for name, value in dict(
             gens=gens,
-            relations=tuple(relations),
-            groebner=tuple(groebner),
-            truncation_bound=truncation_bound,
-            is_module=is_module,
-            has_unit=has_unit,
-            model=model,
-            block_id=block_id,
+            relations=tuple(self.relations),
+            groebner=tuple(self.groebner),
             names=tuple(g.name for g in gens),
             index={g.name: i for i, g in enumerate(gens)},
             gen_w=tuple(g.bidegree.w for g in gens),
@@ -114,11 +114,6 @@ class AlgebraPresentation:
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_gb_lms", tuple(map(self.lead_monomial, self.groebner)))
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"presentations are immutable; cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -647,7 +642,6 @@ def _monomials_of_bidegree(
     last = n - 1
     lw, ld = gen_w[last], gen_d[last]
     last_limited = last in module_idx
-    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
 
     def closing(rw: int, rd: int, mods: int) -> int | None:
         """The last generator's exponent that leaves nothing, if valid."""
@@ -659,6 +653,13 @@ def _monomials_of_bidegree(
             if mods > 1:
                 return None
         return e if mods or keep_unit else None
+
+    if n == 1:
+        e = closing(w, d, 0)
+        return [] if e is None else [(e,)]
+    if dead.get((0, w, 0), 0) >> d & 1:
+        return []
+    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
 
     def tails(i: int, rw: int, rd: int, mods: int) -> list[Monomial]:
         """Exponents of generators i.. that use up (rw)[rd] exactly."""
@@ -698,15 +699,8 @@ def _monomials_of_bidegree(
             memo[key] = found
         return found
 
-    if n == 1:
-        e = closing(w, d, 0)
-        return [] if e is None else [(e,)]
-    if dead.get((0, w, 0), 0) >> d & 1:
-        return []
     out = tails(0, w, d, 0)
-    # tails refers to itself, so the memo would otherwise wait for the cycle
-    # collector; free it now
-    memo.clear()
+    del tails  # it refers to itself: unbinding it frees it and the memo now
     return out
 
 

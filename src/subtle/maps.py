@@ -35,7 +35,6 @@ from .milnor import FieldModel
 from .parse import element_strings, load_descriptor
 from .rings import (
     block_presentation,
-    build_xalpha_with_us,
     _fit_bound,
     _ann_strings,
     _require_alpha,
@@ -377,7 +376,7 @@ def twist_iso(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
     even classes and sends u_{2i-1} to u_{2i-1} + mu*u_{2i-2} (u_0 = 1)."""
     if n < 1:
         raise SubtleError("twist needs n >= 1")
-    pres = build_xalpha_with_us(model, 2 * n, bound)
+    pres = block_presentation(model, f"XBO:{2 * n}", bound)
     images: dict[str, Element] = {}
     for gen in pres.gens:
         name = gen.name

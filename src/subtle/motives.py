@@ -29,7 +29,6 @@ from .bigraded import (
     Element,
     PoincareTable,
     cell_coordinates,
-    poincare_table,
     standard_monomials,
 )
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
@@ -188,11 +187,11 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     unique nonzero class mu_1, whose per-cell ranks are computable, so every
     cell is determined.
     """
-    bound = wmax + dmax + 2
-    h_pres = block_presentation(model, "H", bound)
-    h = poincare_table(h_pres, wmax, dmax + 1)
-    n1_pres = block_presentation(model, "Npow:1", bound)
-    n1 = poincare_table(n1_pres, wmax, dmax + 1)
+    h = block_table(model, "H", wmax, dmax + 1)
+    n1 = block_table(model, "Npow:1", wmax, dmax + 1)
+    # the presentations those tables read, for the products by mu_1
+    h_pres = block_presentation(model, "H", wmax + dmax + 1)
+    n1_pres = block_presentation(model, "Npow:1", wmax + dmax + 1)
 
     def mu_rank(w: int, d: int) -> int:
         if d < 0:

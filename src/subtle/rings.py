@@ -12,12 +12,14 @@ Block identifiers (CLI-facing):
     Xtilde       modules mu_i on successive diagonals (truncated)
     Xalpha       ring with mu adjoined, tau*mu = alpha
     XBU:n        Xalpha freely extended by c_1..c_n
+    XBO:n        Xalpha freely extended by u_1..u_n (both sides of the twist map)
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
 ``block_presentation`` holds the package's one build cache, keyed by (model
 content, block, bound): package code asks it for a block, and the public
-``build_*`` functions build afresh on every call.
+``build_*`` functions build afresh on every call.  ``block_table`` is the one
+route from a block to its Poincare table and caches nothing across calls.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
 def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     """Table of the inverse block: Ann part on the Milnor diagonal plus a
     tau-shifted copy of H (the grading convention recorded in the design)."""
-    h = poincare_table(block_presentation(model, "H", wmax + dmax + 2), wmax, dmax)
+    h = block_table(model, "H", wmax, dmax)
     ann = ann_dimensions(model, wmax)
     counts = tuple(
         tuple(
@@ -241,21 +243,11 @@ def npow_bu_table(
     The summand for c_1^{i_1}..c_n^{i_n} is the table of the (m + sum of odd
     i_l)-th power block, shifted by the monomial's bidegree.
     """
-    bound = wmax + dmax
-    zero = tuple(tuple(0 for _ in range(dmax + 1)) for _ in range(wmax + 1))
-    total = PoincareTable(wmax, dmax, zero)
-    npow_cache: dict[int, PoincareTable] = {}
-
-    def npow_tab(k: int) -> PoincareTable:
-        if k not in npow_cache:
-            pres = block_presentation(model, f"Npow:{k}", bound)
-            npow_cache[k] = poincare_table(pres, wmax, dmax)
-        return npow_cache[k]
+    shifts: dict[int, list[tuple[int, int]]] = {}  # power -> monomial bidegrees
 
     def rec(l: int, shift_w: int, shift_d: int, odd_sum: int):
-        nonlocal total
         if l > n:
-            total = total + npow_tab(m + odd_sum).shift(shift_w, shift_d)
+            shifts.setdefault(m + odd_sum, []).append((shift_w, shift_d))
             return
         i = 0
         while shift_w + i * l <= wmax and shift_d + i * 2 * l <= dmax:
@@ -268,6 +260,12 @@ def npow_bu_table(
             i += 1
 
     rec(1, 0, 0, 0)
+    zero = tuple(tuple(0 for _ in range(dmax + 1)) for _ in range(wmax + 1))
+    total = PoincareTable(wmax, dmax, zero)
+    for k, at in shifts.items():
+        table = block_table(model, f"Npow:{k}", wmax, dmax)
+        for i, j in at:
+            total = total + table.shift(i, j)
     return total
 
 
@@ -307,13 +305,9 @@ class ColimitReport:
 
 def check_colimit(model: FieldModel, wmax: int, dmax: int) -> ColimitReport:
     """Power-block tables must stabilize cellwise to the Xalpha table."""
-    bound = wmax + dmax
-    target = poincare_table(block_presentation(model, "Xalpha", bound), wmax, dmax)
+    target = block_table(model, "Xalpha", wmax, dmax)
     top = dmax + 1
-    tables = [
-        poincare_table(block_presentation(model, f"Npow:{m}", bound), wmax, dmax)
-        for m in range(top + 1)
-    ]
+    tables = [block_table(model, f"Npow:{m}", wmax, dmax) for m in range(top + 1)]
     stab: list[tuple[int | None, ...]] = []
     passed = True
     for w in range(wmax + 1):
@@ -347,6 +341,7 @@ BLOCKS = {
     "Xalpha": (0, build_Xalpha),
     "Xtilde": (0, build_Xtilde),
     "XBU": (1, build_X_BU),
+    "XBO": (1, build_xalpha_with_us),
     "nbar": (0, None),
     "NpowBU": (2, None),
 }
@@ -387,7 +382,11 @@ def block_presentation(
 def block_table(
     model: FieldModel, block: str, wmax: int, dmax: int
 ) -> PoincareTable:
-    """Poincare table for any block id, including the table-only ones."""
+    """Poincare table for any block id, including the table-only ones.
+
+    The one route from a block to its table: a (wmax, dmax) table reads the
+    block built at bound wmax + dmax.  Presentations come from the build
+    cache; the table itself is computed afresh on every call."""
     kind, args = parse_block_id(block)
     if kind == "nbar":
         return nbar_table(model, wmax, dmax)

@@ -13,7 +13,6 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
 
-from .bigraded import poincare_table
 from .maps import (
     comp_kernel_ideal,
     comp_map,
@@ -37,7 +36,6 @@ from .oracle import oracle_table
 from .rings import (
     block_presentation,
     block_table,
-    build_xalpha_with_us,
     check_colimit,
     npow_bu_table,
 )
@@ -192,9 +190,8 @@ def check_groebner_oracle(box: tuple[int, int] | None = None) -> CheckResult:
     w, d = _box((6, 6), box)
     for model in _models():
         for block in ORACLE_BLOCKS:
-            pres = block_presentation(model, block, w + d)
-            engine = poincare_table(pres, w, d)
-            dense = oracle_table(pres, w, d)
+            engine = block_table(model, block, w, d)
+            dense = oracle_table(block_presentation(model, block, w + d), w, d)
             if not engine.same_entries(dense):
                 bad = next(
                     (ww, dd)
@@ -317,7 +314,7 @@ def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
                 8, "Sq1 suite", False, f"Leibniz fails on {x} * {c} in {block}"
             )
     # the non-vanishing witness
-    ring = build_xalpha_with_us(model, 2, 12)
+    ring = block_presentation(model, "XBO:2", 12)
     der = sq1_define(ring)
     witness = sq1_apply(der, ring.el("mu*u2"))
     expected = ring.el("mu^2*u2 + mu*u1*u2")

@@ -1,7 +1,9 @@
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +98,28 @@ def test_sq1_check_exit():
     assert code == 0
     code, _ = run_cli("sq1", "check", "BO:3", "--model", "finite_field", "--box", "3", "3")
     assert code == 2  # no {-1} designation on the builtin finite field
+
+
+def test_sq1_check_unsolvable_exits_1():
+    # no value of Sq1(mu_i) in the one-diagonal module kills tau*mu_i
+    code, out = run_cli("sq1", "check", "Xtilde", "--model", "real", "--box", "3", "3")
+    assert code == 1
+    assert "offending relation: unsolvable constraints for mu1, mu2," in out
+    assert "Sq1 o Sq1 = 0 on box: False" in out
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("subtle ")]
+
+
+def test_readme_cli_examples_exit_0():
+    lines = [argv for argv in _readme_cli_lines() if "my_map.json" not in argv]
+    assert len(lines) >= 10
+    for argv in lines:
+        code, out = run_cli(*argv)
+        assert code == 0, (argv, out)
 
 
 @pytest.mark.parametrize("block", ["BO:4", "BU:2", "BOp:2", "Npow:2"])

@@ -32,7 +32,6 @@ from subtle.rings import (
     build_BUn,
     build_X_BU,
     build_Xalpha,
-    build_xalpha_with_us,
 )
 from test_bigraded import _random_presentation
 

@@ -17,7 +17,10 @@ from subtle.motives import (
     parse_motive,
     torsor_motive,
 )
-from subtle.rings import block_table
+from subtle.bigraded import Element, PoincareTable, cell_coordinates, poincare_table, standard_monomials
+from subtle.gf2 import RowSpace
+from subtle.milnor import build_field_model
+from subtle.rings import block_presentation, block_table
 
 
 def m(text):
@@ -181,6 +184,42 @@ def test_malpha_tables(real, fq):
     tq = malpha_table(fq, 4, 4)
     h = block_table(fq, "H", 4, 4)
     assert tq.same_entries(h)
+
+
+def _malpha_reference(model, wmax, dmax):
+    # the long-exact-sequence count with H and Npow:1 built two degrees
+    # above the box
+    bound = wmax + dmax + 2
+    h_pres = block_presentation(model, "H", bound)
+    n1_pres = block_presentation(model, "Npow:1", bound)
+    h = poincare_table(h_pres, wmax, dmax + 1)
+    n1 = poincare_table(n1_pres, wmax, dmax + 1)
+
+    def mu_rank(w, d):
+        if d < 0:
+            return 0
+        coords = cell_coordinates(standard_monomials(n1_pres, w, d + 1))
+        space = RowSpace()
+        for mono in standard_monomials(h_pres, w, d):
+            named = Element(h_pres, frozenset([mono])).as_named()
+            space.add(coords((n1_pres.el(named) * n1_pres.gen("mu1")).monomials))
+        return space.rank
+
+    counts = tuple(
+        tuple(
+            h.entry(w, d) + n1.entry(w, d) - mu_rank(w, d) - mu_rank(w, d - 1)
+            for d in range(dmax + 1)
+        )
+        for w in range(wmax + 1)
+    )
+    return PoincareTable(wmax, dmax, counts)
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "two_gen"])
+def test_malpha_matches_reference(model_name, two_gen):
+    model = two_gen if model_name == "two_gen" else build_field_model(model_name)
+    for wmax, dmax in ((4, 4), (5, 3), (2, 6)):
+        assert malpha_table(model, wmax, dmax) == _malpha_reference(model, wmax, dmax)
 
 
 def test_malpha_additive_in_quadric(real, fq):

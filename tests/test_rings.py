@@ -7,7 +7,9 @@ from subtle.errors import UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model
 from subtle.oracle import oracle_entry, oracle_table
+from subtle.maps import twist_iso
 from subtle.steenrod import sq1_check, sq1_define
+from subtle.verify import ORACLE_BLOCKS
 from subtle.rings import (
     block_presentation,
     block_table,
@@ -21,6 +23,7 @@ from subtle.rings import (
     build_Xalpha,
     build_Xtilde,
     check_colimit,
+    ann_dimensions,
     nbar_table,
     npow_bu_table,
     parse_block_id,
@@ -364,6 +367,61 @@ def test_engine_matches_oracle_on_random_models():
         for block in ("BU:2", "BO:3", "Npow:2"):
             pres = block_presentation(model, block, 12)
             assert poincare_table(pres, 6, 6) == oracle_table(pres, 6, 6), (str(model), block)
+
+
+def _nbar_reference(model, wmax, dmax):
+    # the inverse block's table from H built two degrees above the box
+    h = poincare_table(block_presentation(model, "H", wmax + dmax + 2), wmax, dmax)
+    ann = ann_dimensions(model, wmax)
+    return [
+        [(ann[w] if w == d else 0) + h.entry(w - 1, d) for d in range(dmax + 1)]
+        for w in range(wmax + 1)
+    ]
+
+
+def _npow_bu_reference(model, m, n, wmax, dmax):
+    # one power-block table per c-monomial c_1^i_1..c_n^i_n of the box,
+    # shifted by its bidegree (i, 2i) with i = sum l*i_l
+    counts = [[0] * (dmax + 1) for _ in range(wmax + 1)]
+
+    def add(l, shift, odd_sum):
+        if l > n:
+            pres = block_presentation(model, f"Npow:{m + odd_sum}", wmax + dmax)
+            table = poincare_table(pres, wmax, dmax)
+            for w, d, c in table.cells():
+                if w + shift <= wmax and d + 2 * shift <= dmax:
+                    counts[w + shift][d + 2 * shift] += c
+            return
+        for i in range(wmax + 1):
+            if shift + i * l > wmax or 2 * (shift + i * l) > dmax:
+                break
+            add(l + 1, shift + i * l, odd_sum + (i if l % 2 else 0))
+
+    add(1, 0, 0)
+    return counts
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field"])
+def test_block_table_is_the_table_of_the_block(model_name):
+    # the (W, D) table reads the block built at bound W + D, and the
+    # table-only blocks match the tables they are assembled from
+    model = build_field_model(model_name)
+    w, d = 5, 4
+    for block in ORACLE_BLOCKS:
+        direct = poincare_table(block_presentation(model, block, w + d), w, d)
+        assert block_table(model, block, w, d).same_entries(direct), block
+    assert [list(r) for r in block_table(model, "nbar", w, d).counts] == _nbar_reference(model, w, d)
+    for block, (m, n) in (("NpowBU:1:2", (1, 2)), ("NpowBU:0:3", (0, 3))):
+        got = [list(r) for r in block_table(model, block, w, d).counts]
+        assert got == _npow_bu_reference(model, m, n, w, d), block
+
+
+def test_twist_block_is_registered(real):
+    assert parse_block_id("XBO:2") == ("XBO", (2,))
+    pres = block_presentation(real, "XBO:2", 12)
+    assert pres.block_id == "XBO:2" and pres.names[-3:] == ("mu", "u1", "u2")
+    # the twist map reads the shared build, not a fresh one
+    assert twist_iso(real, 1, 12).source is pres
 
 
 def test_parse_block_id_errors():

@@ -29,7 +29,6 @@ from subtle.rings import (
     build_BOpn,
     build_BUn,
     build_Npow,
-    build_xalpha_with_us,
 )
 from subtle.steenrod import (
     leibniz_offender,
@@ -196,20 +195,48 @@ def test_solver_on_power_module(real):
     assert val["mu1"] == "mu2"
 
 
+def _square_zero_on_box(der, wmax, dmax):
+    pres = der.pres
+    for w in range(wmax + 1):
+        for d in range(dmax + 1):
+            for m in standard_monomials(pres, w, d):
+                el = Element(pres, frozenset([m]))
+                if not sq1_apply(der, sq1_apply(der, el)).is_zero():
+                    return False
+    return True
+
+
 def test_square_zero_on_boxes(real):
-    for block_builder, n in ((build_BO, 4), (build_BOpn, 1)):
+    # sq1_check certifies square-zero from generators; every monomial of the
+    # box agrees, on blocks and on seeded solver presentations
+    for block_builder, n in ((build_BO, 4), (build_BOpn, 1), (build_Npow, 2)):
         pres = block_builder(real, n, 12)
         report, solved = sq1_check(sq1_define(pres), 4, 4)
         assert report.descends and report.square_zero
-        for w in range(4):
-            for d in range(4):
-                for m in standard_monomials(pres, w, d):
-                    el = Element(pres, frozenset([m]))
-                    assert sq1_apply(solved, sq1_apply(solved, el)).is_zero()
+        assert _square_zero_on_box(solved, 4, 4)
+    rng = random.Random(20250815)
+    certified = 0
+    for module_gens, has_unit in ((0, True), (1, True), (2, False)):
+        for trial in range(15):
+            pres = _random_solver_presentation(rng, 10, module_gens, has_unit)
+            report, solved = sq1_check(sq1_define(pres), 4, 4)
+            if report.square_zero:
+                assert _square_zero_on_box(solved, 4, 4), (trial, pres.gens, pres.relations)
+                certified += 1
+    assert certified >= 30
+
+
+def test_square_zero_offender_is_a_generator(real):
+    # Sq1(u2) = tau*u1^3 descends on the free ring, but Sq1(Sq1(u2)) =
+    # Sq1(tau)*u1^3 + tau*u1^4 is not 0
+    pres = sq1_presentation(real, "BO:2", 3, 3)
+    report, _ = sq1_check(sq1_define(pres, {"u2": "tau*u1^3"}), 3, 3)
+    assert report.descends and not report.square_zero
+    assert report.square_zero_offender == "u2"
 
 
 def test_nonvanishing_witness(real):
-    ring = build_xalpha_with_us(real, 2, 12)
+    ring = block_presentation(real, "XBO:2", 12)
     der = sq1_define(ring)
     assert sq1_apply(der, ring.gen("mu")) == ring.el("mu^2")
     witness = sq1_apply(der, ring.el("mu*u2"))
@@ -230,7 +257,7 @@ def test_override_reruns_checks(real):
 def test_expansion_with_odd_class_present(real):
     # with u3 in the ring the full Leibniz value keeps the u3 term; the
     # witness shape reappears after specializing u3 to 0
-    ring = build_xalpha_with_us(real, 3, 12)
+    ring = block_presentation(real, "XBO:3", 12)
     der = sq1_define(ring)
     full = sq1_apply(der, ring.el("mu*u2"))
     assert full == ring.el("mu^2*u2 + mu*u3 + mu*u1*u2")
@@ -265,6 +292,10 @@ def test_derivation_refuses_assignment(real):
     der = sq1_define(build_BOpn(real, 1, 12))
     with pytest.raises(dataclasses.FrozenInstanceError):
         der.values = {}
+    # the values mapping is read-only too, so it cannot drift from unknown
+    with pytest.raises(TypeError):
+        der.values["u1"] = der.pres.zero()
+    assert "u1" in dict(der.values)
 
 
 THREE = {
