@@ -55,9 +55,6 @@ class Bidegree:
     def __add__(self, other: "Bidegree") -> "Bidegree":
         return Bidegree(self.w + other.w, self.d + other.d)
 
-    def __sub__(self, other: "Bidegree") -> "Bidegree":
-        return Bidegree(self.w - other.w, self.d - other.d)
-
     @property
     def total(self) -> int:
         return self.w + self.d
@@ -716,18 +713,19 @@ def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomi
     return out
 
 
-def cell_coordinates(basis: Sequence[Monomial]):
-    """The coordinate map of one cell: a reduced polynomial of that cell goes
-    to the GF(2) vector with bit i set when ``basis[i]`` occurs in it."""
-    index = {m: i for i, m in enumerate(basis)}
-
-    def coords(poly: Iterable[Monomial]) -> int:
+def cell_images(items, target: AlgebraPresentation, w: int, d: int, image):
+    """The matrix of a linear map into one cell: returns (dim, rows), with
+    dim the dimension of ``target``'s (w)[d] cell and rows[i] the GF(2)
+    vector of ``image(items[i])``, a reduced polynomial of that cell, with
+    bit j set when the cell's j-th standard monomial occurs in it."""
+    index = {m: j for j, m in enumerate(standard_monomials(target, w, d))}
+    rows = []
+    for item in items:
         vec = 0
-        for m in poly:
+        for m in image(item):
             vec |= 1 << index[m]
-        return vec
-
-    return coords
+        rows.append(vec)
+    return len(index), rows
 
 
 def poincare_table(
@@ -800,11 +798,10 @@ def colon_ideal(
             basis = standard_monomials(q, w, d)
             if not basis:
                 continue
-            coords = cell_coordinates(standard_monomials(q, w + fb.w, d + fb.d))
-            images = [
-                coords(q.reduce_poly(_mul_mono_poly(m, f_el.monomials)))
-                for m in basis
-            ]
+            _, images = cell_images(
+                basis, q, w + fb.w, d + fb.d,
+                lambda m: q.reduce_poly(_mul_mono_poly(m, f_el.monomials)),
+            )
             for combo in kernel_of_map(images):
                 monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
                 candidates.append(pres.element_from_monomials(monos))
@@ -817,10 +814,10 @@ def colon_ideal(
         if current.reduce_poly(cand.monomials):
             chosen.append(cand)
             current = quotient(pres, [g.monomials for g in chosen])
-    # drop generators made redundant by later ones
+    # drop each generator that the kept earlier ones and the later ones span
     reduced: list[Element] = []
     for i, g in enumerate(chosen):
-        rest = [h.monomials for j, h in enumerate(chosen) if j != i]
+        rest = [h.monomials for h in reduced + chosen[i + 1:]]
         test = quotient(pres, rest) if rest else pres
         if test.reduce_poly(g.monomials):
             reduced.append(g)

@@ -155,6 +155,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _report(args, rep) -> None:
+    """Emit a report as JSON or as its text rendering, per ``--format``."""
+    _emit(args, _json(rep.to_json_obj()) if args.format == "json" else rep.render_text())
+
+
 # ----- subcommands --------------------------------------------------------------
 
 
@@ -259,17 +264,11 @@ def _cmd_hom(args) -> int:
             raise SubtleError("kernel checking is defined for comp:n maps")
         ideal = comp_kernel_ideal(model, _map_index(map_arg), bound)
         rep = kernel_match(h, ideal, w, d)
-        if args.format == "json":
-            _emit(args, _json(rep.to_json_obj()))
-        else:
-            _emit(args, rep.render_text())
+        _report(args, rep)
         return 0 if rep.ok else 1
 
     rep = hom_verify(h, w, d)
-    if args.format == "json":
-        _emit(args, _json(rep.to_json_obj()))
-    else:
-        _emit(args, rep.render_text())
+    _report(args, rep)
     return 0 if rep.well_defined else 1
 
 
@@ -284,10 +283,7 @@ def _cmd_sq1(args) -> int:
     else:
         der = sq1_define(pres)
     report, _ = sq1_check(der, w, d)
-    if args.format == "json":
-        _emit(args, _json(report.to_json_obj()))
-    else:
-        _emit(args, report.render_text())
+    _report(args, report)
     return 0 if report.ok else 1
 
 

@@ -19,7 +19,7 @@ from .bigraded import (
     Element,
     IdealGens,
     Monomial,
-    cell_coordinates,
+    cell_images,
     poincare_table,
     quotient,
     standard_monomials,
@@ -214,15 +214,10 @@ def hom_verify(h: Homomorphism, wmax: int, dmax: int) -> HomReport:
         for w in range(wmax + 1):
             for d in range(dmax + 1):
                 src_basis = standard_monomials(h.source, w, d)
-                tgt_basis = standard_monomials(h.target, w, d)
-                coords = cell_coordinates(tgt_basis)
-                space = RowSpace()
-                for m in src_basis:
-                    img = h.apply(Element(h.source, frozenset([m])))
-                    space.add(coords(img.monomials))
-                rank = space.rank
-                rows.append((w, d, rank, len(src_basis), len(tgt_basis)))
-                if rank != len(tgt_basis):
+                tgt_dim, images = cell_images(src_basis, h.target, w, d, h._image)
+                rank = RowSpace(images).rank
+                rows.append((w, d, rank, len(src_basis), tgt_dim))
+                if rank != tgt_dim:
                     surj = False
                 if rank != len(src_basis):
                     inj = False

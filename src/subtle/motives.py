@@ -25,12 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bigraded import (
-    Element,
-    PoincareTable,
-    cell_coordinates,
-    standard_monomials,
-)
+from .bigraded import PoincareTable, cell_images, standard_monomials
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .gf2 import RowSpace
 from .milnor import FieldModel
@@ -192,32 +187,24 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     # the presentations those tables read, for the products by mu_1
     h_pres = block_presentation(model, "H", wmax + dmax + 1)
     n1_pres = block_presentation(model, "Npow:1", wmax + dmax + 1)
+    # H's generators are Npow:1's without the last one, mu1, so an H monomial
+    # times mu1 is that monomial with a trailing exponent 1
+    assert n1_pres.names == h_pres.names + ("mu1",)
 
-    def mu_rank(w: int, d: int) -> int:
-        if d < 0:
-            return 0
-        domain = standard_monomials(h_pres, w, d)
-        coords = cell_coordinates(standard_monomials(n1_pres, w, d + 1))
-        mu1 = n1_pres.gen("mu1")
-        space = RowSpace()
-        for m in domain:
-            named = Element(h_pres, frozenset([m])).as_named()
-            img = n1_pres.el(named) * mu1
-            space.add(coords(img.monomials))
-        return space.rank
+    def times_mu1(m):
+        return n1_pres.reduce_poly([m + (1,)])
 
     counts = []
     for w in range(wmax + 1):
-        row = []
+        # rank[d + 1] is the rank of mu_1 on the (w)[d] cell; rank[0] stands for d = -1
+        rank = [0]
         for d in range(dmax + 1):
-            val = (
-                h.entry(w, d)
-                + n1.entry(w, d)
-                - mu_rank(w, d)
-                - mu_rank(w, d - 1)
-            )
-            row.append(val)
-        counts.append(tuple(row))
+            domain = standard_monomials(h_pres, w, d)
+            rank.append(RowSpace(cell_images(domain, n1_pres, w, d + 1, times_mu1)[1]).rank)
+        counts.append(tuple(
+            h.entry(w, d) + n1.entry(w, d) - rank[d + 1] - rank[d]
+            for d in range(dmax + 1)
+        ))
     return PoincareTable(wmax, dmax, tuple(counts))
 
 

@@ -32,14 +32,16 @@ from .bigraded import (
     TAU,
     AlgebraPresentation,
     Bidegree,
+    Element,
     GenSpec,
     PoincareTable,
+    cell_images,
     poincare_table,
     presentation_new,
-    quotient,
     standard_monomials,
 )
 from .errors import UnsupportedBlock
+from .gf2 import RowSpace
 from .milnor import FieldModel
 
 
@@ -210,14 +212,20 @@ def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> Algebr
 
 
 def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
-    """dim Ann(alpha)_n for n <= max_degree."""
-    full = model.dimensions(max_degree)
-    ann = model.annihilator(max(max_degree, 1))
-    if not ann.gens:
-        return [0] * (max_degree + 1)
-    q = quotient(model.presentation, ann)
-    quot = [len(standard_monomials(q, n, n)) for n in range(max_degree + 1)]
-    return [f - r for f, r in zip(full, quot)]
+    """dim Ann(alpha)_n for n <= max_degree: dim R_n less the rank of
+    x -> alpha*x from R_n to R_{n+1}."""
+    pres = model.presentation.extend_bound(2 * max_degree + 2)
+    alpha = pres.el(model.alpha)
+
+    def times_alpha(m):
+        return (Element(pres, frozenset([m])) * alpha).monomials
+
+    out = []
+    for n in range(max_degree + 1):
+        basis = standard_monomials(pres, n, n)
+        rows = cell_images(basis, pres, n + 1, n + 1, times_alpha)[1]
+        out.append(len(basis) - RowSpace(rows).rank)
+    return out
 
 
 def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:

@@ -22,7 +22,7 @@ from .bigraded import (
     AlgebraPresentation,
     Bidegree,
     Element,
-    cell_coordinates,
+    cell_images,
     standard_monomials,
 )
 from .errors import (
@@ -307,11 +307,13 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
         rb = pres.poly_bidegree(rel)
         if rb is None:
             continue
-        cell_basis = standard_monomials(pres, rb.w, rb.d + 1)
-        coords = cell_coordinates(cell_basis)
-        for i, value in enumerate(values):
-            bits[i] |= coords(pres.reduce_poly(_leibniz(pres, rel, value))) << row_offset
-        row_offset += len(cell_basis)
+        dim, columns = cell_images(
+            values, pres, rb.w, rb.d + 1,
+            lambda value: pres.reduce_poly(_leibniz(pres, rel, value)),
+        )
+        for i, column in enumerate(columns):
+            bits[i] |= column << row_offset
+        row_offset += dim
 
     particular, kernel = solve(bits[1:], bits[0])
     if particular is None:
@@ -363,8 +365,9 @@ def sq1_check(der: Derivation, wmax: int, dmax: int) -> tuple[SqReport, Derivati
                  = D(D(a))*b + D(a)*D(b) + D(a)*D(b) + a*D(D(b))
                  = D(D(a))*b + a*D(D(b)).
 
-    So D(D(x)) = 0 for every generator x gives D(D(m)) = 0 on every monomial
-    m = x*m', by induction on the degree of m.
+    So D(D(x)) = 0 for every generator x with total(x) + 2 <= bound gives
+    D(D(m)) = 0 on every monomial m = x*m' with total(m) + 2 <= bound, by
+    induction on the degree of m: every generator dividing m is such an x.
     """
     pres = der.pres
     if wmax + dmax + 2 > pres.truncation_bound:
@@ -389,6 +392,8 @@ def sq1_check(der: Derivation, wmax: int, dmax: int) -> tuple[SqReport, Derivati
     sq_offender = None
     if descends:
         for gen in pres.gens:
+            if gen.bidegree.total + 2 > pres.truncation_bound:
+                continue
             out = sq1_apply(solved, sq1_apply(solved, pres.gen(gen.name)))
             if not out.is_zero():
                 square = False

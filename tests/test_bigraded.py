@@ -14,8 +14,10 @@ from subtle.bigraded import (
     Element,
     GenSpec,
     IdealGens,
+    cell_images,
     colon_ideal,
     groebner,
+    normal_form,
     poincare_table,
     presentation_new,
     quotient,
@@ -411,6 +413,39 @@ def test_colon_ideal_examples():
 
     ideal = IdealGens(free, (free.el("rho"),), 10)
     assert [str(g) for g in colon_ideal(free, ideal, "1", 10).gens] == ["rho"]
+
+
+def test_colon_ideal_keeps_one_of_mutually_redundant_generators(real):
+    # each of two equal generators lies in the ideal of the other; the sweep
+    # must not drop both
+    p = real.presentation.extend_bound(10)
+    assert str(colon_ideal(p, ["rho", "rho"], "1", 10)) == "(rho)"
+    assert str(colon_ideal(p, ["rho", "rho^2"], "1", 10)) == "(rho)"
+
+
+def test_cell_images_rows_over_the_target_basis():
+    p = bu1_real()
+    basis = standard_monomials(p, 2, 3)
+    # the identity on one cell is the unit matrix
+    assert cell_images(basis, p, 2, 3, lambda m: [m]) == (len(basis), [1 << j for j in range(len(basis))])
+    # multiplication by tau from (1)[3], spanned by d1: tau*d1 reduces to rho*c1
+    tau = p.gen("tau")
+    dim, rows = cell_images(
+        standard_monomials(p, 1, 3), p, 2, 3,
+        lambda m: (Element(p, frozenset([m])) * tau).monomials,
+    )
+    (rho_c1,) = p.el("rho*c1").monomials
+    assert (dim, rows) == (len(basis), [1 << basis.index(rho_c1)])
+    # no items, or an empty target cell, give no rows
+    assert cell_images([], p, 0, 7, lambda m: [m]) == (0, [])
+
+
+def test_normal_form_and_printing_helpers():
+    p = bu1_real()
+    assert normal_form(p, "tau*d1") == p.el("rho*c1")
+    assert str(GenSpec("c1", Bidegree(1, 2))) == "c1(1)[2]"
+    # equal elements hash equal, so they collapse in a set
+    assert len({p.el("tau*d1"), p.el("rho*c1"), p.el("c1")}) == 2
 
 
 def test_colon_ideal_zero_divisor():

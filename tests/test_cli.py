@@ -122,6 +122,13 @@ def test_readme_cli_examples_exit_0():
         assert code == 0, (argv, out)
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    sketch = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    assert "w=6" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("block", ["BO:4", "BU:2", "BOp:2", "Npow:2"])
 def test_sq1_check_small_box_exits_0(block):
     # Sq1 o Sq1 of a generator above the box (u4 has total 6) still fits the bound

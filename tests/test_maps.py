@@ -12,6 +12,7 @@ from subtle.bigraded import (
     standard_monomials,
 )
 from subtle.errors import BidegreeMismatch, SubtleError, UnknownGenerator
+from subtle.gf2 import RowSpace
 from subtle.maps import (
     Homomorphism,
     comp_kernel_ideal,
@@ -88,6 +89,45 @@ def _random_hom(rng, bound):
         k = rng.randint(0, min(len(basis), 3))
         images[gen.name] = Element(target, frozenset(rng.sample(basis, k)))
     return hom_define(source, target, images, "random")
+
+
+def _per_bidegree_reference(h, wmax, dmax):
+    """(w, d, rank, src, tgt) rows: each basis monomial wrapped in an Element,
+    sent through apply, and its image's coordinates added to a RowSpace."""
+    rows = []
+    for w in range(wmax + 1):
+        for d in range(dmax + 1):
+            src_basis = standard_monomials(h.source, w, d)
+            tgt_basis = standard_monomials(h.target, w, d)
+            index = {m: i for i, m in enumerate(tgt_basis)}
+            space = RowSpace()
+            for m in src_basis:
+                img = h.apply(Element(h.source, frozenset([m])))
+                space.add(sum(1 << index[t] for t in img.monomials))
+            rows.append((w, d, space.rank, len(src_basis), len(tgt_basis)))
+    return tuple(rows)
+
+
+def test_hom_verify_ranks_match_reference_on_named_maps(real, fq):
+    for model in (real, fq):
+        maps = [comp_map(model, n, 10) for n in (1, 2, 3)]
+        maps += [twist_iso(model, n, 10) for n in (1, 2)]
+        for h in maps:
+            rep = hom_verify(h, 5, 5)
+            assert rep.ok, (model.tag, h.label)
+            assert rep.per_bidegree == _per_bidegree_reference(h, 5, 5), (model.tag, h.label)
+
+
+def test_hom_verify_ranks_match_reference_random():
+    rng = random.Random(37)
+    checked = 0
+    for trial in range(40):
+        h = _random_hom(rng, 8)
+        rep = hom_verify(h, 4, 4)
+        if rep.ok:  # a random map need not be well defined
+            assert rep.per_bidegree == _per_bidegree_reference(h, 4, 4), trial
+            checked += 1
+    assert checked >= 30
 
 
 def test_homomorphism_refuses_assignment(real):
@@ -192,7 +232,7 @@ def test_corrupted_images_rejected_with_relation(real):
     images = {"rho": "rho", "tau": "tau", "u1": "0", "u2": "c1", "v3": "0"}
     h = hom_define(src, tgt, images)
     rep = hom_verify(h, 4, 4)
-    assert not rep.well_defined
+    assert not rep.well_defined and not rep.ok
     assert rep.offending_relation == "tau*v3 + rho*u2"
 
 
@@ -311,6 +351,18 @@ def test_specialize_negative_control(real):
     _, rep = specialize_classes(bu1, {"c1": "rho*mu", "d1": "0"}, xa)
     assert not rep.well_defined
     assert rep.first_failing == "tau*d1 + rho*c1"
+    obj = rep.to_json_obj()
+    assert obj["well_defined"] is False
+    assert obj["relations"][0] == {
+        "relation": "tau*d1 + rho*c1", "image": "rho^2*mu", "vanishes": False,
+    }
+    assert obj["split_criterion"] == {"checked_classes": ["c1"], "split_compatible": False}
+    assert rep.render_text().splitlines() == [
+        "specialization specialize",
+        "  tau*d1 + rho*c1 -> rho^2*mu  [NONZERO]",
+        "well_defined: False",
+        "splitting criterion on {c1}: not split-compatible",
+    ]
 
 
 def test_specialize_accepts_element_of_another_presentation(real):

@@ -13,6 +13,8 @@ def test_real_builtin(real):
     assert real.relation_strings == ()
     assert str(real.alpha) == "rho"
     assert real.minus_one_string == "rho"
+    assert real.minus_one == real.alpha
+    assert build_field_model("finite_field").minus_one is None
 
 
 def test_finite_field_builtin(fq):

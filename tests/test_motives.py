@@ -17,7 +17,7 @@ from subtle.motives import (
     parse_motive,
     torsor_motive,
 )
-from subtle.bigraded import Element, PoincareTable, cell_coordinates, poincare_table, standard_monomials
+from subtle.bigraded import Element, PoincareTable, poincare_table, standard_monomials
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model
 from subtle.rings import block_presentation, block_table
@@ -184,6 +184,11 @@ def test_malpha_tables(real, fq):
     tq = malpha_table(fq, 4, 4)
     h = block_table(fq, "H", 4, 4)
     assert tq.same_entries(h)
+
+
+def cell_coordinates(basis):
+    index = {m: i for i, m in enumerate(basis)}
+    return lambda poly: sum(1 << index[m] for m in poly)
 
 
 def _malpha_reference(model, wmax, dmax):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +228,44 @@ def test_colimit_stabilization(real, fq):
         assert rep.passed
     rep = check_colimit(real, 4, 4)
     assert rep.stabilization[0][3] == 3  # mu_3 first appears in the cube
+
+
+def test_colimit_report_renders(real):
+    rep = check_colimit(real, 1, 2)
+    assert rep.to_json_obj() == {
+        "box": [1, 2],
+        "stabilization_index": [[0, 0, 0], [0, 1, 1], [0, 2, 2], [1, 0, 0], [1, 1, 0], [1, 2, 1]],
+        "passed": True,
+    }
+    assert rep.render_text().splitlines() == [
+        "colimit stabilization on box (1,2)",
+        "w=0   0  1  2",
+        "w=1   0  0  1",
+        "PASS",
+    ]
+
+
+def _ann_dimensions_reference(model, max_degree):
+    # dim R_n less the dimension of the quotient by Ann(alpha) in degree n;
+    # annihilator(k) finds the generators of degree below k
+    full = model.dimensions(max_degree)
+    ann = model.annihilator(max_degree + 1)
+    if not ann.gens:
+        return [0] * (max_degree + 1)
+    q = quotient(model.presentation, ann)
+    return [f - len(standard_monomials(q, n, n)) for n, f in enumerate(full)]
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "two_gen", "three"])
+def test_ann_dimensions_match_quotient_reference(model_name, two_gen):
+    if model_name == "two_gen":
+        model = two_gen
+    elif model_name == "three":
+        model = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    else:
+        model = build_field_model(model_name)
+    for max_degree in (0, 1, 8):
+        assert ann_dimensions(model, max_degree) == _ann_dimensions_reference(model, max_degree)
 
 
 def test_nbar_direct_sum_convention(real, fq, two_gen):

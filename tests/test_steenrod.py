@@ -10,7 +10,6 @@ from subtle.bigraded import (
     Element,
     GenSpec,
     _monomials_of_bidegree,
-    cell_coordinates,
     presentation_new,
     standard_monomials,
 )
@@ -226,6 +225,15 @@ def test_square_zero_on_boxes(real):
     assert certified >= 30
 
 
+def test_square_zero_skips_generators_too_high_for_the_bound(real):
+    # u6 has total 9 > bound 8 - 2: its Sq1(Sq1) is out of reach and not needed,
+    # since no monomial it divides has total + 2 <= 8
+    pres = block_presentation(real, "BO:6", 8)
+    report, solved = sq1_check(sq1_define(pres), 3, 3)
+    assert report.descends and report.square_zero
+    assert _square_zero_on_box(solved, 3, 3)
+
+
 def test_square_zero_offender_is_a_generator(real):
     # Sq1(u2) = tau*u1^3 descends on the free ring, but Sq1(Sq1(u2)) =
     # Sq1(tau)*u1^3 + tau*u1^4 is not 0
@@ -330,6 +338,11 @@ def _value_candidates(pres, gen):
         b for b in standard_monomials(pres, cell.w, cell.d)
         if gen.origin == MODULE_GEN or not pres.module_count(b)
     ]
+
+
+def cell_coordinates(basis):
+    index = {m: i for i, m in enumerate(basis)}
+    return lambda poly: sum(1 << index[m] for m in poly)
 
 
 def _sq1_solve_reference(der):
