@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import add, ge, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from . import parse as parse_mod
@@ -31,6 +31,7 @@ from .errors import (
     EmptyGeneratorNameClash,
     ExceedsBound,
     InvalidModuleProduct,
+    NegativeBidegree,
     NonHomogeneousRelation,
     ShapeMismatch,
     UnknownGenerator,
@@ -96,6 +97,7 @@ class AlgebraPresentation:
     gen_d: tuple[int, ...] = field(init=False)
     module_idx: tuple[int, ...] = field(init=False)
     _gb_lms: tuple[Monomial, ...] = field(init=False)
+    _gb_tests: tuple[tuple, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.gens)
@@ -110,7 +112,9 @@ class AlgebraPresentation:
             module_idx=tuple(i for i, g in enumerate(gens) if g.origin == MODULE_GEN),
         ).items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_gb_lms", tuple(map(self.lead_monomial, self.groebner)))
+        lms = tuple(map(self.lead_monomial, self.groebner))
+        object.__setattr__(self, "_gb_lms", lms)
+        object.__setattr__(self, "_gb_tests", tuple(_divisor_test(self, lm) for lm in lms))
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -142,7 +146,7 @@ class AlgebraPresentation:
     # ----- reduction --------------------------------------------------------
 
     def reduce_poly(self, p: Iterable[Monomial]) -> Poly:
-        return _reduce_full(set(p), self.groebner, self._gb_lms, self)
+        return _reduce_full(set(p), self.groebner, self._gb_lms, self._gb_tests, self)
 
     # ----- element construction ---------------------------------------------
 
@@ -332,24 +336,42 @@ def _mul_mono_poly(t: Monomial, p: Poly) -> set[Monomial]:
     return {_mono_mul(t, m) for m in p}
 
 
-def _reducer(m: Monomial, lms, pres: AlgebraPresentation) -> int | None:
-    """Index of the first leading monomial in lms dividing m, or None; in a
-    module only a divisor leaving a module-free cofactor counts."""
-    for k, lm in enumerate(lms):
-        if all(map(ge, m, lm)) and (
-            not pres.is_module or all(m[i] == lm[i] for i in pres.module_idx)
-        ):
-            return k
+def _divisor_test(pres: AlgebraPresentation, lm: Monomial) -> tuple:
+    """The divisor test of leading monomial ``lm``: ``(w, d, ge, eq)``, with
+    (w)[d] its bidegree, ``ge`` the (index, exponent) pairs of its nonzero
+    exponents that ``m`` must reach, and ``eq`` the pairs that ``m`` must
+    match exactly: in a module, those of every module generator, so that the
+    cofactor is module-free."""
+    exact = pres.module_idx if pres.is_module else ()
+    eq = tuple((i, lm[i]) for i in exact)
+    ge_pairs = tuple((i, e) for i, e in enumerate(lm) if e and i not in exact)
+    b = pres.mono_bidegree(lm)
+    return b.w, b.d, ge_pairs, eq
+
+
+def _reducer(m: Monomial, tests) -> int | None:
+    """Index of the first divisor test that ``m`` passes, or None: the first
+    leading monomial dividing ``m`` (see ``_divisor_test``)."""
+    for k, (_, _, ge_pairs, eq) in enumerate(tests):
+        for i, e in ge_pairs:
+            if m[i] < e:
+                break
+        else:
+            for i, e in eq:
+                if m[i] != e:
+                    break
+            else:
+                return k
     return None
 
 
-def _reduce_full(work: set, basis, lms, pres: AlgebraPresentation) -> Poly:
+def _reduce_full(work: set, basis, lms, tests, pres: AlgebraPresentation) -> Poly:
     """Full normal form: reduce every reducible monomial, largest first."""
     done: set[Monomial] = set()
     while work:
         m = max(work, key=pres.mono_key)
         work.discard(m)
-        k = _reducer(m, lms, pres)
+        k = _reducer(m, tests)
         if k is None:
             done.add(m)
         else:
@@ -366,15 +388,24 @@ def _reduce_full(work: set, basis, lms, pres: AlgebraPresentation) -> Poly:
 def _buchberger(
     pres: AlgebraPresentation, polys: list[Poly], bound: int
 ) -> list[Poly]:
-    """Truncated Buchberger completion; returns the reduced basis."""
+    """Truncated Buchberger completion; returns the reduced basis.  ``lms``
+    and ``tests`` hold each basis element's leading monomial and divisor
+    test, kept in step with ``basis``."""
     basis: list[Poly] = []
     lms: list[Monomial] = []
+    tests: list[tuple] = []
+
+    def append(r: Poly) -> None:
+        lm = pres.lead_monomial(r)
+        basis.append(r)
+        lms.append(lm)
+        tests.append(_divisor_test(pres, lm))
+
     nonzero = [p for p in polys if p]
     for p in sorted(nonzero, key=lambda q: pres.mono_key(pres.lead_monomial(q))):
-        r = _reduce_full(set(p), basis, lms, pres)
+        r = _reduce_full(set(p), basis, lms, tests, pres)
         if r:
-            basis.append(r)
-            lms.append(pres.lead_monomial(r))
+            append(r)
 
     heap: list[tuple] = []
     for j in range(len(basis)):
@@ -402,29 +433,37 @@ def _buchberger(
         ):
             continue  # coprime criterion (polynomial components only)
         s = set(_mul_mono_poly(ti, basis[i])) ^ _mul_mono_poly(tj, basis[j])
-        r = _reduce_full(s, basis, lms, pres)
+        r = _reduce_full(s, basis, lms, tests, pres)
         if r:
-            new_lm = pres.lead_monomial(r)
-            for k in range(len(basis)):
-                key = pres.mono_key(_mono_lcm(lms[k], new_lm))
-                heapq.heappush(heap, (key, k, len(basis)))
-            basis.append(r)
-            lms.append(new_lm)
+            append(r)
+            new = len(basis) - 1
+            for k in range(new):
+                key = pres.mono_key(_mono_lcm(lms[k], lms[new]))
+                heapq.heappush(heap, (key, k, new))
 
     # inter-reduce to the unique reduced basis
     changed = True
     while changed:
         changed = False
         for i in range(len(basis)):
-            others = [b for k, b in enumerate(basis) if k != i and b]
-            other_lms = [pres.lead_monomial(b) for b in others]
             if not basis[i]:
                 continue
-            r = _reduce_full(set(basis[i]), others, other_lms, pres)
+            others = [k for k, b in enumerate(basis) if k != i and b]
+            r = _reduce_full(
+                set(basis[i]),
+                [basis[k] for k in others],
+                [lms[k] for k in others],
+                [tests[k] for k in others],
+                pres,
+            )
             if r != basis[i]:
                 basis[i] = r
+                if r:
+                    lms[i] = pres.lead_monomial(r)
+                    tests[i] = _divisor_test(pres, lms[i])
                 changed = True
-        basis = [b for b in basis if b]
+        kept = [k for k, b in enumerate(basis) if b]
+        basis, lms, tests = ([xs[k] for k in kept] for xs in (basis, lms, tests))
     basis.sort(key=lambda p: pres.mono_key(pres.lead_monomial(p)))
     return basis
 
@@ -443,6 +482,8 @@ def presentation_new(
 ) -> AlgebraPresentation:
     """Build a presentation and compute its truncated Groebner basis.
 
+    Generator bidegrees must be non-negative (zero is allowed): cell
+    enumeration and the divisor tests of ``standard_monomials`` rely on it.
     ``rels`` entries may be element strings, parsed raw polys, monomial sets
     over these generators, or Elements of a presentation with the same
     generator names.
@@ -454,6 +495,10 @@ def presentation_new(
         if g.name in seen:
             raise EmptyGeneratorNameClash(f"duplicate generator name {g.name!r}")
         seen.add(g.name)
+        if g.bidegree.w < 0 or g.bidegree.d < 0:
+            raise NegativeBidegree(
+                f"generator {g} has negative weight or degree"
+            )
         if g.origin == MILNOR and g.bidegree.w != g.bidegree.d:
             raise NonHomogeneousRelation(
                 f"milnor generator {g.name} must have w = d"
@@ -701,15 +746,23 @@ def _monomials_of_bidegree(
     return out
 
 
+_REVERSED = itemgetter(slice(None, None, -1))
+
+
 def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
     """Monomial basis of the (w)[d] piece: monomials no leading term divides.
-    A module without a unit component (``has_unit`` false) leaves out the
-    monomials free of module generators."""
-    out = []
-    for m in _monomials_of_bidegree(pres, w, d, pres.has_unit):
-        if _reducer(m, pres._gb_lms, pres) is None:
-            out.append(m)
-    out.sort(key=pres.mono_key)
+    Only the divisor tests of leading terms that fit inside (w)[d] are run,
+    since generator bidegrees are non-negative.  The basis is sorted by
+    ``mono_key``, which inside one bidegree is the order of reversed exponent
+    vectors.  A module without a unit component (``has_unit`` false) leaves
+    out the monomials free of module generators."""
+    tests = [t for t in pres._gb_tests if t[0] <= w and t[1] <= d]
+    out = [
+        m
+        for m in _monomials_of_bidegree(pres, w, d, pres.has_unit)
+        if _reducer(m, tests) is None
+    ]
+    out.sort(key=_REVERSED)
     return out
 
 

@@ -166,7 +166,8 @@ def _report(args, rep) -> None:
 def _cmd_field(args) -> int:
     model = _resolve_model(args.model)
     dims = model.dimensions(8)
-    ann = model.annihilator(8) if model.has_alpha else None
+    # annihilator(9) finds the generators of degree below 9, so up to 8
+    ann = model.annihilator(9) if model.has_alpha else None
     if args.format == "json":
         payload = {
             "model": model.tag,

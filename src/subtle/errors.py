@@ -21,6 +21,10 @@ class EmptyGeneratorNameClash(SubtleError):
     """A generator name is empty or collides with another one."""
 
 
+class NegativeBidegree(SubtleError):
+    """A generator has negative weight or degree, so a cell could be infinite."""
+
+
 class UnknownGenerator(SubtleError):
     """An expression references a generator the presentation does not have."""
 

@@ -101,7 +101,8 @@ class FieldModel:
         ]
 
     def annihilator(self, degree_bound: int | None = None) -> IdealGens:
-        """Ann({alpha}), cached per model content and bound in ``_ANN``."""
+        """Generators of Ann({alpha}) of degree below the bound, cached per
+        model content and bound in ``_ANN``."""
         bound = degree_bound if degree_bound is not None else self.degree_bound
         key = (self, bound)
         if key not in _ANN:
@@ -192,10 +193,10 @@ def km_normal_form(model: FieldModel, raw) -> KMElement:
 
 
 def km_annihilator(model: FieldModel, f=None, degree_bound: int = 8) -> IdealGens:
-    """Reduced generators of {x : x*f = 0}, certified in degrees <= bound.
+    """Reduced generators of {x : x*f = 0} of degree below the bound.
 
     Computed as the colon ideal (0 : f) by per-degree linear solves in the
-    shared engine.
+    shared engine, on a presentation extended to twice the bound.
     """
     if f is None:
         f = model.alpha  # raises when the model carries no alpha

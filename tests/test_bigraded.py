@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import ge
 
 import pytest
 
@@ -29,6 +30,7 @@ from subtle.errors import (
     EmptyGeneratorNameClash,
     ExceedsBound,
     InvalidModuleProduct,
+    NegativeBidegree,
     NonHomogeneousRelation,
     ShapeMismatch,
     UnknownGenerator,
@@ -81,6 +83,17 @@ def test_generator_name_validation():
         presentation_new([GenSpec("", Bidegree(1, 1), MILNOR)], [], 4)
     with pytest.raises(EmptyGeneratorNameClash):
         presentation_new(h_real() + h_real(), [], 4)
+
+
+def test_negative_generator_bidegree_rejected():
+    # a negative generator bidegree can make a cell infinite
+    for b, origin in [(Bidegree(-1, 2), CLASS), (Bidegree(2, -1), CLASS), (Bidegree(0, -1), MODULE_GEN)]:
+        with pytest.raises(NegativeBidegree, match="negative weight or degree"):
+            presentation_new(h_real() + [GenSpec("x", b, origin)], [], 6, is_module=origin == MODULE_GEN)
+    # zero weight, zero degree and the zero bidegree stay allowed
+    gens = [GenSpec("u", Bidegree(0, 1)), GenSpec("v", Bidegree(1, 0)), GenSpec("z", Bidegree(0, 0))]
+    p = presentation_new(gens, ["u*v"], 6)
+    assert poincare_table(p, 2, 2) == oracle_table(p, 2, 2)
 
 
 def test_milnor_generator_must_sit_on_diagonal():
@@ -344,6 +357,41 @@ def test_standard_monomials_are_the_irreducible_monomials_random():
                 assert standard_monomials(p, w, d) == sorted(
                     fixed, key=p.mono_key
                 ), (trial, p.gens, p.relations, w, d)
+
+
+def _dense_reducer(p, m):
+    """The dense divisor rule: index of the first leading monomial that m
+    reaches in every exponent, matching it on every module generator in a
+    module; None when there is none."""
+    for k, lm in enumerate(p._gb_lms):
+        if all(map(ge, m, lm)) and (
+            not p.is_module or all(m[i] == lm[i] for i in p.module_idx)
+        ):
+            return k
+    return None
+
+
+def test_divisor_tests_match_the_dense_rule_random():
+    rng = random.Random(29)
+    zero_weight = modules = 0
+    for trial in range(40):
+        p = _random_presentation(rng, 10, max_rels=6)
+        zero_weight += 0 in p.gen_w
+        variants = [p]
+        if p.is_module:
+            modules += 1
+            variants.append(replace(p, has_unit=False))
+        for q in variants:
+            assert q._gb_lms == tuple(map(q.lead_monomial, q.groebner))
+            for w in range(6):
+                for d in range(6):
+                    cell = _monomials_of_bidegree(q, w, d, q.has_unit)
+                    where = (trial, q.gens, q.groebner, q.has_unit, w, d)
+                    for m in cell:
+                        assert bigraded._reducer(m, q._gb_tests) == _dense_reducer(q, m), where + (m,)
+                    kept = [m for m in cell if _dense_reducer(q, m) is None]
+                    assert standard_monomials(q, w, d) == sorted(kept, key=q.mono_key), where
+    assert zero_weight >= 10 and modules >= 10
 
 
 def test_extend_bound_keeps_the_smaller_box_random():

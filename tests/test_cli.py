@@ -315,6 +315,23 @@ def test_field_show_json(qc):
     assert payload["annihilator_of_alpha"] is None
 
 
+@pytest.mark.parametrize("power, ann", [(8, ["b^8"]), (9, [])])
+def test_field_show_annihilator_up_to_degree_8(tmp_path, power, ann):
+    # a*b^k = 0 with alpha = a: Ann(a) is generated by b^k, in degree k
+    path = tmp_path / "m.json"
+    path.write_text(
+        json.dumps({"generators": ["a", "b"], "relations": [f"a*b^{power}"], "alpha": "a"}),
+        encoding="utf-8",
+    )
+    code, out = run_cli("field", "show", "--model", str(path))
+    assert code == 0
+    shown = f"({', '.join(ann)})" if ann else "(0)"
+    assert f"Ann(alpha) generators (degree <= 8): {shown}" in out.splitlines()
+    code, out = run_cli("field", "show", "--model", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["annihilator_of_alpha"] == ann
+
+
 def test_ring_build_table_only_block_exits_2():
     code, _ = run_cli("ring", "build", "nbar", "--model", "real")
     assert code == 2
