@@ -98,6 +98,7 @@ class AlgebraPresentation:
     module_idx: tuple[int, ...] = field(init=False)
     _gb_lms: tuple[Monomial, ...] = field(init=False)
     _gb_tests: tuple[tuple, ...] = field(init=False)
+    _cone: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.gens)
@@ -115,6 +116,7 @@ class AlgebraPresentation:
         lms = tuple(map(self.lead_monomial, self.groebner))
         object.__setattr__(self, "_gb_lms", lms)
         object.__setattr__(self, "_gb_tests", tuple(_divisor_test(self, lm) for lm in lms))
+        object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -347,6 +349,23 @@ def _divisor_test(pres: AlgebraPresentation, lm: Monomial) -> tuple:
     ge_pairs = tuple((i, e) for i, e in enumerate(lm) if e and i not in exact)
     b = pres.mono_bidegree(lm)
     return b.w, b.d, ge_pairs, eq
+
+
+def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The nonzero generator bidegrees ``((lw, ld), (hw, hd))`` of lowest and
+    highest slope d/w, or None when no generator has a nonzero bidegree.
+    Slopes are compared exactly: d1/w1 < d2/w2 iff d1*w2 < d2*w1, which holds
+    for non-negative bidegrees with w = 0 as the steepest slope."""
+    nonzero = [(w, d) for w, d in zip(gen_w, gen_d) if w or d]
+    if not nonzero:
+        return None
+    low = high = nonzero[0]
+    for w, d in nonzero[1:]:
+        if d * low[0] < low[1] * w:
+            low = (w, d)
+        if d * high[0] > high[1] * w:
+            high = (w, d)
+    return low, high
 
 
 def _reducer(m: Monomial, tests) -> int | None:
@@ -751,11 +770,26 @@ _REVERSED = itemgetter(slice(None, None, -1))
 
 def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
     """Monomial basis of the (w)[d] piece: monomials no leading term divides.
-    Only the divisor tests of leading terms that fit inside (w)[d] are run,
-    since generator bidegrees are non-negative.  The basis is sorted by
-    ``mono_key``, which inside one bidegree is the order of reversed exponent
-    vectors.  A module without a unit component (``has_unit`` false) leaves
-    out the monomials free of module generators."""
+
+    A monomial's bidegree is a non-negative combination of generator
+    bidegrees (``presentation_new`` rejects negative ones), so it lies in the
+    cone between the nonzero generator bidegrees of lowest and highest slope
+    d/w (``_cone``).  A cell strictly outside that cone, or any cell but
+    (0)[0] when no generator has a nonzero bidegree, is empty and is
+    returned at once, without enumeration.  A cell inside it is enumerated,
+    and only the divisor tests of leading terms that fit inside (w)[d] are
+    run.  The basis is sorted by ``mono_key``, which inside one bidegree is
+    the order of reversed exponent vectors.  A module without a unit
+    component (``has_unit`` false) leaves out the monomials free of module
+    generators."""
+    cone = pres._cone
+    if cone is None:
+        if w or d:
+            return []
+    else:
+        (lw, ld), (hw, hd) = cone
+        if w * ld > d * lw or d * hw > w * hd:
+            return []
     tests = [t for t in pres._gb_tests if t[0] <= w and t[1] <= d]
     out = [
         m
@@ -766,12 +800,14 @@ def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomi
     return out
 
 
-def cell_images(items, target: AlgebraPresentation, w: int, d: int, image):
+def cell_images(items, basis: Sequence[Monomial], image):
     """The matrix of a linear map into one cell: returns (dim, rows), with
-    dim the dimension of ``target``'s (w)[d] cell and rows[i] the GF(2)
-    vector of ``image(items[i])``, a reduced polynomial of that cell, with
-    bit j set when the cell's j-th standard monomial occurs in it."""
-    index = {m: j for j, m in enumerate(standard_monomials(target, w, d))}
+    ``basis`` the target cell's ``standard_monomials``, dim its length, and
+    rows[i] the GF(2) vector of ``image(items[i])``, a reduced polynomial of
+    that cell, with bit j set when ``basis[j]`` occurs in it.  The caller
+    passes the basis so that a sweep that meets a cell twice, as target and
+    then as source, enumerates it once."""
+    index = {m: j for j, m in enumerate(basis)}
     rows = []
     for item in items:
         vec = 0
@@ -825,6 +861,9 @@ def colon_ideal(
 
     Computed by per-bidegree kernels of multiplication by f, then reduced to
     a generating set by a quotient-membership sweep in increasing degree.
+    The kernel sweep enumerates each cell's basis once: a target cell's basis
+    is kept until the sweep reaches that cell as a source, then dropped, so
+    only the cells up to f's total degree ahead of the sweep are held.
     """
     if bound > pres.truncation_bound:
         raise ExceedsBound("colon bound exceeds presentation bound")
@@ -845,14 +884,22 @@ def colon_ideal(
     q = quotient(pres, [g.monomials for g in base_gens]) if base_gens else pres
 
     candidates: list[Element] = []
+    # target bases kept until the sweep reaches them as sources
+    targets: dict[tuple[int, int], list[Monomial]] = {}
     for total in range(0, bound - fb.total + 1):
         for w in range(0, total + 1):
             d = total - w
-            basis = standard_monomials(q, w, d)
+            basis = targets.pop((w, d), None)
+            if basis is None:
+                basis = standard_monomials(q, w, d)
             if not basis:
                 continue
+            cell = (w + fb.w, d + fb.d)
+            target = basis if cell == (w, d) else targets.get(cell)
+            if target is None:
+                target = targets[cell] = standard_monomials(q, *cell)
             _, images = cell_images(
-                basis, q, w + fb.w, d + fb.d,
+                basis, target,
                 lambda m: q.reduce_poly(_mul_mono_poly(m, f_el.monomials)),
             )
             for combo in kernel_of_map(images):

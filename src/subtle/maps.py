@@ -214,7 +214,11 @@ def hom_verify(h: Homomorphism, wmax: int, dmax: int) -> HomReport:
         for w in range(wmax + 1):
             for d in range(dmax + 1):
                 src_basis = standard_monomials(h.source, w, d)
-                tgt_dim, images = cell_images(src_basis, h.target, w, d, h._image)
+                tgt_basis = (
+                    src_basis if h.source is h.target
+                    else standard_monomials(h.target, w, d)
+                )
+                tgt_dim, images = cell_images(src_basis, tgt_basis, h._image)
                 rank = RowSpace(images).rank
                 rows.append((w, d, rank, len(src_basis), tgt_dim))
                 if rank != tgt_dim:

@@ -102,11 +102,38 @@ class FieldModel:
 
     def annihilator(self, degree_bound: int | None = None) -> IdealGens:
         """Generators of Ann({alpha}) of degree below the bound, cached per
-        model content and bound in ``_ANN``."""
+        model content and bound in ``_ANN``.
+
+        When ``_ANN`` holds an entry for this model at a larger bound, the
+        generators of degree below this bound are read off it instead of
+        running the colon sweep again.  They are the ones a fresh
+        ``km_annihilator`` returns, because:
+
+        * the sweep's candidate sequence for the smaller bound is a prefix of
+          the larger bound's: candidates come degree by degree, and those of
+          degree k depend only on the cells of degrees k and k + 1;
+        * truncated normal forms are exact below their bound, so those cells,
+          their kernels and each membership test agree at both bounds;
+        * a generator of higher degree cannot make one of lower degree
+          redundant, since a homogeneous ideal's generators of degree above k
+          contain nothing of degree k.
+
+        The result carries the bound asked for (as ``degree_bound``, twice
+        it, like ``km_annihilator``) but the larger entry's presentation.
+        """
         bound = degree_bound if degree_bound is not None else self.degree_bound
         key = (self, bound)
         if key not in _ANN:
-            _ANN[key] = km_annihilator(self, self.alpha, bound)
+            larger = [b for m, b in _ANN if b > bound and m == self]
+            if larger:
+                big = _ANN[self, min(larger)]
+                _ANN[key] = IdealGens(
+                    big.pres,
+                    tuple(g for g in big.gens if g.bidegree().d < bound),
+                    2 * bound,
+                )
+            else:
+                _ANN[key] = km_annihilator(self, self.alpha, bound)
         return _ANN[key]
 
     def __str__(self) -> str:

@@ -200,7 +200,8 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
         rank = [0]
         for d in range(dmax + 1):
             domain = standard_monomials(h_pres, w, d)
-            rank.append(RowSpace(cell_images(domain, n1_pres, w, d + 1, times_mu1)[1]).rank)
+            target = standard_monomials(n1_pres, w, d + 1)
+            rank.append(RowSpace(cell_images(domain, target, times_mu1)[1]).rank)
         counts.append(tuple(
             h.entry(w, d) + n1.entry(w, d) - rank[d + 1] - rank[d]
             for d in range(dmax + 1)

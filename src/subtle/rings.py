@@ -213,7 +213,8 @@ def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> Algebr
 
 def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
     """dim Ann(alpha)_n for n <= max_degree: dim R_n less the rank of
-    x -> alpha*x from R_n to R_{n+1}."""
+    x -> alpha*x from R_n to R_{n+1}.  The basis of R_{n+1} is the next
+    source, so each cell is enumerated once."""
     pres = model.presentation.extend_bound(2 * max_degree + 2)
     alpha = pres.el(model.alpha)
 
@@ -221,10 +222,12 @@ def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
         return (Element(pres, frozenset([m])) * alpha).monomials
 
     out = []
+    basis = standard_monomials(pres, 0, 0)
     for n in range(max_degree + 1):
-        basis = standard_monomials(pres, n, n)
-        rows = cell_images(basis, pres, n + 1, n + 1, times_alpha)[1]
+        target = standard_monomials(pres, n + 1, n + 1)
+        rows = cell_images(basis, target, times_alpha)[1]
         out.append(len(basis) - RowSpace(rows).rank)
+        basis = target
     return out
 
 

@@ -308,7 +308,7 @@ def sq1_solve(der: Derivation) -> tuple[Derivation, tuple[tuple[str, int | None,
         if rb is None:
             continue
         dim, columns = cell_images(
-            values, pres, rb.w, rb.d + 1,
+            values, standard_monomials(pres, rb.w, rb.d + 1),
             lambda value: pres.reduce_poly(_leibniz(pres, rel, value)),
         )
         for i, column in enumerate(columns):

@@ -394,6 +394,64 @@ def test_divisor_tests_match_the_dense_rule_random():
     assert zero_weight >= 10 and modules >= 10
 
 
+def _standard_monomials_reference(p, w, d):
+    """The cell basis without the generator cone: every monomial of the cell,
+    filtered by the dense divisor rule, in mono_key order."""
+    cell = _monomials_of_bidegree(p, w, d, p.has_unit)
+    return sorted((m for m in cell if _dense_reducer(p, m) is None), key=p.mono_key)
+
+
+def _cone_presentations():
+    from test_steenrod import _random_solver_presentation
+
+    rng = random.Random(31)
+    for _ in range(30):
+        p = _random_presentation(rng, 10, max_rels=6)
+        yield p
+        if p.is_module:
+            yield replace(p, has_unit=False)
+    for module_gens, has_unit in [(0, True), (1, True), (2, False)] * 10:
+        yield _random_solver_presentation(rng, 10, module_gens, has_unit)
+    x = GenSpec("x", Bidegree(1, 2))
+    yield presentation_new([GenSpec("z", Bidegree(0, 0)), x], ["x^2"], 10)
+    yield presentation_new([GenSpec("t", Bidegree(2, 0)), GenSpec("u", Bidegree(0, 3))], [], 10)
+    yield presentation_new(
+        [GenSpec("t", Bidegree(1, 0)), GenSpec("mu", Bidegree(0, 1), MODULE_GEN)], [], 10, is_module=True
+    )
+    # all generators on one ray, as in a Milnor K-theory model
+    milnor = [GenSpec(name, Bidegree(1, 1), MILNOR) for name in "abc"]
+    yield presentation_new(milnor, ["a*b", "b^2 + a*c"], 10)
+    yield presentation_new([x, GenSpec("y", Bidegree(2, 4))], ["x*y"], 10)
+    yield presentation_new([], [], 10)
+
+
+def test_standard_monomials_outside_the_generator_cone_random():
+    # the cone rule returns [] before enumerating; on every cell of the box,
+    # inside and outside the cone, the basis equals the filtered enumeration
+    outside = 0
+    for p in _cone_presentations():
+        for w in range(-1, 8):
+            for d in range(-1, 8):
+                got = standard_monomials(p, w, d)
+                assert got == _standard_monomials_reference(p, w, d), (p.gens, p.groebner, p.has_unit, w, d)
+                outside += p._cone is not None and (
+                    w * p._cone[0][1] > d * p._cone[0][0] or d * p._cone[1][0] > w * p._cone[1][1]
+                )
+    assert outside > 1000
+
+
+def test_generator_cone_of_hand_built_presentations():
+    cones = [p._cone for p in _cone_presentations()][-6:]
+    assert cones == [
+        ((1, 2), (1, 2)),  # the zero-bidegree generator is left out
+        ((2, 0), (0, 3)),
+        ((1, 0), (0, 1)),
+        ((1, 1), (1, 1)),
+        ((1, 2), (1, 2)),
+        None,
+    ]
+
+
 def test_extend_bound_keeps_the_smaller_box_random():
     rng = random.Random(23)
     for trial in range(20):
@@ -475,17 +533,17 @@ def test_cell_images_rows_over_the_target_basis():
     p = bu1_real()
     basis = standard_monomials(p, 2, 3)
     # the identity on one cell is the unit matrix
-    assert cell_images(basis, p, 2, 3, lambda m: [m]) == (len(basis), [1 << j for j in range(len(basis))])
+    assert cell_images(basis, basis, lambda m: [m]) == (len(basis), [1 << j for j in range(len(basis))])
     # multiplication by tau from (1)[3], spanned by d1: tau*d1 reduces to rho*c1
     tau = p.gen("tau")
     dim, rows = cell_images(
-        standard_monomials(p, 1, 3), p, 2, 3,
+        standard_monomials(p, 1, 3), basis,
         lambda m: (Element(p, frozenset([m])) * tau).monomials,
     )
     (rho_c1,) = p.el("rho*c1").monomials
     assert (dim, rows) == (len(basis), [1 << basis.index(rho_c1)])
     # no items, or an empty target cell, give no rows
-    assert cell_images([], p, 0, 7, lambda m: [m]) == (0, [])
+    assert cell_images([], standard_monomials(p, 0, 7), lambda m: [m]) == (0, [])
 
 
 def test_normal_form_and_printing_helpers():

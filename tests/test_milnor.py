@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from subtle import milnor
 from subtle.bigraded import quotient, standard_monomials
 from subtle.errors import AlphaIsSquare, UnknownGenerator, ZeroElement
 from subtle.milnor import build_field_model, km_annihilator, km_normal_form
@@ -101,6 +103,29 @@ def test_annihilator_two_generator_model(two_gen):
 def test_annihilator_shared_by_content_equal_models():
     ann = build_field_model("real").annihilator(8)
     assert build_field_model("real").annihilator(8) is ann
+
+
+@pytest.mark.parametrize("name", ["real", "finite_field", "three"])
+def test_annihilator_read_off_a_larger_bound(name, monkeypatch):
+    # with Ann(alpha) cached at bound 17, every smaller bound is read off that
+    # entry, and gives what a fresh colon run gives
+    if name == "three":
+        name = str(Path(__file__).resolve().parents[1] / "bench" / "three.json")
+    model = build_field_model(name)
+    runs = []
+
+    def counted(model, f=None, degree_bound=8):
+        runs.append(degree_bound)
+        return km_annihilator(model, f, degree_bound)
+
+    monkeypatch.setattr(milnor, "_ANN", {})
+    monkeypatch.setattr(milnor, "km_annihilator", counted)
+    model.annihilator(17)
+    for n in range(18):
+        ann, fresh = model.annihilator(n), km_annihilator(model, model.alpha, n)
+        assert [str(g) for g in ann.gens] == [str(g) for g in fresh.gens], n
+        assert ann.degree_bound == fresh.degree_bound == 2 * n
+    assert runs == [17]
 
 
 def test_annihilator_of_zero_rejected(fq):

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from subtle import bigraded
 from subtle.bigraded import Bidegree, Element, poincare_table, quotient, standard_monomials
 from subtle.errors import UnsupportedBlock
 from subtle.gf2 import RowSpace
-from subtle.milnor import build_field_model
+from subtle.milnor import build_field_model, km_annihilator
 from subtle.oracle import oracle_entry, oracle_table
-from subtle.maps import twist_iso
+from subtle.maps import hom_verify, twist_iso
 from subtle.steenrod import sq1_check, sq1_define
 from subtle.verify import ORACLE_BLOCKS
 from subtle.rings import (
@@ -266,6 +269,42 @@ def test_ann_dimensions_match_quotient_reference(model_name, two_gen):
         model = build_field_model(model_name)
     for max_degree in (0, 1, 8):
         assert ann_dimensions(model, max_degree) == _ann_dimensions_reference(model, max_degree)
+
+
+def _inside_generator_cone(pres, w, d):
+    # between the least and the greatest slope d/w of a nonzero generator
+    # bidegree, w = 0 being the steepest
+    def slope(a, b):
+        return (1, 0) if a == 0 else (0, Fraction(b, a))
+
+    rays = [slope(a, b) for a, b in zip(pres.gen_w, pres.gen_d) if a or b]
+    return (w, d) == (0, 0) or bool(rays) and min(rays) <= slope(w, d) <= max(rays)
+
+
+def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
+    calls = Counter()
+    enumerate_cell = bigraded._monomials_of_bidegree
+
+    def counted(pres, w, d, include_unit_component=True):
+        calls[pres, w, d] += 1
+        return enumerate_cell(pres, w, d, include_unit_component)
+
+    monkeypatch.setattr(bigraded, "_monomials_of_bidegree", counted)
+    three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    twist = twist_iso(real, 1, 12)
+    assert twist.source is twist.target
+    sweeps = {
+        "colon": lambda: km_annihilator(three, three.alpha, 16),
+        "ann_dimensions": lambda: ann_dimensions(real, 8),
+        "hom_verify": lambda: hom_verify(twist, 6, 6),
+    }
+    for name, sweep in sweeps.items():
+        calls.clear()
+        sweep()
+        assert calls, name
+        assert max(calls.values()) == 1, (name, [k[1:] for k, n in calls.items() if n > 1])
+        outside = [(w, d) for pres, w, d in calls if not _inside_generator_cone(pres, w, d)]
+        assert not outside, (name, outside)
 
 
 def test_nbar_direct_sum_convention(real, fq, two_gen):
