@@ -169,13 +169,24 @@ class AlgebraPresentation:
         return Element(self, self.reduce_poly(monomials))
 
     def raw_to_poly(self, raw) -> Poly:
-        """Translate a parsed/raw element into an unreduced monomial set."""
+        """An unreduced monomial set from an element string, a parsed poly
+        of (name, exponent) pairs, an Element of any presentation with these
+        generator names, or a frozenset of exponent vectors over these
+        generators (returned as it is)."""
         if isinstance(raw, Element):
             if raw.pres is not self:
                 return self.raw_to_poly(raw.as_named())
             return raw.monomials
         if isinstance(raw, str):
             raw = parse_mod.parse_poly(raw)
+        elif isinstance(raw, frozenset):
+            first = next(iter(raw), None)
+            if (
+                first is not None
+                and len(first) == len(self.gens)
+                and all(isinstance(x, int) for x in first)
+            ):
+                return raw
         acc: set[Monomial] = set()
         for named in raw:
             m = [0] * len(self.gens)
@@ -188,7 +199,10 @@ class AlgebraPresentation:
         return frozenset(acc)
 
     def el(self, raw) -> "Element":
-        """Normal form of a raw element (string, parsed poly, or Element)."""
+        """Normal form of a raw element (string, parsed poly, or Element); an
+        Element of this presentation is one already and comes back as it is."""
+        if isinstance(raw, Element) and raw.pres is self:
+            return raw
         poly = self.raw_to_poly(raw)
         for m in poly:
             b = self.mono_bidegree(m)
@@ -526,7 +540,7 @@ def presentation_new(
     shell = AlgebraPresentation(gens, (), (), bound, is_module, has_unit)
     rel_polys: list[Poly] = []
     for r in rels:
-        poly = _as_internal_poly(shell, r)
+        poly = shell.raw_to_poly(r)
         if not poly:
             continue
         b = shell.poly_bidegree(poly)
@@ -559,19 +573,6 @@ def presentation_new(
     return AlgebraPresentation(
         gens, rel_polys, gb, bound, is_module, has_unit, model, block_id
     )
-
-
-def _as_internal_poly(pres: AlgebraPresentation, raw) -> Poly:
-    """Coerce strings, parsed polys, Elements or exponent-vector sets."""
-    if isinstance(raw, frozenset):
-        first = next(iter(raw), None)
-        if (
-            first is not None
-            and len(first) == len(pres.gens)
-            and all(isinstance(x, int) for x in first)
-        ):
-            return raw  # already exponent vectors over these generators
-    return pres.raw_to_poly(raw)
 
 
 def normal_form(pres: AlgebraPresentation, raw) -> Element:
@@ -839,7 +840,7 @@ def poincare_table(
 def quotient(pres: AlgebraPresentation, ideal: IdealGens | Sequence) -> AlgebraPresentation:
     """Presentation of pres / (ideal), same generators."""
     extra = ideal.polys() if isinstance(ideal, IdealGens) else [
-        _as_internal_poly(pres, g) for g in ideal
+        pres.raw_to_poly(g) for g in ideal
     ]
     return presentation_new(
         pres.gens,

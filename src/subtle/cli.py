@@ -34,14 +34,13 @@ from .maps import (
 )
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
-from .parse import load_descriptor
+from .parse import STRING, load_descriptor
 from .rings import block_presentation, block_table
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
 
 DEFAULT_BOX = (8, 8)
 DEFAULT_SEED = 20250801
-CONFIG_KEYS = ("box", "format", "model", "out", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,33 +93,21 @@ def _is_box(value) -> bool:
     )
 
 
-def _preset(preset: dict, key: str, valid, what: str):
-    """The config file's value for a flag, None when absent; exit 2 when bad."""
-    value = preset.get(key)
-    if value is not None and not valid(value):
-        raise SubtleError(f"config {key} must be {what}, got {json.dumps(value)}")
-    return value
+# the config file's keys, one per flag it presets
+CONFIG_FIELDS = {
+    "box": (_is_box, "two non-negative integers"),
+    "format": (lambda v: v in ("text", "json"), '"text" or "json"'),
+    "model": STRING,
+    "out": STRING,
+    "seed": (lambda v: type(v) is int, "an integer"),
+}
 
 
 def _apply_config(args) -> None:
     if args.config:
-        preset = load_descriptor(args.config, "config")
-        unknown = sorted(set(preset) - set(CONFIG_KEYS))
-        if unknown:
-            known = ", ".join(CONFIG_KEYS)
-            raise SubtleError(f"unknown config key {json.dumps(unknown[0])}; known: {known}")
-        if args.model is None:
-            args.model = _preset(preset, "model", lambda v: isinstance(v, str), "a string")
-        if args.box is None:
-            args.box = _preset(preset, "box", _is_box, "two non-negative integers")
-        if args.format is None:
-            args.format = _preset(
-                preset, "format", lambda v: v in ("text", "json"), '"text" or "json"'
-            )
-        if args.seed is None:
-            args.seed = _preset(preset, "seed", lambda v: type(v) is int, "an integer")
-        if args.out is None:
-            args.out = _preset(preset, "out", lambda v: isinstance(v, str), "a string")
+        for key, value in load_descriptor(args.config, "config", CONFIG_FIELDS).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
     if args.model is None:
         args.model = "real"
     args.explicit_box = args.box is not None

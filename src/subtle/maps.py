@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gf2 import RowSpace
 from .milnor import FieldModel
-from .parse import element_strings, load_descriptor
+from .parse import ELEMENT_STRINGS, STRING, load_descriptor
 from .rings import (
     block_presentation,
     _fit_bound,
@@ -118,7 +118,10 @@ def hom_define(
     label: str = "hom",
 ) -> Homomorphism:
     """Unverified homomorphism; every source generator needs an image of the
-    same bidegree (zero images are allowed in any bidegree)."""
+    same bidegree (zero images are allowed in any bidegree), and a key that
+    names no source generator raises UnknownGenerator.  An image is anything
+    ``target.el`` takes: a string, a parsed poly or an Element of any
+    presentation with the same generator names."""
     resolved: dict[str, Element] = {}
     for name in images:
         if name not in source.index:
@@ -126,10 +129,7 @@ def hom_define(
     for gen in source.gens:
         if gen.name not in images:
             raise UnknownGenerator(f"no image assigned for generator {gen.name!r}")
-        img = images[gen.name]
-        el = target.el(img) if not isinstance(img, Element) else img
-        if el.pres is not target:
-            el = target.el(el)
+        el = target.el(images[gen.name])
         if not el.is_zero():
             b = el.bidegree()
             if b != gen.bidegree:
@@ -138,6 +138,11 @@ def hom_define(
                 )
         resolved[gen.name] = el
     return Homomorphism(source, target, resolved, label)
+
+
+def _same_named(source: AlgebraPresentation, target: AlgebraPresentation) -> dict:
+    """Each source generator that the target also has, sent to its namesake."""
+    return {g.name: target.gen(g.name) for g in source.gens if g.name in target.index}
 
 
 def hom_compose(g: Homomorphism, f: Homomorphism, label: str | None = None) -> Homomorphism:
@@ -450,24 +455,9 @@ def specialize_classes(
     whether every assigned c_{2^r} vanishes (the splitting criterion).  A
     key that names no generator of ``ring`` raises UnknownGenerator.
     """
-    for name in assignments:
-        if name not in ring.index:
-            raise UnknownGenerator(f"ring has no generator {name!r}")
-    images: dict[str, Element] = {}
-    for gen in ring.gens:
-        if gen.name in assignments:
-            images[gen.name] = target.el(assignments[gen.name])
-        elif gen.name in target.index:
-            images[gen.name] = target.gen(gen.name)
-        else:
-            raise UnknownGenerator(f"no assignment for class {gen.name!r}")
-    for name, el in images.items():
-        gen = ring.gens[ring.index[name]]
-        if not el.is_zero() and el.bidegree() != gen.bidegree:
-            raise BidegreeMismatch(
-                f"{name} at {gen.bidegree} assigned value of bidegree {el.bidegree()}"
-            )
-    h = Homomorphism(ring, target, images, label)
+    images = _same_named(ring, target)
+    images.update(assignments)
+    h = hom_define(ring, target, images, label)
     rel_rows = []
     well = True
     for rel in ring.relations:
@@ -486,12 +476,20 @@ def specialize_classes(
     ]
     split: bool | None
     if powers_of_two:
-        split = all(images[name].is_zero() for name in powers_of_two)
+        split = all(h.images[name].is_zero() for name in powers_of_two)
     else:
         split = None
     return h, SpecializeReport(
         label, well, tuple(rel_rows), tuple(powers_of_two), split
     )
+
+
+_BLOCK_ID = (STRING[0], "a block id string")
+MAP_FIELDS = {
+    "source": _BLOCK_ID,
+    "target": _BLOCK_ID,
+    "images": ELEMENT_STRINGS,
+}
 
 
 def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomorphism:
@@ -500,24 +498,11 @@ def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomo
     Generators absent from "images" map to their same-named target generators,
     and a key that names no source generator exits 2.
     """
-    desc = load_descriptor(path, "map descriptor")
-    for key in ("source", "target"):
-        if not isinstance(desc.get(key), str):
-            raise SubtleError(
-                f"map descriptor {key} must be a block id string, got {desc.get(key)!r}"
-            )
-    given = element_strings(desc.get("images", {}), "map descriptor images")
+    desc = load_descriptor(path, "map descriptor", MAP_FIELDS, ("source", "target"))
     src = block_presentation(model, desc["source"], bound)
     tgt = block_presentation(model, desc["target"], bound)
-    images: dict = dict(given)
-    for gen in src.gens:
-        if gen.name in images:
-            continue
-        if gen.name not in tgt.index:
-            raise UnknownGenerator(
-                f"descriptor misses image for {gen.name!r} and target has no such generator"
-            )
-        images[gen.name] = tgt.gen(gen.name)
+    images = _same_named(src, tgt)
+    images.update(desc.get("images", {}))
     label = f"{desc['source']}->{desc['target']}"
     try:
         return hom_define(src, tgt, images, label)

@@ -30,7 +30,7 @@ from .bigraded import (
     standard_monomials,
 )
 from .errors import AlphaIsSquare, SubtleError, ZeroElement
-from .parse import load_descriptor
+from .parse import STRING, STRINGS, check_descriptor, load_descriptor
 
 KMElement = Element
 
@@ -54,6 +54,18 @@ BUILTIN_MODELS = {
         "relations": [],
         "alpha": None,
     },
+}
+
+MODEL_FIELDS = {
+    "builtin": (
+        lambda v: isinstance(v, str) and v in BUILTIN_MODELS,
+        "one of " + ", ".join(BUILTIN_MODELS),
+    ),
+    "name": STRING,
+    "generators": STRINGS,
+    "relations": STRINGS,
+    "alpha": STRING,
+    "minus_one": STRING,
 }
 
 
@@ -147,18 +159,12 @@ class FieldModel:
 def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     """Validate a model descriptor (builtin name, dict, or JSON path).
 
-    Rejects models whose alpha reduces to 0; the quadratically closed
-    builtin is the one descriptor allowed to omit alpha.
+    A dict and a file follow the same rules (``MODEL_FIELDS``, null meaning
+    absent), and a ``builtin`` entry supplies the defaults the others
+    override.  Rejects models whose alpha reduces to 0; the quadratically
+    closed builtin is the one descriptor allowed to omit alpha.
     """
     descriptor = _resolve_descriptor(spec)
-    for key in ("generators", "relations"):
-        value = descriptor.get(key, [])
-        if not isinstance(value, (list, tuple)) or not all(isinstance(x, str) for x in value):
-            raise SubtleError(f"model {key} must be a list of strings, got {value!r}")
-    for key in ("alpha", "minus_one", "name"):
-        value = descriptor.get(key)
-        if value is not None and not isinstance(value, str):
-            raise SubtleError(f"model {key} must be a string or null, got {value!r}")
     generators = list(descriptor.get("generators", []))
     relations = list(descriptor.get("relations", []))
     alpha = descriptor.get("alpha")
@@ -192,26 +198,17 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
 
 
 def _resolve_descriptor(spec) -> dict:
+    """The checked descriptor of a spec, merged over its builtin's."""
     if isinstance(spec, dict):
-        return dict(spec)
-    if isinstance(spec, FieldModel):
-        raise SubtleError("already a FieldModel")
-    name = str(spec)
-    if name in BUILTIN_MODELS:
-        return dict(BUILTIN_MODELS[name])
-    path = Path(name)
-    if not path.is_file():
-        raise SubtleError(f"unknown model {name!r} (not builtin, not a file)")
-    descriptor = load_descriptor(path, "model descriptor")
+        descriptor = check_descriptor(spec, "model descriptor", MODEL_FIELDS)
+    elif str(spec) in BUILTIN_MODELS:
+        descriptor = {"builtin": str(spec)}
+    elif Path(str(spec)).is_file():
+        descriptor = load_descriptor(spec, "model descriptor", MODEL_FIELDS)
+    else:
+        raise SubtleError(f"unknown model {str(spec)!r} (not builtin, not a file)")
     builtin = descriptor.get("builtin")
-    if builtin is None:
-        return descriptor
-    if not isinstance(builtin, str) or builtin not in BUILTIN_MODELS:
-        known = ", ".join(BUILTIN_MODELS)
-        raise SubtleError(f"model builtin {builtin!r} is unknown; known: {known}")
-    base = dict(BUILTIN_MODELS[builtin])
-    base.update({k: v for k, v in descriptor.items() if v is not None})
-    return base
+    return {**BUILTIN_MODELS[builtin], **descriptor} if builtin else descriptor
 
 
 def km_normal_form(model: FieldModel, raw) -> KMElement:

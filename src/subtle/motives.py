@@ -29,6 +29,7 @@ from .bigraded import PoincareTable, cell_images, standard_monomials
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .gf2 import RowSpace
 from .milnor import FieldModel
+from .parse import ParseError, Parser
 from .rings import block_presentation, block_table
 
 BASES = ("N", "Ma", "Mt", "Xa", "Xt")
@@ -245,63 +246,28 @@ def motive_cohomology(
 
 # ----- expression grammar -------------------------------------------------------
 
-_MOTIVE_TOKEN = re.compile(r"\s*(N\^-?\d+|[A-Za-z]+|-?\d+|[+*()\[\]])")
 
-
-class MotiveParseError(SubtleError):
+class MotiveParseError(ParseError):
     pass
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _MOTIVE_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise MotiveParseError(f"bad character {text[pos]!r} in motive expression")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+class _MotiveParser(Parser):
+    TOKEN = re.compile(r"\s*(N\^-?\d+|[A-Za-z]+|-?\d+|[+*()\[\]])")
+    error = MotiveParseError
+    what = "motive expression"
 
+    def add(self, a: FormalMotive, b: FormalMotive) -> FormalMotive:
+        return a + b
 
-class _MParser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+    # a method, not ``staticmethod(motive_tensor)``: the name is looked up at
+    # each call, so a wrapper bound to it in this module sees every product
+    def mul(self, a: FormalMotive, b: FormalMotive) -> FormalMotive:
+        return motive_tensor(a, b)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise MotiveParseError("unexpected end of motive expression")
-        self.pos += 1
-        return tok
-
-    def parse_sum(self) -> FormalMotive:
-        out = self.parse_product()
-        while self.peek() == "+":
-            self.take()
-            out = out + self.parse_product()
-        return out
-
-    def parse_product(self) -> FormalMotive:
-        out = self.parse_atom()
-        while self.peek() == "*":
-            self.take()
-            out = motive_tensor(out, self.parse_atom())
-        return out
-
-    def parse_atom(self) -> FormalMotive:
+    def parse_factor(self) -> FormalMotive:
         tok = self.take()
         if tok == "(":
-            inner = self.parse_sum()
-            if self.take() != ")":
-                raise MotiveParseError("missing closing parenthesis")
-            return inner
+            return self.parse_group()
         if tok == "T":
             atom = Atom("N", 0)
         elif tok.startswith("N^"):
@@ -312,36 +278,23 @@ class _MParser:
             atom = Atom(tok)
         else:
             raise MotiveParseError(f"unknown atom {tok!r}")
-        twist, shift = self.parse_suffix()
-        if twist or shift:
+        if self.peek() == "(":
+            self.take()
+            twist = self.parse_int()
+            self.expect(")", "twist suffix: missing ')'")
+            self.expect("[", "twist suffix: missing '['")
+            shift = self.parse_int()
+            self.expect("]", "twist suffix: missing ']'")
             atom = Atom(atom.base, atom.power, twist, shift)
         return FormalMotive.of(atom)
-
-    def parse_suffix(self) -> tuple[int, int]:
-        if self.peek() != "(":
-            return 0, 0
-        self.take()
-        twist = self.parse_int()
-        if self.take() != ")":
-            raise MotiveParseError("twist suffix: missing ')'")
-        if self.take() != "[":
-            raise MotiveParseError("twist suffix: missing '['")
-        shift = self.parse_int()
-        if self.take() != "]":
-            raise MotiveParseError("twist suffix: missing ']'")
-        return twist, shift
 
     def parse_int(self) -> int:
         tok = self.take()
         try:
             return int(tok)
-        except ValueError as exc:
-            raise MotiveParseError(f"expected integer, got {tok!r}") from exc
+        except ValueError:
+            raise MotiveParseError(f"expected integer, got {tok!r}") from None
 
 
 def parse_motive(text: str) -> FormalMotive:
-    parser = _MParser(_tokenize(text))
-    out = parser.parse_sum()
-    if parser.peek() is not None:
-        raise MotiveParseError(f"trailing input at token {parser.peek()!r}")
-    return out
+    return _MotiveParser.parse(text)

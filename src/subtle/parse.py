@@ -1,65 +1,111 @@
-"""Parser for polynomial element strings over GF(2).
+"""The one boundary where user input enters the package.
 
-Syntax: `+` for sums, `*` for products, `^` for powers, parentheses, integer
-literals (taken mod 2) and generator names like `tau`, `rho`, `u3`, `c1`.
-This is the element grammar used by model descriptor files, map descriptor
-files and the CLI.
+``load_descriptor`` and ``check_descriptor`` read and check every JSON
+object a user supplies (config, model, map and derivation files, and model
+dicts), and ``Parser`` is the one recursive-descent scaffold under both
+expression grammars: elements here and motives in ``motives``.
+
+The element grammar: `+` for sums, `*` for products, `^` for powers,
+parentheses, integer literals (taken mod 2) and generator names like `tau`,
+`rho`, `u3`, `c1`.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from operator import xor
 
 from .errors import SubtleError
-
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[+*^()])")
 
 # A parsed polynomial: set of monomials, each a sorted tuple of
 # (name, exponent) pairs.  The empty tuple is the monomial 1.
 RawMonomial = tuple[tuple[str, int], ...]
 RawPoly = frozenset
 
+# field tests shared by the descriptor kinds: (test, description)
+STRING = (lambda v: isinstance(v, str), "a string")
+STRINGS = (
+    lambda v: isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v),
+    "a list of strings",
+)
+ELEMENT_STRINGS = (
+    lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()),
+    "an object mapping generators to element strings",
+)
+
 
 class ParseError(SubtleError):
     pass
 
 
-def load_descriptor(path, what: str) -> dict:
-    """The JSON object in a descriptor or config file; SubtleError, naming
-    ``what``, when the file holds any other JSON value."""
+def check_descriptor(value, what: str, fields: dict, required: tuple = ()) -> dict:
+    """The entries of a descriptor object, checked against ``fields``.
+
+    ``fields`` maps each known key to ``(test, description)``.  SubtleError,
+    naming ``what`` and the key, when ``value`` is no object, holds an
+    unknown key, a value failing its test or misses a ``required`` key.  A
+    null value means the key is absent; the result leaves it out.
+    """
+    if not isinstance(value, dict):
+        raise SubtleError(f"{what} must hold a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(fields), key=str)
+    if unknown:
+        raise SubtleError(f"{what}: unknown key {unknown[0]!r}; known: {', '.join(fields)}")
+    present = {key: v for key, v in value.items() if v is not None}
+    for key, v in present.items():
+        test, description = fields[key]
+        if not test(v):
+            raise SubtleError(f"{what}: {key} must be {description}, got {v!r}")
+    for key in required:
+        if key not in present:
+            raise SubtleError(f"{what}: {key} is required")
+    return present
+
+
+def load_descriptor(path, what: str, fields: dict, required: tuple = ()) -> dict:
+    """The checked JSON object of a descriptor or config file."""
     with open(path, "r", encoding="utf-8") as fh:
         value = json.load(fh)
-    if not isinstance(value, dict):
-        raise SubtleError(f"{what} {path} must hold a JSON object")
-    return value
+    return check_descriptor(value, f"{what} {path}", fields, required)
 
 
-def element_strings(value, what: str) -> dict:
-    """A descriptor's generator -> element-string mapping, checked."""
-    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
-        raise SubtleError(f"{what} must map generators to element strings, got {value!r}")
-    return value
+class Parser:
+    """Recursive descent over a sum of products of factors.
 
+    A grammar subclasses it with its token regex ``TOKEN`` (whitespace, then
+    one group per token), its error class, the name of what it reads, and
+    ``parse_factor``, ``add`` and ``mul``.  ``parse`` reads a whole string.
+    """
 
-def tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    TOKEN: re.Pattern
+    error = ParseError
+    what = "expression"
 
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens: list[str] = []
         self.pos = 0
+        pos = 0
+        while pos < len(text):
+            m = self.TOKEN.match(text, pos)
+            if not m:
+                rest = text[pos:].lstrip()
+                if not rest:
+                    break
+                raise self.error(
+                    f"unexpected character {rest[0]!r} at position "
+                    f"{len(text) - len(rest)} in {self.what}"
+                )
+            self.tokens.append(m.group(1))
+            pos = m.end()
+
+    @classmethod
+    def parse(cls, text: str):
+        parser = cls(text)
+        value = parser.parse_sum()
+        if parser.peek() is not None:
+            raise cls.error(f"trailing input at token {parser.peek()!r}")
+        return value
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -67,50 +113,33 @@ class _Parser:
     def take(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of expression")
+            raise self.error(f"unexpected end of {self.what}")
         self.pos += 1
         return tok
 
-    def parse_expr(self) -> RawPoly:
-        poly = self.parse_term()
+    def expect(self, tok: str, message: str) -> None:
+        if self.take() != tok:
+            raise self.error(message)
+
+    def parse_sum(self):
+        value = self.parse_product()
         while self.peek() == "+":
             self.take()
-            poly = poly ^ self.parse_term()
-        return poly
+            value = self.add(value, self.parse_product())
+        return value
 
-    def parse_term(self) -> RawPoly:
-        poly = self.parse_factor()
+    def parse_product(self):
+        value = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            poly = _mul(poly, self.parse_factor())
-        return poly
+            value = self.mul(value, self.parse_factor())
+        return value
 
-    def parse_factor(self) -> RawPoly:
-        poly = self.parse_atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ParseError(f"expected integer exponent, got {tok!r}")
-            power = int(tok)
-            result: RawPoly = frozenset([()])
-            for _ in range(power):
-                result = _mul(result, poly)
-            poly = result
-        return poly
-
-    def parse_atom(self) -> RawPoly:
-        tok = self.take()
-        if tok == "(":
-            poly = self.parse_expr()
-            if self.take() != ")":
-                raise ParseError("missing closing parenthesis")
-            return poly
-        if tok.isdigit():
-            return frozenset([()]) if int(tok) % 2 else frozenset()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            return frozenset([((tok, 1),)])
-        raise ParseError(f"unexpected token {tok!r}")
+    def parse_group(self):
+        """The sum inside parentheses, after the opening one."""
+        value = self.parse_sum()
+        self.expect(")", "missing closing parenthesis")
+        return value
 
 
 def _mul(a: RawPoly, b: RawPoly) -> RawPoly:
@@ -128,10 +157,46 @@ def _mul(a: RawPoly, b: RawPoly) -> RawPoly:
     return frozenset(acc)
 
 
+def _power(poly: RawPoly, n: int) -> RawPoly:
+    """poly^n by repeated squaring, so the cost grows with log n (a square
+    over GF(2) has no more terms than its base)."""
+    result: RawPoly = frozenset([()])
+    while n:
+        if n & 1:
+            result = _mul(result, poly)
+        n >>= 1
+        if n:
+            poly = _mul(poly, poly)
+    return result
+
+
+class _PolyParser(Parser):
+    TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[+*^()])")
+
+    add = staticmethod(xor)
+    mul = staticmethod(_mul)
+
+    def parse_factor(self) -> RawPoly:
+        poly = self.parse_atom()
+        if self.peek() == "^":
+            self.take()
+            tok = self.take()
+            if not tok.isdigit():
+                raise ParseError(f"expected integer exponent, got {tok!r}")
+            poly = _power(poly, int(tok))
+        return poly
+
+    def parse_atom(self) -> RawPoly:
+        tok = self.take()
+        if tok == "(":
+            return self.parse_group()
+        if tok.isdigit():
+            return frozenset([()]) if int(tok) % 2 else frozenset()
+        if tok.isidentifier():
+            return frozenset([((tok, 1),)])
+        raise ParseError(f"unexpected token {tok!r}")
+
+
 def parse_poly(text: str) -> RawPoly:
     """Parse an element string into a set of name-exponent monomials."""
-    parser = _Parser(tokenize(text))
-    poly = parser.parse_expr()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.peek()!r}")
-    return poly
+    return _PolyParser.parse(text)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gf2 import solve
 from .milnor import FieldModel
-from .parse import element_strings, load_descriptor
+from .parse import ELEMENT_STRINGS, load_descriptor
 from .rings import block_presentation
 
 SQ1_SHIFT = Bidegree(0, 1)
@@ -108,8 +108,7 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
             raise UnknownGenerator(f"presentation has no generator {name!r}")
     for gen in pres.gens:
         if gen.name in overrides:
-            raw = overrides[gen.name]
-            val = raw if isinstance(raw, Element) else pres.el(raw)
+            val = pres.el(overrides[gen.name])
         else:
             val = _default_value(pres, gen, pres.model)
         if val is None:
@@ -128,10 +127,9 @@ def load_derivation_descriptor(path: str, pres: AlgebraPresentation) -> Derivati
     """Derivation from a JSON descriptor {"values": {gen: element-string}};
     generators absent from the file keep their defaults (or stay unknown),
     and a key that names no generator exits 2."""
-    desc = load_descriptor(path, "derivation descriptor")
-    values = element_strings(desc.get("values", {}), "derivation descriptor values")
+    desc = load_descriptor(path, "derivation descriptor", {"values": ELEMENT_STRINGS})
     try:
-        return sq1_define(pres, values)
+        return sq1_define(pres, desc.get("values"))
     except UnknownGenerator as exc:
         raise UnknownGenerator(f"derivation descriptor values: {exc}") from None
 

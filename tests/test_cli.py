@@ -241,6 +241,7 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text):
         '{"generators": ["a"], "relations": [], "alpha": 3}',
         '{"generators": ["a"], "relations": [], "alpha": "a", "minus_one": ["a"]}',
         '{"name": [1], "generators": ["a"], "relations": [], "alpha": "a"}',
+        '{"generators": ["a"], "relation": ["a^2"], "alpha": "a"}',
     ],
 )
 @pytest.mark.parametrize("via", ["path", "model_dir"])
@@ -266,6 +267,7 @@ def test_bad_model_file_exits_2(tmp_path, monkeypatch, capsys, text, via):
         '{"source": "BOh:1", "target": "BU:1", "images": ["u1"]}',
         '{"source": "BOh:1", "target": "BU:1", "images": {"u1": 0}}',
         '{"source": "BOh:1", "target": "BU:1", "images": {"u1": "0", "u2": "c1", "v3": "d1", "zz": "0"}}',
+        '{"source": "BOh:1", "target": "BU:1", "image": {"u1": "0"}}',
     ],
 )
 def test_bad_map_file_exits_2(tmp_path, capsys, text):
@@ -278,7 +280,14 @@ def test_bad_map_file_exits_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize(
     "text",
-    ['["v3"]', '{"values": {"v3": 5}}', '{"values": ["x"]}', '{"values": "v3"}', '{"values": {"zz": "0"}}'],
+    [
+        '["v3"]',
+        '{"values": {"v3": 5}}',
+        '{"values": ["x"]}',
+        '{"values": "v3"}',
+        '{"values": {"zz": "0"}}',
+        '{"value": {"v3": "0"}}',
+    ],
 )
 def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "der.json"
@@ -289,6 +298,26 @@ def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
     )
     assert code == 2 and out == ""
     assert "derivation descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (["ring", "table", "H", "--config"], '{"boxx": [2, 2]}', "boxx"),
+        (["field", "show", "--model"], '{"generators": ["a"], "relation": []}', "relation"),
+        (["sq1", "check", "BOp:1", "--box", "3", "3", "--values"], '{"value": {}}', "value"),
+        (["hom", "verify"], '{"source": "BOh:1", "target": "BU:1", "image": {}}', "image"),
+    ],
+)
+def test_unknown_descriptor_key_is_named(tmp_path, capsys, argv, text, key):
+    # every input file goes through one check: an unknown key exits 2 and the
+    # message names the key and the file
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    code, out = run_cli(*argv, str(path))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert f"unknown key {key!r}" in err and str(path) in err
 
 
 def test_help_keeps_example_lines():

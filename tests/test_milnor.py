@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import pytest
 
 from subtle import milnor
 from subtle.bigraded import quotient, standard_monomials
-from subtle.errors import AlphaIsSquare, UnknownGenerator, ZeroElement
+from subtle.errors import AlphaIsSquare, SubtleError, UnknownGenerator, ZeroElement
 from subtle.milnor import build_field_model, km_annihilator, km_normal_form
 from subtle.oracle import oracle_entry
 
@@ -170,6 +171,25 @@ def test_duplicate_generator_names_rejected():
 def test_annihilator_requires_alpha(qc):
     with pytest.raises(AlphaIsSquare):
         qc.annihilator(6)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [{"builtin": "real"}, {"builtin": "finite_field", "name": "fq", "alpha": None}],
+)
+def test_model_dict_follows_the_file_rules(tmp_path, descriptor):
+    # a dict and a file with the same content build the same model: both
+    # merge over the named builtin and treat null as absent
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    from_dict = build_field_model(descriptor)
+    assert from_dict == build_field_model(str(path))
+    assert from_dict == build_field_model(descriptor["builtin"])
+
+
+def test_model_dict_unknown_key_raises():
+    with pytest.raises(SubtleError, match="'relation'"):
+        build_field_model({"generators": ["a"], "relation": ["a^2"], "alpha": "a"})
 
 
 def test_model_descriptor_file(tmp_path):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from subtle.errors import SubtleError, UnsupportedAtom, UnsupportedTensor
+from subtle.parse import ParseError
 from subtle.motives import (
     Atom,
     ConeProduct,
@@ -121,6 +122,26 @@ def test_parser_errors():
         parse_motive("T +")
     with pytest.raises(MotiveParseError):
         parse_motive("T(1)")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("T $", "unexpected character '$' at position 2 in motive expression"),
+        ("T(1)[", "unexpected end of motive expression"),
+        ("T N", "trailing input at token 'N'"),
+        ("(T + N", "unexpected end of motive expression"),
+        ("(T + N Xa", "missing closing parenthesis"),
+        ("T(1]", "twist suffix: missing ')'"),
+        ("T(x)[1]", "expected integer, got 'x'"),
+    ],
+)
+def test_parser_error_paths(text, message):
+    # motive errors are parse errors, so one except clause catches both grammars
+    with pytest.raises(ParseError) as info:
+        parse_motive(text)
+    assert isinstance(info.value, MotiveParseError)
+    assert str(info.value) == message
 
 
 def test_cohomology_shift(real):

@@ -48,3 +48,20 @@ def test_bench_records_have_the_shared_shape():
                     assert math.isclose(
                         summary["median"], statistics.median(summary["runs"]), abs_tol=5e-5 + 1e-9
                     ), where + (metric, side)
+
+
+def test_user_input_enters_through_parse():
+    # one input boundary: only parse.py reads JSON, and the package has one
+    # token scanner (one class defining peek and take) that every grammar
+    # subclasses, so a new loader or grammar cannot bypass the checks there
+    package = Path(subtle.__file__).parent
+    readers = sorted(p.name for p in package.glob("*.py") if "json.load" in p.read_text("utf-8"))
+    assert readers == ["parse.py"]
+    scanners = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if methods & {"peek", "take"}:
+                    scanners.append((path.name, node.name))
+    assert scanners == [("parse.py", "Parser")]

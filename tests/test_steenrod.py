@@ -290,6 +290,18 @@ def test_derivation_descriptor_file(tmp_path, real):
     assert not report_bad.descends
 
 
+def test_override_accepts_element_of_another_presentation(real):
+    # an override Element from another build of the block is carried over by
+    # generator name, so Sq1 of it applies on this presentation
+    bo2 = block_presentation(real, "BO:2", 10)
+    foreign = block_presentation(real, "BO:2", 8).el("u1*u2")
+    from_string = sq1_define(bo2, {"u2": "u1*u2"})
+    from_element = sq1_define(bo2, {"u2": foreign})
+    assert from_element.values["u2"].pres is bo2
+    assert from_element.values == from_string.values
+    assert sq1_apply(from_element, bo2.gen("u2")) == bo2.el("u1*u2")
+
+
 def test_unknown_override_key_raises(real):
     bop1 = build_BOpn(real, 1, 12)
     with pytest.raises(UnknownGenerator, match="'zz'"):
