@@ -7,11 +7,11 @@ difference.
 
 Normal forms come from a degree-truncated Buchberger completion: all
 statements are certified only for total degree w + d up to the presentation's
-``truncation_bound``.  H-module presentations (``is_module``) share the same
-machinery with two twists: a monomial may contain at most one
-module-generator factor, and relation multipliers are restricted to
-module-free monomials, which is exactly Groebner reduction in a free module
-over the coefficient ring.
+``truncation_bound``.  H-module presentations (``is_module``: some generator
+is a ``MODULE_GEN``) share the same machinery with two twists: a monomial may
+contain at most one module-generator factor, and relation multipliers are
+restricted to module-free monomials, which is exactly Groebner reduction in a
+free module over the coefficient ring.
 
 Monomial order: cohomological degree, then weight, then lexicographic with
 later generators dominating.  Builders list generators Milnor first, then
@@ -80,14 +80,14 @@ class AlgebraPresentation:
     Groebner basis.  Identity-based equality.  Immutable: construction sets
     every field, the ``model`` and ``block_id`` labels included, and any later
     assignment or deletion raises ``FrozenInstanceError``, an
-    ``AttributeError``.
+    ``AttributeError``.  It is a module exactly when a generator is a
+    ``MODULE_GEN``.
     """
 
     gens: Sequence[GenSpec]
     relations: Sequence[Poly]
     groebner: Sequence[Poly]
     truncation_bound: int
-    is_module: bool = False
     has_unit: bool = True
     model: object = None
     block_id: str | None = None
@@ -96,6 +96,7 @@ class AlgebraPresentation:
     gen_w: tuple[int, ...] = field(init=False)
     gen_d: tuple[int, ...] = field(init=False)
     module_idx: tuple[int, ...] = field(init=False)
+    is_module: bool = field(init=False)
     _gb_lms: tuple[Monomial, ...] = field(init=False)
     _gb_tests: tuple[tuple, ...] = field(init=False)
     _cone: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False)
@@ -113,6 +114,7 @@ class AlgebraPresentation:
             module_idx=tuple(i for i, g in enumerate(gens) if g.origin == MODULE_GEN),
         ).items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "is_module", bool(self.module_idx))
         lms = tuple(map(self.lead_monomial, self.groebner))
         object.__setattr__(self, "_gb_lms", lms)
         object.__setattr__(self, "_gb_tests", tuple(_divisor_test(self, lm) for lm in lms))
@@ -227,7 +229,6 @@ class AlgebraPresentation:
             self.gens,
             list(self.relations),
             bound,
-            is_module=self.is_module,
             has_unit=self.has_unit,
             model=self.model,
             block_id=self.block_id,
@@ -508,7 +509,6 @@ def presentation_new(
     gens: Sequence[GenSpec],
     rels: Sequence,
     bound: int,
-    is_module: bool = False,
     has_unit: bool = True,
     model=None,
     block_id: str | None = None,
@@ -537,7 +537,7 @@ def presentation_new(
                 f"milnor generator {g.name} must have w = d"
             )
 
-    shell = AlgebraPresentation(gens, (), (), bound, is_module, has_unit)
+    shell = AlgebraPresentation(gens, (), (), bound, has_unit)
     rel_polys: list[Poly] = []
     for r in rels:
         poly = shell.raw_to_poly(r)
@@ -558,7 +558,7 @@ def presentation_new(
     # module component, so multiply each module-free relation into each
     # module generator before completion
     work = list(rel_polys)
-    if is_module:
+    if shell.is_module:
         for poly in rel_polys:
             if any(shell.module_count(m) for m in poly):
                 continue
@@ -570,9 +570,7 @@ def presentation_new(
                     work.append(shifted)
 
     gb = _buchberger(shell, work, bound)
-    return AlgebraPresentation(
-        gens, rel_polys, gb, bound, is_module, has_unit, model, block_id
-    )
+    return AlgebraPresentation(gens, rel_polys, gb, bound, has_unit, model, block_id)
 
 
 def normal_form(pres: AlgebraPresentation, raw) -> Element:
@@ -846,7 +844,6 @@ def quotient(pres: AlgebraPresentation, ideal: IdealGens | Sequence) -> AlgebraP
         pres.gens,
         list(pres.relations) + list(extra),
         pres.truncation_bound,
-        is_module=pres.is_module,
         has_unit=pres.has_unit,
         model=pres.model,
     )

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bigraded import Element
@@ -238,6 +239,12 @@ def _cmd_hom(args) -> int:
     w, d = args.box
     bound = w + d
     map_arg = args.map
+    if args.action == "kernel" and map_arg.startswith("comp:"):
+        n = _map_index(map_arg)
+        ideal = comp_kernel_ideal(model, n, bound)
+        rep = kernel_match(comp_map(model, n, ideal.pres.truncation_bound), ideal, w, d)
+        _report(args, rep)
+        return 0 if rep.ok else 1
     if map_arg.startswith("comp:"):
         h = comp_map(model, _map_index(map_arg), bound)
     elif map_arg.startswith("pq:"):
@@ -246,14 +253,8 @@ def _cmd_hom(args) -> int:
         h = load_map_descriptor(map_arg, model, bound)
     else:
         raise SubtleError(f"unknown map {map_arg!r} (expected comp:n, pq:n, or a file)")
-
     if args.action == "kernel":
-        if not map_arg.startswith("comp:"):
-            raise SubtleError("kernel checking is defined for comp:n maps")
-        ideal = comp_kernel_ideal(model, _map_index(map_arg), bound)
-        rep = kernel_match(h, ideal, w, d)
-        _report(args, rep)
-        return 0 if rep.ok else 1
+        raise SubtleError("kernel checking is defined for comp:n maps")
 
     rep = hom_verify(h, w, d)
     _report(args, rep)
@@ -309,15 +310,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "seed": args.seed,
-            "checks": [
-                {
-                    "number": r.number,
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [asdict(r) for r in results],
             "all_pass": all(r.passed for r in results),
         }
         _emit(args, _json(payload))

@@ -267,6 +267,8 @@ def comp_map(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
 def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
     """The stated kernel ideal of the comparison map, with the top odd class
     name substituted for n odd."""
+    if n < 1:
+        raise SubtleError("comparison map needs n >= 1")
     src = block_presentation(model, f"BOh:{n}", bound)
     alpha = _require_alpha(model)
     anns = _ann_strings(model, bound)
@@ -288,7 +290,7 @@ def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
                 f"{uname(4 * i + 3)}*u{4 * j + 2} + {uname(4 * j + 3)}*u{4 * i + 2}"
             )
     # the pair generators may outgrow the requested bound; widen to fit
-    src = src.extend_bound(_fit_bound(src, gens, bound))
+    src = block_presentation(model, f"BOh:{n}", _fit_bound(src, gens, bound))
     elements = tuple(src.el(g) for g in gens)
     return IdealGens(src, elements, bound)
 
@@ -336,17 +338,11 @@ def kernel_match(
     h: Homomorphism, ideal: IdealGens, wmax: int, dmax: int
 ) -> KernelReport:
     """Certify kernel = (ideal) on the box: the generators must map to 0 and
-    the quotient table must equal the per-bidegree image ranks."""
+    the quotient table must equal the per-bidegree image ranks.  The ideal
+    must live in the map's source; ``comp_kernel_ideal`` may widen the bound,
+    so build the map at ``ideal.pres.truncation_bound``."""
     if ideal.pres is not h.source:
-        # same generator names, possibly different certification bounds
-        bound = max(h.source.truncation_bound, ideal.pres.truncation_bound)
-        src = h.source.extend_bound(bound)
-        h = Homomorphism(src, h.target, dict(h.images), h.label)
-        ideal = IdealGens(
-            src,
-            tuple(src.el(g.as_named()) for g in ideal.gens),
-            ideal.degree_bound,
-        )
+        raise SubtleError("the ideal does not belong to the map's source")
     report = hom_verify(h, wmax, dmax)
     if not report.well_defined:
         return KernelReport(

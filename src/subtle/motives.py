@@ -213,7 +213,10 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
 def atom_table(model: FieldModel, atom: Atom, wmax: int, dmax: int) -> PoincareTable:
     if atom.base == "N":
         if atom.power >= 0:
-            base = block_table(model, f"Npow:{atom.power}", wmax, dmax)
+            # a cell of degree d <= dmax holds no mu_i with i > dmax, and every
+            # relation involving such a mu_i has degree >= i, so Npow:k reads
+            # as Npow:dmax on the box: no k-generator module is built
+            base = block_table(model, f"Npow:{min(atom.power, dmax)}", wmax, dmax)
         elif atom.power == -1:
             base = block_table(model, "nbar", wmax, dmax)
         else:

@@ -17,9 +17,11 @@ Block identifiers (CLI-facing):
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
 ``block_presentation`` holds the package's one build cache, keyed by (model
-content, block, bound): package code asks it for a block, and the public
-``build_*`` functions build afresh on every call.  ``block_table`` is the one
-route from a block to its Poincare table and caches nothing across calls.
+content, block, bound): package code asks it for a block.  The public
+``build_*`` functions build afresh, except that ``build_Npow(model, 0)``
+returns the cached H and ``build_BOhtilde`` relabels a cached BOp:n or BO:2n.
+``block_table`` is the one route from a block to its Poincare table and
+caches nothing across calls.
 """
 
 from __future__ import annotations
@@ -141,10 +143,7 @@ def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresent
     own block id.
     """
     base = block_presentation(model, f"BOp:{n}" if n % 2 == 1 else f"BO:{2 * n}", bound)
-    return AlgebraPresentation(
-        base.gens, base.relations, base.groebner, base.truncation_bound,
-        base.is_module, base.has_unit, model, f"BOh:{n}",
-    )
+    return replace(base, model=model, block_id=f"BOh:{n}")
 
 
 def _xalpha(model: FieldModel, block_id: str, free, bound: int) -> AlgebraPresentation:
@@ -171,7 +170,7 @@ def build_Npow(model: FieldModel, m: int, bound: int = 16) -> AlgebraPresentatio
         prev = f"mu{i - 1}" if i > 1 else "1"
         rels.append(f"tau*mu{i} + ({alpha})*{prev}")
         rels += [f"({a})*mu{i}" for a in anns]
-    return _present(model, f"Npow:{m}", gens, rels, bound, is_module=True)
+    return _present(model, f"Npow:{m}", gens, rels, bound)
 
 
 def _tau_torsion(model: FieldModel, block_id: str, mus, bound: int) -> AlgebraPresentation:
@@ -182,7 +181,7 @@ def _tau_torsion(model: FieldModel, block_id: str, mus, bound: int) -> AlgebraPr
     for mu in mus:
         rels.append(f"tau*{mu.name}")
         rels += [f"({a})*{mu.name}" for a in anns]
-    return _present(model, block_id, mus, rels, bound, is_module=True, has_unit=False)
+    return _present(model, block_id, mus, rels, bound, has_unit=False)
 
 
 def build_Mtilde(model: FieldModel, bound: int = 16) -> AlgebraPresentation:

@@ -1,5 +1,7 @@
 """The acceptance suite: one callable per criterion, shared by the CLI
-(`verify all`) and the test suite.
+(`verify all`) and the test suite.  ``_criterion`` declares each one's number
+and name and builds its CheckResult; the check itself returns its pass
+detail or raises ``_Failure`` at the first failure.
 
 Every check embeds its certification box in the result detail; GF(2)
 combinatorics is exact, so checks pass or fail with no tolerances.
@@ -7,12 +9,14 @@ combinatorics is exact, so checks pass or fail with no tolerances.
 
 from __future__ import annotations
 
+import functools
 import io
 import random
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
 
+from .bigraded import PoincareTable
 from .maps import (
     comp_kernel_ideal,
     comp_map,
@@ -79,49 +83,62 @@ def _box(default: tuple[int, int], box: tuple[int, int] | None) -> tuple[int, in
     return (min(default[0], box[0]), min(default[1], box[1]))
 
 
-def check_decomposition(box: tuple[int, int] | None = None) -> CheckResult:
+class _Failure(Exception):
+    """A criterion's first failure; its one argument is the result detail."""
+
+
+def _criterion(number: int, name: str):
+    """Declare a criterion: the decorated check returns its pass detail or
+    raises ``_Failure(detail)``, and the criterion returns the CheckResult."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CheckResult:
+            try:
+                passed, detail = True, check(*args, **kwargs)
+            except _Failure as failure:
+                passed, detail = False, failure.args[0]
+            return CheckResult(number, name, passed, detail)
+
+        return run
+
+    return decorate
+
+
+def _first_difference(a: PoincareTable, b: PoincareTable) -> tuple[int, int] | None:
+    """The first cell (w, d) of ``a`` whose entry ``b`` does not share."""
+    return next(((w, d) for w, d, c in a.cells() if b.entry(w, d) != c), None)
+
+
+@_criterion(1, "presentation vs decomposition")
+def check_decomposition(box: tuple[int, int] | None = None) -> str:
     """Presentation tables equal the direct-sum convolution tables."""
     w, d = _box((8, 8), box)
     for model in _models():
         for n in (1, 2, 3):
             engine = block_table(model, f"BU:{n}", w, d)
-            conv = npow_bu_table(model, 0, n, w, d)
-            if not engine.same_entries(conv):
-                bad = next(
-                    (ww, dd)
-                    for ww, dd, c in engine.cells()
-                    if conv.entry(ww, dd) != c
-                )
-                return CheckResult(
-                    1, "presentation vs decomposition", False,
-                    f"BU:{n} over {model.tag} differs at {bad}, box ({w},{d})",
-                )
-    return CheckResult(
-        1, "presentation vs decomposition", True,
-        f"BU:1..3 equal convolution tables, both models, box ({w},{d})",
-    )
+            bad = _first_difference(engine, npow_bu_table(model, 0, n, w, d))
+            if bad is not None:
+                raise _Failure(f"BU:{n} over {model.tag} differs at {bad}, box ({w},{d})")
+    return f"BU:1..3 equal convolution tables, both models, box ({w},{d})"
 
 
-def check_kernel(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(2, "comparison-map kernel")
+def check_kernel(box: tuple[int, int] | None = None) -> str:
     """Comparison-map kernel equals the stated ideal."""
     w, d = _box((8, 8), box)
     for model in _models():
         for n in (1, 2, 3):
-            h = comp_map(model, n, w + d)
             ideal = comp_kernel_ideal(model, n, w + d)
+            h = comp_map(model, n, ideal.pres.truncation_bound)
             rep = kernel_match(h, ideal, w, d)
             if not rep.ok:
-                return CheckResult(
-                    2, "comparison-map kernel", False,
-                    f"comp:{n} over {model.tag}: {rep.render_text()}",
-                )
-    return CheckResult(
-        2, "comparison-map kernel", True,
-        f"kernels match stated ideals for n=1..3, both models, box ({w},{d})",
-    )
+                raise _Failure(f"comp:{n} over {model.tag}: {rep.render_text()}")
+    return f"kernels match stated ideals for n=1..3, both models, box ({w},{d})"
 
 
-def check_diagonal_recursion(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(3, "diagonal recursion")
+def check_diagonal_recursion(box: tuple[int, int] | None = None) -> str:
     """Power-block tables split along d = w + n - 1."""
     w, d = _box((8, 8), box)
     for model in _models():
@@ -136,76 +153,51 @@ def check_diagonal_recursion(box: tuple[int, int] | None = None) -> CheckResult:
                         want = mt.entry(ww, dd - n + 1)
                     got = tables[n].entry(ww, dd)
                     if got != want:
-                        return CheckResult(
-                            3, "diagonal recursion", False,
-                            f"Npow:{n} over {model.tag} cell ({ww})[{dd}]: "
-                            f"{got} != {want}",
+                        raise _Failure(
+                            f"Npow:{n} over {model.tag} cell ({ww})[{dd}]: {got} != {want}"
                         )
-    return CheckResult(
-        3, "diagonal recursion", True,
-        f"Npow:n splits along d = w+n-1 for n<=5, both models, box ({w},{d})",
-    )
+    return f"Npow:n splits along d = w+n-1 for n<=5, both models, box ({w},{d})"
 
 
-def check_colimit_stabilization(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(4, "colimit stabilization")
+def check_colimit_stabilization(box: tuple[int, int] | None = None) -> str:
     w, d = _box((6, 6), box)
     for model in _models():
         rep = check_colimit(model, w, d)
         if not rep.passed:
-            return CheckResult(
-                4, "colimit stabilization", False,
-                f"over {model.tag}:\n{rep.render_text()}",
-            )
-    return CheckResult(
-        4, "colimit stabilization", True,
-        f"power tables stabilize to the colimit table, both models, box ({w},{d})",
-    )
+            raise _Failure(f"over {model.tag}:\n{rep.render_text()}")
+    return f"power tables stabilize to the colimit table, both models, box ({w},{d})"
 
 
-def check_twist(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(5, "twist isomorphism")
+def check_twist(box: tuple[int, int] | None = None) -> str:
     w, d = _box((6, 6), box)
     for model in _models():
         for n in (1, 2):
             t = twist_iso(model, n, w + d)
             rep = hom_verify(t, w, d)
             if not (rep.well_defined and rep.surjective_on_box and rep.injective_on_box):
-                return CheckResult(
-                    5, "twist isomorphism", False,
-                    f"pq:{n} over {model.tag} not bijective on box ({w},{d})",
-                )
+                raise _Failure(f"pq:{n} over {model.tag} not bijective on box ({w},{d})")
             tt = hom_compose(t, t)
             for gen in t.source.gens:
                 if tt.image_of(gen.name) != t.source.gen(gen.name):
-                    return CheckResult(
-                        5, "twist isomorphism", False,
-                        f"pq:{n} over {model.tag} not self-inverse on {gen.name}",
+                    raise _Failure(
+                        f"pq:{n} over {model.tag} not self-inverse on {gen.name}"
                     )
-    return CheckResult(
-        5, "twist isomorphism", True,
-        f"bijective and self-inverse for n<=2, both models, box ({w},{d})",
-    )
+    return f"bijective and self-inverse for n<=2, both models, box ({w},{d})"
 
 
-def check_groebner_oracle(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(6, "Groebner vs dense oracle")
+def check_groebner_oracle(box: tuple[int, int] | None = None) -> str:
     w, d = _box((6, 6), box)
     for model in _models():
         for block in ORACLE_BLOCKS:
             engine = block_table(model, block, w, d)
             dense = oracle_table(block_presentation(model, block, w + d), w, d)
-            if not engine.same_entries(dense):
-                bad = next(
-                    (ww, dd)
-                    for ww, dd, c in engine.cells()
-                    if dense.entry(ww, dd) != c
-                )
-                return CheckResult(
-                    6, "Groebner vs dense oracle", False,
-                    f"{block} over {model.tag} differs at {bad}",
-                )
-    return CheckResult(
-        6, "Groebner vs dense oracle", True,
-        f"{len(ORACLE_BLOCKS)} blocks x both models match on box ({w},{d})",
-    )
+            bad = _first_difference(engine, dense)
+            if bad is not None:
+                raise _Failure(f"{block} over {model.tag} differs at {bad}")
+    return f"{len(ORACLE_BLOCKS)} blocks x both models match on box ({w},{d})"
 
 
 # ----- motive suite -------------------------------------------------------------
@@ -244,7 +236,8 @@ def _reduce_random(atoms: list[Atom], rng: random.Random) -> Atom:
     return work[0]
 
 
-def check_motive_suite(seed: int = 20250801) -> CheckResult:
+@_criterion(7, "motive rewrite suite")
+def check_motive_suite(seed: int = 20250801) -> str:
     rng = random.Random(seed)
     # confluence on seeded random expressions
     for trial in range(1000):
@@ -266,69 +259,51 @@ def check_motive_suite(seed: int = 20250801) -> CheckResult:
                 *[_reduce_random(p, random.Random(seed + trial * 7 + strategy)) for p in products]
             )
             if alt != canonical:
-                return CheckResult(
-                    7, "motive rewrite suite", False,
-                    f"confluence failure on trial {trial}: {alt} vs {canonical}",
-                )
+                raise _Failure(f"confluence failure on trial {trial}: {alt} vs {canonical}")
     # invertibility
     for k in range(-5, 6):
         prod = motive_tensor(
             FormalMotive.of(Atom("N", k)), FormalMotive.of(Atom("N", -k))
         )
         if prod != FormalMotive.of(T_ATOM):
-            return CheckResult(
-                7, "motive rewrite suite", False, f"N^{k} * N^-{k} != T"
-            )
+            raise _Failure(f"N^{k} * N^{-k} != T")
     # torsor vs affine-quadric product
     for n in range(4):
         prod = FormalMotive.of(T_ATOM)
         for i in range(1, n + 1):
             prod = motive_tensor(prod, affine_quadric_motive(i))
         if prod != torsor_motive(n, split=True):
-            return CheckResult(
-                7, "motive rewrite suite", False,
-                f"split torsor motive disagrees with quadric product at n={n}",
-            )
-    return CheckResult(
-        7, "motive rewrite suite", True,
-        "confluent on 1000 seeded expressions; inverses and torsor products agree",
-    )
+            raise _Failure(f"split torsor motive disagrees with quadric product at n={n}")
+    return "confluent on 1000 seeded expressions; inverses and torsor products agree"
 
 
-def check_sq1(box: tuple[int, int] | None = None) -> CheckResult:
+@_criterion(8, "Sq1 suite")
+def check_sq1(box: tuple[int, int] | None = None) -> str:
     w, d = _box((5, 5), box)
     model = build_field_model("real")
     for block in ("BO:4", "BOp:1"):
         pres = sq1_presentation(model, block, w, d)
         report, solved = sq1_check(sq1_define(pres), w, d)
         if not report.ok:
-            return CheckResult(
-                8, "Sq1 suite", False, f"{block}: {report.render_text()}"
-            )
+            raise _Failure(f"{block}: {report.render_text()}")
         # Leibniz on all monomial pairs of the box whose product stays inside
         # the bound, certified from generator products by induction
         offender = leibniz_offender(solved, w, d)
         if offender is not None:
             x, c = offender
-            return CheckResult(
-                8, "Sq1 suite", False, f"Leibniz fails on {x} * {c} in {block}"
-            )
+            raise _Failure(f"Leibniz fails on {x} * {c} in {block}")
     # the non-vanishing witness
     ring = block_presentation(model, "XBO:2", 12)
     der = sq1_define(ring)
     witness = sq1_apply(der, ring.el("mu*u2"))
     expected = ring.el("mu^2*u2 + mu*u1*u2")
     if witness.is_zero() or witness != expected:
-        return CheckResult(
-            8, "Sq1 suite", False, f"witness Sq1(mu*u2) = {witness}"
-        )
-    return CheckResult(
-        8, "Sq1 suite", True,
-        f"descends, square-zero and Leibniz on box ({w},{d}); witness nonzero",
-    )
+        raise _Failure(f"witness Sq1(mu*u2) = {witness}")
+    return f"descends, square-zero and Leibniz on box ({w},{d}); witness nonzero"
 
 
-def check_specialization() -> CheckResult:
+@_criterion(9, "class specialization")
+def check_specialization() -> str:
     model = build_field_model("real")
     bu2 = block_presentation(model, "BU:2", 12)
     xa = block_presentation(model, "Xalpha", 12)
@@ -337,37 +312,24 @@ def check_specialization() -> CheckResult:
         bu2, {"c1": "0", "c2": "0", "d1": "0"}, xa, "split-form"
     )
     if not rep.well_defined or rep.split_compatible is not True:
-        return CheckResult(
-            9, "class specialization", False,
-            f"zero assignment: {rep.render_text()}",
-        )
+        raise _Failure(f"zero assignment: {rep.render_text()}")
     # negative control: violates tau*d1 + alpha*c1
     _, bad = specialize_classes(
         bu2, {"c1": "rho*mu", "c2": "0", "d1": "0"}, xa, "corrupted"
     )
     if bad.well_defined or bad.first_failing is None:
-        return CheckResult(
-            9, "class specialization", False,
-            "corrupted assignment was not rejected",
-        )
+        raise _Failure("corrupted assignment was not rejected")
     if "d1" not in bad.first_failing:
-        return CheckResult(
-            9, "class specialization", False,
-            f"unexpected failing relation: {bad.first_failing}",
-        )
+        raise _Failure(f"unexpected failing relation: {bad.first_failing}")
     # negative control for the splitting criterion
     _, nonsplit = specialize_classes(
         bu2, {"c1": "0", "c2": "rho^2*mu^2", "d1": "0"}, xa, "nonsplit"
     )
     if nonsplit.split_compatible is not False:
-        return CheckResult(
-            9, "class specialization", False,
-            "nonzero c2 still reported split-compatible",
-        )
-    return CheckResult(
-        9, "class specialization", True,
+        raise _Failure("nonzero c2 still reported split-compatible")
+    return (
         "zero classes pass and report split-compatible; controls fail with "
-        f"relation {bad.first_failing!r}",
+        f"relation {bad.first_failing!r}"
     )
 
 
@@ -397,29 +359,19 @@ def run_golden_command(argv: tuple[str, ...]) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
-def check_golden() -> CheckResult:
+@_criterion(10, "CLI golden outputs")
+def check_golden() -> str:
     for name, argv in GOLDEN_COMMANDS:
         ref = resources.files("subtle").joinpath("golden", name)
         if not ref.is_file():
-            return CheckResult(
-                10, "CLI golden outputs", False, f"missing golden file {name}"
-            )
+            raise _Failure(f"missing golden file {name}")
         expected = ref.read_text(encoding="utf-8")
         code, got = run_golden_command(argv)
         if code != 0:
-            return CheckResult(
-                10, "CLI golden outputs", False,
-                f"{' '.join(argv)} exited {code}",
-            )
+            raise _Failure(f"{' '.join(argv)} exited {code}")
         if got != expected:
-            return CheckResult(
-                10, "CLI golden outputs", False,
-                f"{name} differs from pinned output",
-            )
-    return CheckResult(
-        10, "CLI golden outputs", True,
-        f"{len(GOLDEN_COMMANDS)} pinned commands byte-identical",
-    )
+            raise _Failure(f"{name} differs from pinned output")
+    return f"{len(GOLDEN_COMMANDS)} pinned commands byte-identical"
 
 
 def run_all(seed: int = 20250801, box: tuple[int, int] | None = None) -> list[CheckResult]:

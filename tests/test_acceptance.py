@@ -2,7 +2,14 @@
 pass/fail line.  Everything is exact GF(2) combinatorics; no tolerances.
 """
 
-from subtle import verify
+import io
+from contextlib import redirect_stdout
+from dataclasses import replace
+
+import pytest
+
+from subtle import cli, verify
+from subtle.motives import Atom, FormalMotive
 
 
 def _run(check, *args):
@@ -60,3 +67,190 @@ def test_criterion_09_specialization():
 def test_criterion_10_cli_golden():
     # pinned commands reproduce byte-identical outputs
     _run(verify.check_golden)
+
+
+# ----- every failure path ----------------------------------------------------
+#
+# Each case replaces one name in ``subtle.verify`` so that exactly one failure
+# path of one criterion fires, then checks the CheckResult and that
+# ``verify all`` exits 1 printing that FAIL line.
+
+BOX = (2, 2)
+# the criteria that take a box; the others take none or a seed
+_BOXED = {
+    verify.check_decomposition, verify.check_kernel, verify.check_diagonal_recursion,
+    verify.check_colimit_stabilization, verify.check_twist, verify.check_groebner_oracle,
+    verify.check_sq1,
+}
+
+
+def _bumped(table):
+    """The table with every entry one larger."""
+    return replace(table, counts=tuple(tuple(c + 1 for c in row) for row in table.counts))
+
+
+def _altered(**changes):
+    """Factory: the function with ``replace(result, **changes)`` on its result."""
+    return lambda fn: lambda *args: replace(fn(*args), **changes)
+
+
+def _bump_block(block):
+    def factory(fn):
+        def fake(model, b, w, d):
+            table = fn(model, b, w, d)
+            return _bumped(table) if b == block else table
+        return fake
+    return factory
+
+
+def _sq1_report_altered(fn):
+    def fake(der, w, d):
+        report, solved = fn(der, w, d)
+        return replace(report, square_zero=False, square_zero_offender="u1"), solved
+    return fake
+
+
+def _specialization_altered(label, **changes):
+    def factory(fn):
+        def fake(ring, assignments, target, lbl):
+            h, report = fn(ring, assignments, target, lbl)
+            return h, (replace(report, **changes) if lbl == label else report)
+        return fake
+    return factory
+
+
+FAILURES = [
+    pytest.param(
+        verify.check_decomposition, "npow_bu_table", lambda fn: lambda *a: _bumped(fn(*a)),
+        1, "presentation vs decomposition", "BU:1 over real differs at (0, 0), box (2,2)",
+        id="decomposition",
+    ),
+    pytest.param(
+        verify.check_kernel, "kernel_match",
+        _altered(tables_match=False, first_mismatch=(0, 0, 1, 0)),
+        2, "comparison-map kernel",
+        "comp:1 over real: kernel check comp:1 on box (2,2)\n"
+        "ideal generators vanish: True\n"
+        "quotient table equals image ranks: False\n"
+        "first mismatch at (0)[0]: quotient 1, image rank 0\n"
+        "MISMATCH",
+        id="kernel",
+    ),
+    pytest.param(
+        verify.check_diagonal_recursion, "block_table", _bump_block("Npow:1"),
+        3, "diagonal recursion", "Npow:1 over real cell (0)[0]: 2 != 1",
+        id="diagonal",
+    ),
+    pytest.param(
+        verify.check_colimit_stabilization, "check_colimit", _altered(passed=False),
+        4, "colimit stabilization",
+        "over real:\ncolimit stabilization on box (2,2)\n"
+        "w=0   0  1  2\nw=1   0  0  1\nw=2   0  0  0\nFAIL",
+        id="colimit",
+    ),
+    pytest.param(
+        verify.check_twist, "hom_verify", _altered(injective_on_box=False),
+        5, "twist isomorphism", "pq:1 over real not bijective on box (2,2)",
+        id="twist-bijective",
+    ),
+    pytest.param(
+        verify.check_twist, "hom_compose", lambda fn: lambda g, f: f,
+        5, "twist isomorphism", "pq:1 over real not self-inverse on u1",
+        id="twist-self-inverse",
+    ),
+    pytest.param(
+        verify.check_groebner_oracle, "oracle_table", lambda fn: lambda *a: _bumped(fn(*a)),
+        6, "Groebner vs dense oracle", "H over real differs at (0, 0)",
+        id="oracle",
+    ),
+    pytest.param(
+        verify.check_motive_suite, "atom_tensor", lambda fn: lambda a, b: verify.T_ATOM,
+        7, "motive rewrite suite",
+        "confluence failure on trial 0: T + T + Mt(1)[2] vs Mt(1)[2] + Mt(6)[4] + Mt(7)[6]",
+        id="motive-confluence",
+    ),
+    pytest.param(
+        verify.check_motive_suite, "T_ATOM", lambda atom: Atom("N", 0, 1, 0),
+        7, "motive rewrite suite", "N^-5 * N^5 != T",
+        id="motive-inverse",
+    ),
+    pytest.param(
+        verify.check_motive_suite, "torsor_motive", lambda fn: lambda n, split: FormalMotive.of(),
+        7, "motive rewrite suite", "split torsor motive disagrees with quadric product at n=0",
+        id="motive-torsor",
+    ),
+    pytest.param(
+        verify.check_sq1, "sq1_check", _sq1_report_altered,
+        8, "Sq1 suite",
+        "BO:4: Sq1 check BO:4 on box (2,2)\ndescends to quotient: True\n"
+        "Sq1 o Sq1 = 0 on box: False\nsquare-zero offender: u1",
+        id="sq1-report",
+    ),
+    pytest.param(
+        verify.check_sq1, "leibniz_offender", lambda fn: lambda *a: ("u1", "u2"),
+        8, "Sq1 suite", "Leibniz fails on u1 * u2 in BO:4",
+        id="sq1-leibniz",
+    ),
+    pytest.param(
+        verify.check_sq1, "sq1_apply", lambda fn: lambda der, el: el.pres.zero(),
+        8, "Sq1 suite", "witness Sq1(mu*u2) = 0",
+        id="sq1-witness",
+    ),
+    pytest.param(
+        verify.check_specialization, "specialize_classes",
+        _specialization_altered("split-form", split_compatible=None),
+        9, "class specialization",
+        "zero assignment: specialization split-form\n  tau*d1 + rho*c1 -> 0\n"
+        "well_defined: True\nsplitting criterion on {c1, c2}: not split-compatible",
+        id="specialization-zero",
+    ),
+    pytest.param(
+        verify.check_specialization, "specialize_classes",
+        _specialization_altered("corrupted", well_defined=True),
+        9, "class specialization", "corrupted assignment was not rejected",
+        id="specialization-accepted",
+    ),
+    pytest.param(
+        verify.check_specialization, "specialize_classes",
+        _specialization_altered("corrupted", relation_images=(("rho*c1", "rho*c1", False),)),
+        9, "class specialization", "unexpected failing relation: rho*c1",
+        id="specialization-relation",
+    ),
+    pytest.param(
+        verify.check_specialization, "specialize_classes",
+        _specialization_altered("nonsplit", split_compatible=True),
+        9, "class specialization", "nonzero c2 still reported split-compatible",
+        id="specialization-nonsplit",
+    ),
+    pytest.param(
+        verify.check_golden, "GOLDEN_COMMANDS", lambda cmds: (("missing.txt", cmds[0][1]),),
+        10, "CLI golden outputs", "missing golden file missing.txt",
+        id="golden-missing",
+    ),
+    pytest.param(
+        verify.check_golden, "run_golden_command", lambda fn: lambda argv: (2, ""),
+        10, "CLI golden outputs", "ring table BU:1 --model real --box 4 4 exited 2",
+        id="golden-exit",
+    ),
+    pytest.param(
+        verify.check_golden, "run_golden_command", lambda fn: lambda argv: (0, ""),
+        10, "CLI golden outputs", "table_bu1_real.txt differs from pinned output",
+        id="golden-differs",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, name, factory, number, title, detail", FAILURES)
+def test_criterion_failure_paths(monkeypatch, check, name, factory, number, title, detail):
+    monkeypatch.setattr(verify, name, factory(getattr(verify, name)))
+    args = (BOX,) if check in _BOXED else ()
+    result = check(*args)
+    assert (result.number, result.name, result.passed, result.detail) == (
+        number, title, False, detail
+    )
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.run(["verify", "all", "--box", str(BOX[0]), str(BOX[1])])
+    assert code == 1
+    assert result.line().startswith("FAIL ")
+    assert result.line() in buf.getvalue()

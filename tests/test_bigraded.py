@@ -89,7 +89,7 @@ def test_negative_generator_bidegree_rejected():
     # a negative generator bidegree can make a cell infinite
     for b, origin in [(Bidegree(-1, 2), CLASS), (Bidegree(2, -1), CLASS), (Bidegree(0, -1), MODULE_GEN)]:
         with pytest.raises(NegativeBidegree, match="negative weight or degree"):
-            presentation_new(h_real() + [GenSpec("x", b, origin)], [], 6, is_module=origin == MODULE_GEN)
+            presentation_new(h_real() + [GenSpec("x", b, origin)], [], 6)
     # zero weight, zero degree and the zero bidegree stay allowed
     gens = [GenSpec("u", Bidegree(0, 1)), GenSpec("v", Bidegree(1, 0)), GenSpec("z", Bidegree(0, 0))]
     p = presentation_new(gens, ["u*v"], 6)
@@ -228,7 +228,7 @@ def test_monomial_enumeration_matches_naive_random():
     for trial in range(40):
         module_gens = rng.choice([0, 0, 1, 2])
         gens = _random_gens(rng, module_gens)
-        p = presentation_new(gens, [], 12, is_module=module_gens > 0)
+        p = presentation_new(gens, [], 12)
         ring = presentation_new([replace(g, origin=CLASS) for g in gens], [], 12)
         expected = {
             (q, w, d, unit): _naive_monomials(q, w, d, unit)
@@ -249,7 +249,7 @@ def test_monomial_enumeration_edge_cells():
     assert _monomials_of_bidegree(p, 0, 0) == [()]
     assert _monomials_of_bidegree(p, 1, 0) == []
     gens = h_real() + [GenSpec("mu", Bidegree(0, 1), MODULE_GEN)]
-    m = presentation_new(gens, [], 6, is_module=True)
+    m = presentation_new(gens, [], 6)  # a module: mu is a MODULE_GEN
     assert _monomials_of_bidegree(m, 0, 0) == [(0, 0, 0)]
     assert _monomials_of_bidegree(m, 0, 0, include_unit_component=False) == []
     assert _monomials_of_bidegree(m, 0, 2) == []  # mu^2 is not a valid product
@@ -261,7 +261,7 @@ def test_mono_key_and_poly_bidegree_match_naive_random():
     for trial in range(40):
         module_gens = rng.choice([0, 0, 1, 2])
         gens = _random_gens(rng, module_gens)
-        p = presentation_new(gens, [], 12, is_module=module_gens > 0)
+        p = presentation_new(gens, [], 12)
         assert p.poly_bidegree(frozenset()) is None
         for _ in range(20):
             m = tuple(rng.randint(0, 3) for _ in gens)
@@ -282,7 +282,7 @@ def _random_presentation(rng, bound, max_rels=3):
     """A random homogeneous ring (two times in three) or module presentation."""
     module_gens = rng.choice([0, 0, 1])
     gens = _random_gens(rng, module_gens)
-    shell = presentation_new(gens, [], bound, is_module=module_gens > 0)
+    shell = presentation_new(gens, [], bound)
     rels = []
     for _ in range(rng.randint(1, max_rels)):
         # a cell a product of two generators lands in, so rarely empty
@@ -290,7 +290,7 @@ def _random_presentation(rng, bound, max_rels=3):
         cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d)
         if cell and (a + b).total <= bound:
             rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
-    return presentation_new(gens, rels, bound, is_module=module_gens > 0)
+    return presentation_new(gens, rels, bound)
 
 
 def _random_cell_poly(rng, p, factors):
@@ -416,7 +416,7 @@ def _cone_presentations():
     yield presentation_new([GenSpec("z", Bidegree(0, 0)), x], ["x^2"], 10)
     yield presentation_new([GenSpec("t", Bidegree(2, 0)), GenSpec("u", Bidegree(0, 3))], [], 10)
     yield presentation_new(
-        [GenSpec("t", Bidegree(1, 0)), GenSpec("mu", Bidegree(0, 1), MODULE_GEN)], [], 10, is_module=True
+        [GenSpec("t", Bidegree(1, 0)), GenSpec("mu", Bidegree(0, 1), MODULE_GEN)], [], 10
     )
     # all generators on one ray, as in a Milnor K-theory model
     milnor = [GenSpec(name, Bidegree(1, 1), MILNOR) for name in "abc"]
@@ -582,7 +582,7 @@ def test_module_presentation_product_guard():
         GenSpec("mu1", Bidegree(0, 1), MODULE_GEN),
         GenSpec("mu2", Bidegree(0, 2), MODULE_GEN),
     ]
-    p = presentation_new(gens, [], 10, is_module=True)
+    p = presentation_new(gens, [], 10)
     with pytest.raises(InvalidModuleProduct):
         _ = p.gen("mu1") * p.gen("mu2")
     with pytest.raises(InvalidModuleProduct):
@@ -623,7 +623,7 @@ def test_table_tensor_module_factor(real):
         GenSpec("u1", Bidegree(0, 1)),
         GenSpec("mu", Bidegree(0, 1), MODULE_GEN),
     ]
-    direct = presentation_new(gens, ["tau*mu"], 10, is_module=True, has_unit=False)
+    direct = presentation_new(gens, ["tau*mu"], 10, has_unit=False)
     assert tensored.same_entries(poincare_table(direct, 5, 5))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from subtle import cli
-from subtle.verify import GOLDEN_COMMANDS
+from subtle.verify import GOLDEN_COMMANDS, CheckResult
 
 
 def run_cli(*argv):
@@ -41,6 +41,25 @@ def test_ring_table_spec_example():
     assert row[1 + 3] == "1"
 
 
+def test_ring_build_json_matches_text_golden():
+    code, out = run_cli(
+        "ring", "build", "BU:2", "--model", "finite_field", "--box", "3", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    golden = resources.files("subtle").joinpath("golden", "build_bu2_fq.txt")
+    text = dict(line.split(": ", 1) for line in golden.read_text("utf-8").splitlines())
+    assert (payload["block"], payload["model"], str(payload["bound"])) == (
+        text["block"], text["model"], text["bound"]
+    )
+    assert payload["is_module"] is False
+    gens = [f"{g['name']}({g['bidegree'][0]})[{g['bidegree'][1]}]" for g in payload["generators"]]
+    assert ", ".join(gens) == text["generators"]
+    assert ", ".join(payload["relations"]) == text["relations"]
+    assert ", ".join(payload["groebner"]) == text["groebner basis"]
+
+
 def test_ring_table_json_schema():
     code, out = run_cli(
         "ring", "table", "BU:1", "--model", "real", "--box", "3", "3",
@@ -57,6 +76,16 @@ def test_motive_eval_rewrites():
     code, out = run_cli("motive", "eval", "N^1 * N^-1")
     assert code == 0
     assert out.strip() == "T"
+    code, out = run_cli("motive", "eval", "N^1 * N^-1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"normal_form": "T"}
+
+
+def test_motive_eval_high_power_exits_0():
+    # on a (2, 2) box N^3000 reads Npow:2, not a 3000-generator module
+    code, out = run_cli("motive", "eval", "N^3000", "--model", "real", "--box", "2", "2")
+    assert code == 0, out
+    assert out.startswith("normal form: N^3000\n")
 
 
 def test_motive_eval_bad_expression_exits_2():
@@ -142,6 +171,16 @@ def test_sq1_check_small_box_exits_0(block):
 def test_verify_all_small_box_exits_0():
     code, out = run_cli("verify", "all", "--box", "2", "2")
     assert code == 0, out
+    code, payload = run_cli("verify", "all", "--box", "2", "2", "--format", "json")
+    payload = json.loads(payload)
+    assert code == 0
+    assert list(payload) == ["seed", "checks", "all_pass"]
+    assert payload["seed"] == 20250801 and payload["all_pass"] is True
+    checks = payload["checks"]
+    assert [c["number"] for c in checks] == list(range(1, 11))
+    assert all(list(c) == ["number", "name", "passed", "detail"] for c in checks)
+    # the JSON entries carry exactly what the text lines print
+    assert [CheckResult(**c).line() for c in checks] == out.splitlines()
 
 
 def test_unknown_block_exits_2():

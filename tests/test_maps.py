@@ -263,6 +263,16 @@ def test_kernel_negative_control(real):
     assert not rep.generators_vanish
 
 
+def test_kernel_match_needs_the_ideal_in_the_map_source(real):
+    # comp:3's pair generator v7*u2 + u3*u6 has total degree 13, so the ideal
+    # asked for at bound 12 lives in the cached BOh:3 at bound 13
+    ideal = comp_kernel_ideal(real, 3, 12)
+    assert ideal.pres is block_presentation(real, "BOh:3", 13)
+    with pytest.raises(SubtleError, match="does not belong to the map's source"):
+        kernel_match(comp_map(real, 3, 12), ideal, 4, 4)
+    assert kernel_match(comp_map(real, 3, ideal.pres.truncation_bound), ideal, 4, 4).ok
+
+
 def test_kernel_match_symmetry(real):
     # when the map is surjective and the kernel matches, the quotient table
     # equals the target table

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,18 @@ def test_cohomology_blocks(real):
     assert motive_cohomology(real, m("Xt"), 5, 5).same_entries(
         block_table(real, "Xtilde", 5, 5)
     )
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "three"])
+def test_power_table_reads_the_box_power(model_name):
+    # N^k for k > D reads Npow:D; here it equals the table of the built Npow:k
+    if model_name == "three":
+        model_name = str(Path(__file__).resolve().parents[1] / "bench" / "three.json")
+    model = build_field_model(model_name)
+    for wmax, dmax in ((0, 0), (2, 1), (3, 3), (1, 4), (5, 5)):
+        for k in range(dmax + 1, dmax + 4):
+            got = motive_cohomology(model, m(f"N^{k}"), wmax, dmax)
+            assert got == block_table(model, f"Npow:{k}", wmax, dmax), (wmax, dmax, k)
 
 
 def test_cohomology_additive(real, fq):

@@ -422,15 +422,14 @@ def _random_solver_presentation(rng, bound, module_gens, has_unit):
         for i in range(module_gens)
     ]
     rng.shuffle(gens)
-    is_module = module_gens > 0
-    shell = presentation_new(gens, [], bound, is_module=is_module, has_unit=has_unit)
+    shell = presentation_new(gens, [], bound, has_unit=has_unit)
     rels = []
     for _ in range(rng.randint(1, 3)):
         a, b = rng.choice(gens).bidegree, rng.choice(gens).bidegree
         cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d, has_unit)
         if cell and (a + b).total < bound:
             rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
-    return presentation_new(gens, rels, bound, is_module=is_module, has_unit=has_unit)
+    return presentation_new(gens, rels, bound, has_unit=has_unit)
 
 
 def _solver_rows(solver, der):
