@@ -23,7 +23,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import add, itemgetter, mul, sub
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import parse as parse_mod
 from .errors import (
@@ -80,8 +81,8 @@ class AlgebraPresentation:
     Groebner basis.  Identity-based equality.  Immutable: construction sets
     every field, the ``model`` and ``block_id`` labels included, and any later
     assignment or deletion raises ``FrozenInstanceError``, an
-    ``AttributeError``.  It is a module exactly when a generator is a
-    ``MODULE_GEN``.
+    ``AttributeError``; ``index`` is a read-only mapping.  It is a module
+    exactly when a generator is a ``MODULE_GEN``.
     """
 
     gens: Sequence[GenSpec]
@@ -92,7 +93,7 @@ class AlgebraPresentation:
     model: object = None
     block_id: str | None = None
     names: tuple[str, ...] = field(init=False)
-    index: dict[str, int] = field(init=False)
+    index: Mapping[str, int] = field(init=False)
     gen_w: tuple[int, ...] = field(init=False)
     gen_d: tuple[int, ...] = field(init=False)
     module_idx: tuple[int, ...] = field(init=False)
@@ -108,7 +109,7 @@ class AlgebraPresentation:
             relations=tuple(self.relations),
             groebner=tuple(self.groebner),
             names=tuple(g.name for g in gens),
-            index={g.name: i for i, g in enumerate(gens)},
+            index=MappingProxyType({g.name: i for i, g in enumerate(gens)}),
             gen_w=tuple(g.bidegree.w for g in gens),
             gen_d=tuple(g.bidegree.d for g in gens),
             module_idx=tuple(i for i, g in enumerate(gens) if g.origin == MODULE_GEN),
@@ -767,28 +768,33 @@ def _monomials_of_bidegree(
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
-def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
-    """Monomial basis of the (w)[d] piece: monomials no leading term divides.
+def _in_cone(pres: AlgebraPresentation, w: int, d: int) -> bool:
+    """Whether the (w)[d] cell can hold a monomial at all.
 
     A monomial's bidegree is a non-negative combination of generator
     bidegrees (``presentation_new`` rejects negative ones), so it lies in the
     cone between the nonzero generator bidegrees of lowest and highest slope
     d/w (``_cone``).  A cell strictly outside that cone, or any cell but
-    (0)[0] when no generator has a nonzero bidegree, is empty and is
-    returned at once, without enumeration.  A cell inside it is enumerated,
-    and only the divisor tests of leading terms that fit inside (w)[d] are
-    run.  The basis is sorted by ``mono_key``, which inside one bidegree is
-    the order of reversed exponent vectors.  A module without a unit
-    component (``has_unit`` false) leaves out the monomials free of module
-    generators."""
+    (0)[0] when no generator has a nonzero bidegree, is empty."""
     cone = pres._cone
     if cone is None:
-        if w or d:
-            return []
-    else:
-        (lw, ld), (hw, hd) = cone
-        if w * ld > d * lw or d * hw > w * hd:
-            return []
+        return not (w or d)
+    (lw, ld), (hw, hd) = cone
+    return w * ld <= d * lw and d * hw <= w * hd
+
+
+def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
+    """Monomial basis of the (w)[d] piece: monomials no leading term divides.
+
+    A cell outside the generator cone (``_in_cone``) is returned empty at
+    once, without enumeration.  A cell inside it is enumerated, and only the
+    divisor tests of leading terms that fit inside (w)[d] are run.  The basis
+    is sorted by ``mono_key``, which inside one bidegree is the order of
+    reversed exponent vectors.  A module without a unit component
+    (``has_unit`` false) leaves out the monomials free of module
+    generators."""
+    if not _in_cone(pres, w, d):
+        return []
     tests = [t for t in pres._gb_tests if t[0] <= w and t[1] <= d]
     out = [
         m
@@ -803,9 +809,7 @@ def cell_images(items, basis: Sequence[Monomial], image):
     """The matrix of a linear map into one cell: returns (dim, rows), with
     ``basis`` the target cell's ``standard_monomials``, dim its length, and
     rows[i] the GF(2) vector of ``image(items[i])``, a reduced polynomial of
-    that cell, with bit j set when ``basis[j]`` occurs in it.  The caller
-    passes the basis so that a sweep that meets a cell twice, as target and
-    then as source, enumerates it once."""
+    that cell, with bit j set when ``basis[j]`` occurs in it."""
     index = {m: j for j, m in enumerate(basis)}
     rows = []
     for item in items:
@@ -814,6 +818,30 @@ def cell_images(items, basis: Sequence[Monomial], image):
             vec |= 1 << index[m]
         rows.append(vec)
     return len(index), rows
+
+
+def cell_maps(
+    source: AlgebraPresentation, target: AlgebraPresentation, shift, cells, image
+):
+    """The one sweep of a linear map into cells.  For each (w, d) of
+    ``cells``, in the order given, yields ``(w, d, basis, dim, rows)``: the
+    source cell's ``standard_monomials`` and the ``cell_images`` of
+    ``image`` on it into the target cell (w, d) + ``shift``.  When ``source
+    is target``, a target basis is kept until the sweep reaches that cell as
+    a source, then dropped; otherwise each basis is enumerated per use."""
+    same = source is target
+    ahead: dict[tuple[int, int], list[Monomial]] = {}
+    for w, d in cells:
+        basis = ahead.pop((w, d), None)
+        if basis is None:
+            basis = standard_monomials(source, w, d)
+        cell = (w + shift[0], d + shift[1])
+        tgt = basis if same and cell == (w, d) else ahead.get(cell)
+        if tgt is None:
+            tgt = standard_monomials(target, *cell)
+            if same:
+                ahead[cell] = tgt
+        yield (w, d, basis, *cell_images(basis, tgt, image))
 
 
 def poincare_table(
@@ -857,11 +885,10 @@ def colon_ideal(
 ) -> IdealGens:
     """Generators of {x : x*f in (ideal)}, certified per graded piece.
 
-    Computed by per-bidegree kernels of multiplication by f, then reduced to
-    a generating set by a quotient-membership sweep in increasing degree.
-    The kernel sweep enumerates each cell's basis once: a target cell's basis
-    is kept until the sweep reaches that cell as a source, then dropped, so
-    only the cells up to f's total degree ahead of the sweep are held.
+    Per-bidegree kernels of multiplication by f, from one ``cell_maps``
+    sweep in increasing total degree over the cells inside the generator cone
+    (only those can be non-empty; generated, not listed, so that no list of
+    every cell is held), reduced to a generating set by a membership sweep.
     """
     if bound > pres.truncation_bound:
         raise ExceedsBound("colon bound exceeds presentation bound")
@@ -882,27 +909,17 @@ def colon_ideal(
     q = quotient(pres, [g.monomials for g in base_gens]) if base_gens else pres
 
     candidates: list[Element] = []
-    # target bases kept until the sweep reaches them as sources
-    targets: dict[tuple[int, int], list[Monomial]] = {}
-    for total in range(0, bound - fb.total + 1):
-        for w in range(0, total + 1):
-            d = total - w
-            basis = targets.pop((w, d), None)
-            if basis is None:
-                basis = standard_monomials(q, w, d)
-            if not basis:
-                continue
-            cell = (w + fb.w, d + fb.d)
-            target = basis if cell == (w, d) else targets.get(cell)
-            if target is None:
-                target = targets[cell] = standard_monomials(q, *cell)
-            _, images = cell_images(
-                basis, target,
-                lambda m: q.reduce_poly(_mul_mono_poly(m, f_el.monomials)),
-            )
-            for combo in kernel_of_map(images):
-                monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
-                candidates.append(pres.element_from_monomials(monos))
+    cells = (
+        (w, t - w) for t in range(bound - fb.total + 1) for w in range(t + 1)
+        if _in_cone(q, w, t - w)
+    )
+    for _, _, basis, _, images in cell_maps(
+        q, q, (fb.w, fb.d), cells,
+        lambda m: q.reduce_poly(_mul_mono_poly(m, f_el.monomials)),
+    ):
+        for combo in kernel_of_map(images):
+            monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
+            candidates.append(pres.element_from_monomials(monos))
 
     chosen: list[Element] = list(base_gens)
     current = quotient(pres, [g.monomials for g in chosen]) if chosen else pres

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bigraded import PoincareTable, cell_images, standard_monomials
+from .bigraded import PoincareTable, cell_maps
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .gf2 import RowSpace
 from .milnor import FieldModel
@@ -181,11 +181,9 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     Long-exact-sequence bookkeeping over the triangle linking it to the unit
     and the invertible block: the connecting map is multiplication by the
     unique nonzero class mu_1, whose per-cell ranks are computable, so every
-    cell is determined.
+    cell is determined.  Per weight, one ``cell_maps`` sweep from H (w)[d]
+    to Npow:1 (w)[d+1], d = -1..dmax, gives both dimensions and the ranks.
     """
-    h = block_table(model, "H", wmax, dmax + 1)
-    n1 = block_table(model, "Npow:1", wmax, dmax + 1)
-    # the presentations those tables read, for the products by mu_1
     h_pres = block_presentation(model, "H", wmax + dmax + 1)
     n1_pres = block_presentation(model, "Npow:1", wmax + dmax + 1)
     # H's generators are Npow:1's without the last one, mu1, so an H monomial
@@ -197,14 +195,15 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
 
     counts = []
     for w in range(wmax + 1):
-        # rank[d + 1] is the rank of mu_1 on the (w)[d] cell; rank[0] stands for d = -1
-        rank = [0]
-        for d in range(dmax + 1):
-            domain = standard_monomials(h_pres, w, d)
-            target = standard_monomials(n1_pres, w, d + 1)
-            rank.append(RowSpace(cell_images(domain, target, times_mu1)[1]).rank)
+        # sweep[d + 1] = (dim H(w)[d], dim Npow:1(w)[d+1], rank of mu_1 on (w)[d])
+        sweep = [
+            (len(basis), dim, RowSpace(rows).rank)
+            for _, _, basis, dim, rows in cell_maps(
+                h_pres, n1_pres, (0, 1), [(w, d) for d in range(-1, dmax + 1)], times_mu1
+            )
+        ]
         counts.append(tuple(
-            h.entry(w, d) + n1.entry(w, d) - rank[d + 1] - rank[d]
+            sweep[d + 1][0] + sweep[d][1] - sweep[d + 1][2] - sweep[d][2]
             for d in range(dmax + 1)
         ))
     return PoincareTable(wmax, dmax, tuple(counts))

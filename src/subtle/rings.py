@@ -37,10 +37,9 @@ from .bigraded import (
     Element,
     GenSpec,
     PoincareTable,
-    cell_images,
+    cell_maps,
     poincare_table,
     presentation_new,
-    standard_monomials,
 )
 from .errors import UnsupportedBlock
 from .gf2 import RowSpace
@@ -212,22 +211,19 @@ def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> Algebr
 
 def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
     """dim Ann(alpha)_n for n <= max_degree: dim R_n less the rank of
-    x -> alpha*x from R_n to R_{n+1}.  The basis of R_{n+1} is the next
-    source, so each cell is enumerated once."""
+    x -> alpha*x from R_n to R_{n+1}, one ``cell_maps`` sweep along the
+    diagonal."""
     pres = model.presentation.extend_bound(2 * max_degree + 2)
     alpha = pres.el(model.alpha)
 
     def times_alpha(m):
         return (Element(pres, frozenset([m])) * alpha).monomials
 
-    out = []
-    basis = standard_monomials(pres, 0, 0)
-    for n in range(max_degree + 1):
-        target = standard_monomials(pres, n + 1, n + 1)
-        rows = cell_images(basis, target, times_alpha)[1]
-        out.append(len(basis) - RowSpace(rows).rank)
-        basis = target
-    return out
+    diagonal = [(n, n) for n in range(max_degree + 1)]
+    return [
+        len(basis) - RowSpace(rows).rank
+        for _, _, basis, _, rows in cell_maps(pres, pres, (1, 1), diagonal, times_alpha)
+    ]
 
 
 def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:

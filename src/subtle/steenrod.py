@@ -183,7 +183,8 @@ def leibniz_offender(
         bidegree(x) + bidegree(c) <= (2*wmax, 2*dmax)  (componentwise), and
         total(x) + total(c) + 1 <= truncation bound.
 
-    Sq1(x) and Sq1(c) are computed once each.  None certifies Leibniz
+    One w-major pass over the cells of c, each with the generators whose
+    region covers it, computes Sq1(x) and Sq1(c) once each.  None certifies Leibniz
     Sq1(a*b) = Sq1(a)*b + a*Sq1(b) for all standard monomials a, b of the box
     with total(a) + total(b) + 1 <= bound, by induction on the degree of a.
     Degree 0 is a = 1, where Sq1(1) = 0.  Otherwise write a = x*a' for a
@@ -204,23 +205,22 @@ def leibniz_offender(
     """
     pres = der.pres
     bound = pres.truncation_bound
-    cells: dict[tuple[int, int], list] = {}
-    images: dict = {}  # standard monomial -> (its element, its Sq1)
+    xs = []  # per generator x in the box: the w, d and total limits of c, x, Sq1(x)
     for gen in pres.gens:
         gb = gen.bidegree
-        if gb.w > wmax or gb.d > dmax or gb.total + 1 > bound:
-            continue
-        x = pres.gen(gen.name)
-        sx = sq1_apply(der, x)
-        for w in range(2 * wmax - gb.w + 1):
-            for d in range(min(2 * dmax - gb.d, bound - 1 - gb.total - w) + 1):
-                if (w, d) not in cells:
-                    cells[w, d] = standard_monomials(pres, w, d)
-                for m in cells[w, d]:
-                    if m not in images:
-                        c = Element(pres, frozenset([m]))
-                        images[m] = (c, sq1_apply(der, c))
-                    c, sc = images[m]
+        if gb.w <= wmax and gb.d <= dmax and gb.total + 1 <= bound:
+            x = pres.gen(gen.name)
+            limits = (2 * wmax - gb.w, 2 * dmax - gb.d, bound - 1 - gb.total)
+            xs.append((limits, x, sq1_apply(der, x)))
+    for w in range(2 * wmax + 1):
+        for d in range(2 * dmax + 1):
+            pairs = [(x, sx) for (mw, md, mt), x, sx in xs if w <= mw and d <= md and w + d <= mt]
+            if not pairs:
+                continue
+            for m in standard_monomials(pres, w, d):
+                c = Element(pres, frozenset([m]))
+                sc = sq1_apply(der, c)
+                for x, sx in pairs:
                     if sq1_apply(der, x * c) != sx * c + x * sc:
                         return x, c
     return None

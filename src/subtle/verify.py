@@ -133,7 +133,10 @@ def check_kernel(box: tuple[int, int] | None = None) -> str:
             h = comp_map(model, n, ideal.pres.truncation_bound)
             rep = kernel_match(h, ideal, w, d)
             if not rep.ok:
-                raise _Failure(f"comp:{n} over {model.tag}: {rep.render_text()}")
+                first = f"nonvanishing generator {rep.nonvanishing_generator}"
+                if rep.generators_vanish:
+                    first = "first mismatch at ({})[{}]: quotient {}, image rank {}".format(*rep.first_mismatch)
+                raise _Failure(f"comp:{n} over {model.tag}: {first}")
     return f"kernels match stated ideals for n=1..3, both models, box ({w},{d})"
 
 
@@ -165,7 +168,9 @@ def check_colimit_stabilization(box: tuple[int, int] | None = None) -> str:
     for model in _models():
         rep = check_colimit(model, w, d)
         if not rep.passed:
-            raise _Failure(f"over {model.tag}:\n{rep.render_text()}")
+            stab = rep.stabilization
+            a, b = next((a, b) for a in range(w + 1) for b in range(d + 1) if stab[a][b] is None or stab[a][b] > d)
+            raise _Failure(f"over {model.tag}: ({a})[{b}] does not stabilize, box ({w},{d})")
     return f"power tables stabilize to the colimit table, both models, box ({w},{d})"
 
 
@@ -285,7 +290,9 @@ def check_sq1(box: tuple[int, int] | None = None) -> str:
         pres = sq1_presentation(model, block, w, d)
         report, solved = sq1_check(sq1_define(pres), w, d)
         if not report.ok:
-            raise _Failure(f"{block}: {report.render_text()}")
+            if not report.descends:
+                raise _Failure(f"{block}: offending relation {report.offending_relation}")
+            raise _Failure(f"{block}: square-zero offender {report.square_zero_offender}")
         # Leibniz on all monomial pairs of the box whose product stays inside
         # the bound, certified from generator products by induction
         offender = leibniz_offender(solved, w, d)
@@ -311,8 +318,10 @@ def check_specialization() -> str:
     _, rep = specialize_classes(
         bu2, {"c1": "0", "c2": "0", "d1": "0"}, xa, "split-form"
     )
-    if not rep.well_defined or rep.split_compatible is not True:
-        raise _Failure(f"zero assignment: {rep.render_text()}")
+    if not rep.well_defined:
+        raise _Failure(f"zero assignment: relation {rep.first_failing} does not vanish")
+    if rep.split_compatible is not True:
+        raise _Failure(f"zero assignment: split_compatible is {rep.split_compatible}")
     # negative control: violates tau*d1 + alpha*c1
     _, bad = specialize_classes(
         bu2, {"c1": "rho*mu", "c2": "0", "d1": "0"}, xa, "corrupted"

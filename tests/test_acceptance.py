@@ -103,11 +103,13 @@ def _bump_block(block):
     return factory
 
 
-def _sq1_report_altered(fn):
-    def fake(der, w, d):
-        report, solved = fn(der, w, d)
-        return replace(report, square_zero=False, square_zero_offender="u1"), solved
-    return fake
+def _sq1_report_altered(**changes):
+    def factory(fn):
+        def fake(der, w, d):
+            report, solved = fn(der, w, d)
+            return replace(report, **changes), solved
+        return fake
+    return factory
 
 
 def _specialization_altered(label, **changes):
@@ -129,12 +131,14 @@ FAILURES = [
         verify.check_kernel, "kernel_match",
         _altered(tables_match=False, first_mismatch=(0, 0, 1, 0)),
         2, "comparison-map kernel",
-        "comp:1 over real: kernel check comp:1 on box (2,2)\n"
-        "ideal generators vanish: True\n"
-        "quotient table equals image ranks: False\n"
-        "first mismatch at (0)[0]: quotient 1, image rank 0\n"
-        "MISMATCH",
+        "comp:1 over real: first mismatch at (0)[0]: quotient 1, image rank 0",
         id="kernel",
+    ),
+    pytest.param(
+        verify.check_kernel, "kernel_match",
+        _altered(generators_vanish=False, nonvanishing_generator="u2"),
+        2, "comparison-map kernel", "comp:1 over real: nonvanishing generator u2",
+        id="kernel-generator",
     ),
     pytest.param(
         verify.check_diagonal_recursion, "block_table", _bump_block("Npow:1"),
@@ -142,10 +146,9 @@ FAILURES = [
         id="diagonal",
     ),
     pytest.param(
-        verify.check_colimit_stabilization, "check_colimit", _altered(passed=False),
-        4, "colimit stabilization",
-        "over real:\ncolimit stabilization on box (2,2)\n"
-        "w=0   0  1  2\nw=1   0  0  1\nw=2   0  0  0\nFAIL",
+        verify.check_colimit_stabilization, "check_colimit",
+        _altered(passed=False, stabilization=((0, 1, 2), (0, 0, None), (0, 0, 0))),
+        4, "colimit stabilization", "over real: (1)[2] does not stabilize, box (2,2)",
         id="colimit",
     ),
     pytest.param(
@@ -180,11 +183,14 @@ FAILURES = [
         id="motive-torsor",
     ),
     pytest.param(
-        verify.check_sq1, "sq1_check", _sq1_report_altered,
-        8, "Sq1 suite",
-        "BO:4: Sq1 check BO:4 on box (2,2)\ndescends to quotient: True\n"
-        "Sq1 o Sq1 = 0 on box: False\nsquare-zero offender: u1",
+        verify.check_sq1, "sq1_check", _sq1_report_altered(square_zero=False, square_zero_offender="u1"),
+        8, "Sq1 suite", "BO:4: square-zero offender u1",
         id="sq1-report",
+    ),
+    pytest.param(
+        verify.check_sq1, "sq1_check", _sq1_report_altered(descends=False, offending_relation="u1^2"),
+        8, "Sq1 suite", "BO:4: offending relation u1^2",
+        id="sq1-descent",
     ),
     pytest.param(
         verify.check_sq1, "leibniz_offender", lambda fn: lambda *a: ("u1", "u2"),
@@ -199,10 +205,16 @@ FAILURES = [
     pytest.param(
         verify.check_specialization, "specialize_classes",
         _specialization_altered("split-form", split_compatible=None),
-        9, "class specialization",
-        "zero assignment: specialization split-form\n  tau*d1 + rho*c1 -> 0\n"
-        "well_defined: True\nsplitting criterion on {c1, c2}: not split-compatible",
+        9, "class specialization", "zero assignment: split_compatible is None",
         id="specialization-zero",
+    ),
+    pytest.param(
+        verify.check_specialization, "specialize_classes",
+        _specialization_altered(
+            "split-form", well_defined=False, relation_images=(("tau*d1 + rho*c1", "rho*c1", False),)
+        ),
+        9, "class specialization", "zero assignment: relation tau*d1 + rho*c1 does not vanish",
+        id="specialization-zero-relation",
     ),
     pytest.param(
         verify.check_specialization, "specialize_classes",
@@ -248,6 +260,7 @@ def test_criterion_failure_paths(monkeypatch, check, name, factory, number, titl
     assert (result.number, result.name, result.passed, result.detail) == (
         number, title, False, detail
     )
+    assert "\n" not in result.detail
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = cli.run(["verify", "all", "--box", str(BOX[0]), str(BOX[1])])

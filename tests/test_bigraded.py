@@ -16,6 +16,7 @@ from subtle.bigraded import (
     GenSpec,
     IdealGens,
     cell_images,
+    cell_maps,
     colon_ideal,
     groebner,
     normal_form,
@@ -544,6 +545,62 @@ def test_cell_images_rows_over_the_target_basis():
     assert (dim, rows) == (len(basis), [1 << basis.index(rho_c1)])
     # no items, or an empty target cell, give no rows
     assert cell_images([], standard_monomials(p, 0, 7), lambda m: [m]) == (0, [])
+
+
+def _cell_maps_cases(rng):
+    """(source, target, image factor) triples: each presentation mapped into
+    itself and into a quotient by one random relation, by a module-free
+    monomial factor of the shift's bidegree."""
+    for p in _cone_presentations():
+        for shift in [(0, 0), (0, 1), (1, 1), (2, 1)]:
+            factors = [
+                f for f in _monomials_of_bidegree(p, *shift)
+                if not any(f[i] for i in p.module_idx)
+            ]
+            f = rng.choice(factors) if factors else None
+            yield p, p, shift, f
+            cell, poly = _random_cell_poly(rng, p, 2) if p.gens else (None, None)
+            if poly and cell.total <= p.truncation_bound:
+                yield p, quotient(p, [poly]), shift, f
+
+
+def test_cell_maps_equal_per_cell_bases_and_images_random(monkeypatch):
+    # cell_maps against standard_monomials and cell_images cell by cell, in
+    # w-major and in total-degree order; when source is target, no cell is
+    # enumerated twice in one sweep
+    rng = random.Random(37)
+    calls = []
+
+    def counted(pres, w, d):
+        calls.append((id(pres), w, d))
+        return standard_monomials(pres, w, d)
+
+    monkeypatch.setattr(bigraded, "standard_monomials", counted)
+    same = quotients = zero_weight = modules = no_unit = 0
+    for source, target, shift, f in _cell_maps_cases(rng):
+        fits = source.truncation_bound - shift[0] - shift[1]
+        box = [(w, d) for w in range(5) for d in range(5) if w + d <= fits]
+        image = (lambda m: ()) if f is None else (
+            lambda m: target.reduce_poly([tuple(a + b for a, b in zip(m, f))])
+        )
+        for cells in (box, sorted(box, key=lambda c: (c[0] + c[1], c[0]))):
+            calls.clear()
+            got = list(cell_maps(source, target, shift, cells, image))
+            want = []
+            for w, d in cells:
+                basis = standard_monomials(source, w, d)
+                tgt = standard_monomials(target, w + shift[0], d + shift[1])
+                want.append((w, d, basis, *cell_images(basis, tgt, image)))
+            where = (source.gens, source.groebner, source.has_unit, target.groebner, shift, f)
+            assert got == want, where
+            if source is target:
+                assert len(calls) == len(set(calls)), where
+        same += source is target
+        quotients += source is not target
+        zero_weight += 0 in source.gen_w
+        modules += source.is_module and source.has_unit
+        no_unit += not source.has_unit
+    assert min(same, quotients, zero_weight, modules, no_unit) >= 20
 
 
 def test_normal_form_and_printing_helpers():

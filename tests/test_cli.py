@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shlex
@@ -414,3 +415,38 @@ def test_sq1_values_descriptor(tmp_path):
     )
     assert code == 1  # v3 -> 0 breaks descent
     assert "tau*v3 + rho*u2" in out
+
+
+THREE = str(Path(__file__).resolve().parents[1] / "bench" / "three.json")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["hom", "verify", "pq:2", "--model", "real", "--box", "10", "10", "--format", "json"],
+         "49eea14afc01b11869d9e01d0bc88a75e038d99351cacced7bbe321a54c90a7f"),
+        (["hom", "verify", "comp:3", "--model", THREE, "--box", "10", "10"],
+         "183fa5989ff3c34b7eeeee1df53602d7f7de461a57f826de1c146b4afcdeb480"),
+        (["hom", "kernel", "comp:3", "--model", THREE, "--box", "10", "10"],
+         "1812b8790f7132e71308702fde93a0d6987d9705b16a0983b6609c3c80a68670"),
+        (["field", "show", "--model", THREE, "--format", "json"],
+         "c311e08acbeb94e9f877e5e89e9bc6721963c9efc4fa99a46f3b7a43f0f45cfd"),
+        (["ring", "table", "nbar", "--model", THREE, "--box", "10", "10"],
+         "2590577f9c3926dedd9b1a5c664f0e98ab7d954eaf52d16a0321152dbec5a68b"),
+        (["motive", "eval", "Ma(2)[3]", "--model", "finite_field", "--box", "7", "9", "--format", "json"],
+         "0ef4de16244ab4815a66cc15bf28a258a167d6d21dc518587082b111a03392be"),
+        (["motive", "eval", "Ma", "--model", "real", "--box", "12", "3"],
+         "48a820bf5adb4ac88f0483c99bfa358d8c550bd0d27f41efc317f8683f8e797d"),
+        (["motive", "eval", "Ma", "--model", "finite_field", "--box", "12", "3"],
+         "735a261af8b45695dd372bdcdcbec4175a54d56642982cf25079a2dc30c8b505"),
+        (["motive", "eval", "Ma", "--model", THREE, "--box", "12", "3"],
+         "3235e89fa8b39c98abe88f7e2cd74e20310d36fd71652b854e7655e9f1948133"),
+    ],
+    ids=lambda v: " ".join("three" if a == THREE else a for a in v) if isinstance(v, list) else v[:8],
+)
+def test_pinned_output_digests(argv, digest):
+    # outputs of the cell-sweep consumers (map ranks, Ann(alpha), the mu_1
+    # ranks behind Ma), recorded before they moved onto bigraded.cell_maps
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +27,10 @@ from subtle.maps import (
     specialize_classes,
     twist_iso,
 )
+from subtle.milnor import build_field_model
 from subtle.rings import (
     block_presentation,
+    block_table,
     build_BO,
     build_BOhtilde,
     build_BUn,
@@ -106,6 +109,23 @@ def _per_bidegree_reference(h, wmax, dmax):
                 space.add(sum(1 << index[t] for t in img.monomials))
             rows.append((w, d, space.rank, len(src_basis), len(tgt_basis)))
     return tuple(rows)
+
+
+def test_hom_verify_columns_are_the_block_tables(real, fq):
+    # the src and tgt columns of hom_verify are the block tables of the
+    # map's source and target at the same box
+    three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    w, d = 5, 4
+    for model in (real, fq, three):
+        maps = [comp_map(model, n, w + d) for n in (1, 2, 3)]
+        maps += [twist_iso(model, n, w + d) for n in (1, 2)]
+        for h in maps:
+            src = block_table(model, h.source.block_id, w, d)
+            tgt = block_table(model, h.target.block_id, w, d)
+            rows = hom_verify(h, w, d).per_bidegree
+            assert [(ww, dd, s, t) for ww, dd, _, s, t in rows] == [
+                (ww, dd, src.entry(ww, dd), tgt.entry(ww, dd)) for ww, dd, _ in src.cells()
+            ], (model.tag, h.label)
 
 
 def test_hom_verify_ranks_match_reference_on_named_maps(real, fq):

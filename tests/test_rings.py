@@ -7,7 +7,7 @@ import pytest
 
 from subtle import bigraded
 from subtle.bigraded import Bidegree, Element, poincare_table, quotient, standard_monomials
-from subtle.errors import UnsupportedBlock
+from subtle.errors import UnknownGenerator, UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model, km_annihilator
 from subtle.oracle import oracle_entry, oracle_table
@@ -127,6 +127,17 @@ def test_built_presentation_refuses_assignment(real, attr):
     with pytest.raises(AttributeError):
         delattr(pres, attr)
     assert getattr(pres, attr) is before
+
+
+def test_built_presentation_index_is_read_only(real):
+    pres = block_presentation(real, "BU:1", 6)
+    with pytest.raises(TypeError):
+        pres.index["zz"] = 0
+    again = block_presentation(real, "BU:1", 6)
+    assert again is pres and "zz" not in again.index
+    assert dict(again.index) == {name: i for i, name in enumerate(again.names)}
+    with pytest.raises(UnknownGenerator):
+        again.gen("zz")
 
 
 def test_models_equal_by_content_share_blocks():
