@@ -98,7 +98,6 @@ class AlgebraPresentation:
     gen_d: tuple[int, ...] = field(init=False)
     module_idx: tuple[int, ...] = field(init=False)
     is_module: bool = field(init=False)
-    _gb_lms: tuple[Monomial, ...] = field(init=False)
     _gb_tests: tuple[tuple, ...] = field(init=False)
     _cone: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False)
 
@@ -116,9 +115,8 @@ class AlgebraPresentation:
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "is_module", bool(self.module_idx))
-        lms = tuple(map(self.lead_monomial, self.groebner))
-        object.__setattr__(self, "_gb_lms", lms)
-        object.__setattr__(self, "_gb_tests", tuple(_divisor_test(self, lm) for lm in lms))
+        tests = tuple(_divisor_test(self, g) for g in self.groebner)
+        object.__setattr__(self, "_gb_tests", tests)
         object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
 
     # ----- monomial helpers -------------------------------------------------
@@ -151,7 +149,7 @@ class AlgebraPresentation:
     # ----- reduction --------------------------------------------------------
 
     def reduce_poly(self, p: Iterable[Monomial]) -> Poly:
-        return _reduce_full(set(p), self.groebner, self._gb_lms, self._gb_tests, self)
+        return _reduce_full(set(p), self._gb_tests, self.mono_key)
 
     # ----- element construction ---------------------------------------------
 
@@ -354,17 +352,18 @@ def _mul_mono_poly(t: Monomial, p: Poly) -> set[Monomial]:
     return {_mono_mul(t, m) for m in p}
 
 
-def _divisor_test(pres: AlgebraPresentation, lm: Monomial) -> tuple:
-    """The divisor test of leading monomial ``lm``: ``(w, d, ge, eq)``, with
-    (w)[d] its bidegree, ``ge`` the (index, exponent) pairs of its nonzero
-    exponents that ``m`` must reach, and ``eq`` the pairs that ``m`` must
-    match exactly: in a module, those of every module generator, so that the
-    cofactor is module-free."""
+def _divisor_test(pres: AlgebraPresentation, g: Poly) -> tuple:
+    """The record of Groebner element ``g``: ``(w, d, ge, eq, lm, g)``, with
+    ``lm`` its leading monomial, (w)[d] the bidegree of ``lm``, ``ge`` the
+    (index, exponent) pairs of its nonzero exponents that ``m`` must reach, and
+    ``eq`` the pairs that ``m`` must match exactly: in a module, those of every
+    module generator, so that the cofactor is module-free."""
+    lm = pres.lead_monomial(g)
     exact = pres.module_idx if pres.is_module else ()
     eq = tuple((i, lm[i]) for i in exact)
     ge_pairs = tuple((i, e) for i, e in enumerate(lm) if e and i not in exact)
     b = pres.mono_bidegree(lm)
-    return b.w, b.d, ge_pairs, eq
+    return b.w, b.d, ge_pairs, eq, lm, g
 
 
 def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -387,12 +386,13 @@ def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | N
 def _reducer(m: Monomial, tests) -> int | None:
     """Index of the first divisor test that ``m`` passes, or None: the first
     leading monomial dividing ``m`` (see ``_divisor_test``)."""
-    for k, (_, _, ge_pairs, eq) in enumerate(tests):
-        for i, e in ge_pairs:
+    # the record is read by index: unpacking its six fields costs more here
+    for k, t in enumerate(tests):
+        for i, e in t[2]:
             if m[i] < e:
                 break
         else:
-            for i, e in eq:
+            for i, e in t[3]:
                 if m[i] != e:
                     break
             else:
@@ -400,19 +400,20 @@ def _reducer(m: Monomial, tests) -> int | None:
     return None
 
 
-def _reduce_full(work: set, basis, lms, tests, pres: AlgebraPresentation) -> Poly:
-    """Full normal form: reduce every reducible monomial, largest first."""
+def _reduce_full(work: set, tests, key) -> Poly:
+    """Full normal form against the records ``tests``: reduce every
+    reducible monomial, largest by ``key`` first."""
     done: set[Monomial] = set()
     while work:
-        m = max(work, key=pres.mono_key)
+        m = max(work, key=key)
         work.discard(m)
         k = _reducer(m, tests)
         if k is None:
             done.add(m)
         else:
-            t = tuple(map(sub, m, lms[k]))
-            prod = _mul_mono_poly(t, basis[k])
-            prod.discard(m)  # m cancels against t*lms[k]
+            _, _, _, _, lm, g = tests[k]
+            prod = _mul_mono_poly(tuple(map(sub, m, lm)), g)
+            prod.discard(m)  # m cancels against the cofactor times lm
             work ^= prod
     return frozenset(done)
 
@@ -423,34 +424,30 @@ def _reduce_full(work: set, basis, lms, tests, pres: AlgebraPresentation) -> Pol
 def _buchberger(
     pres: AlgebraPresentation, polys: list[Poly], bound: int
 ) -> list[Poly]:
-    """Truncated Buchberger completion; returns the reduced basis.  ``lms``
-    and ``tests`` hold each basis element's leading monomial and divisor
-    test, kept in step with ``basis``."""
-    basis: list[Poly] = []
-    lms: list[Monomial] = []
+    """Truncated Buchberger completion; returns the reduced basis.  ``tests``
+    holds one record (``_divisor_test``) per element.  ``add`` reduces a
+    polynomial against them, so each element enters fully reduced against
+    the earlier ones, and queues the pairs of a new element with each earlier
+    one."""
+    key = pres.mono_key
     tests: list[tuple] = []
-
-    def append(r: Poly) -> None:
-        lm = pres.lead_monomial(r)
-        basis.append(r)
-        lms.append(lm)
-        tests.append(_divisor_test(pres, lm))
-
-    nonzero = [p for p in polys if p]
-    for p in sorted(nonzero, key=lambda q: pres.mono_key(pres.lead_monomial(q))):
-        r = _reduce_full(set(p), basis, lms, tests, pres)
-        if r:
-            append(r)
-
     heap: list[tuple] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            key = pres.mono_key(_mono_lcm(lms[i], lms[j]))
-            heapq.heappush(heap, (key, i, j))
+
+    def add(p) -> None:
+        r = _reduce_full(set(p), tests, key)
+        if r:
+            rec = _divisor_test(pres, r)
+            for k, t in enumerate(tests):
+                heapq.heappush(heap, (key(_mono_lcm(t[4], rec[4])), k, len(tests)))
+            tests.append(rec)
+
+    for p in sorted((p for p in polys if p), key=lambda q: key(pres.lead_monomial(q))):
+        add(p)
     while heap:
         # normal strategy: smallest lcm first, deterministic
         _, i, j = heapq.heappop(heap)
-        lmi, lmj = lms[i], lms[j]
+        _, _, _, _, lmi, gi = tests[i]
+        _, _, _, _, lmj, gj = tests[j]
         lcm = _mono_lcm(lmi, lmj)
         if pres.is_module and pres.module_count(lcm) > 1:
             continue
@@ -467,40 +464,16 @@ def _buchberger(
             x == 0 or y == 0 for x, y in zip(lmi, lmj)
         ):
             continue  # coprime criterion (polynomial components only)
-        s = set(_mul_mono_poly(ti, basis[i])) ^ _mul_mono_poly(tj, basis[j])
-        r = _reduce_full(s, basis, lms, tests, pres)
-        if r:
-            append(r)
-            new = len(basis) - 1
-            for k in range(new):
-                key = pres.mono_key(_mono_lcm(lms[k], lms[new]))
-                heapq.heappush(heap, (key, k, new))
+        add(_mul_mono_poly(ti, gi) ^ _mul_mono_poly(tj, gj))
 
-    # inter-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            if not basis[i]:
-                continue
-            others = [k for k, b in enumerate(basis) if k != i and b]
-            r = _reduce_full(
-                set(basis[i]),
-                [basis[k] for k in others],
-                [lms[k] for k in others],
-                [tests[k] for k in others],
-                pres,
-            )
-            if r != basis[i]:
-                basis[i] = r
-                if r:
-                    lms[i] = pres.lead_monomial(r)
-                    tests[i] = _divisor_test(pres, lms[i])
-                changed = True
-        kept = [k for k, b in enumerate(basis) if b]
-        basis, lms, tests = ([xs[k] for k in kept] for xs in (basis, lms, tests))
-    basis.sort(key=lambda p: pres.mono_key(pres.lead_monomial(p)))
-    return basis
+    # The reduced basis in one pass.  An element entered reduced against the
+    # earlier ones, so only a later leading monomial can divide its own (no
+    # two are equal).  Dropping each element whose leading monomial another's
+    # divides leaves a minimal set of leading monomials, and reducing each
+    # survivor's other monomials against the rest cannot change it.
+    minimal = [t for k, t in enumerate(tests) if _reducer(t[4], tests[k + 1:]) is None]
+    minimal.sort(key=lambda t: key(t[4]))
+    return [_reduce_full(set(t[5]), [u for u in minimal if u is not t], key) for t in minimal]
 
 
 # ----- public operations -------------------------------------------------------
@@ -922,7 +895,7 @@ def colon_ideal(
             candidates.append(pres.element_from_monomials(monos))
 
     chosen: list[Element] = list(base_gens)
-    current = quotient(pres, [g.monomials for g in chosen]) if chosen else pres
+    current = q
     for cand in candidates:
         if cand.is_zero():
             continue

@@ -291,13 +291,14 @@ class KernelReport:
     nonvanishing_generator: str | None
     tables_match: bool
     first_mismatch: tuple[int, int, int, int] | None  # w, d, quotient, rank
+    offending_relation: str | None = None  # set when the map is not well defined
 
     @property
     def ok(self) -> bool:
         return self.generators_vanish and self.tables_match
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "kernel_matches": self.ok,
             "box": [self.wmax, self.dmax],
             "generators_vanish": self.generators_vanish,
@@ -305,12 +306,17 @@ class KernelReport:
             "tables_match": self.tables_match,
             "first_mismatch": list(self.first_mismatch) if self.first_mismatch else None,
         }
+        if self.offending_relation:
+            obj["offending_relation"] = self.offending_relation
+        return obj
 
     def render_text(self) -> str:
         lines = [
             f"kernel check {self.label} on box ({self.wmax},{self.dmax})",
             f"ideal generators vanish: {self.generators_vanish}",
         ]
+        if self.offending_relation:
+            lines.append(f"offending relation: {self.offending_relation}")
         if self.nonvanishing_generator:
             lines.append(f"nonvanishing generator: {self.nonvanishing_generator}")
         lines.append(f"quotient table equals image ranks: {self.tables_match}")
@@ -333,7 +339,7 @@ def kernel_match(
     report = hom_verify(h, wmax, dmax)
     if not report.well_defined:
         return KernelReport(
-            h.label, wmax, dmax, False, report.offending_relation, False, None
+            h.label, wmax, dmax, False, None, False, None, report.offending_relation
         )
     vanish = True
     bad = None

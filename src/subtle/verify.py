@@ -133,8 +133,11 @@ def check_kernel(box: tuple[int, int] | None = None) -> str:
             h = comp_map(model, n, ideal.pres.truncation_bound)
             rep = kernel_match(h, ideal, w, d)
             if not rep.ok:
-                first = f"nonvanishing generator {rep.nonvanishing_generator}"
-                if rep.generators_vanish:
+                if rep.offending_relation:
+                    first = f"offending relation {rep.offending_relation}"
+                elif not rep.generators_vanish:
+                    first = f"nonvanishing generator {rep.nonvanishing_generator}"
+                else:
                     first = "first mismatch at ({})[{}]: quotient {}, image rank {}".format(*rep.first_mismatch)
                 raise _Failure(f"comp:{n} over {model.tag}: {first}")
     return f"kernels match stated ideals for n=1..3, both models, box ({w},{d})"

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from subtle import cli, verify
+from subtle.maps import hom_define
 from subtle.motives import Atom, FormalMotive
 
 
@@ -103,6 +104,14 @@ def _bump_block(block):
     return factory
 
 
+def _tau_to_zero(fn):
+    """Factory: the map builder with tau sent to 0, so no map is well defined."""
+    def fake(*args):
+        h = fn(*args)
+        return hom_define(h.source, h.target, dict(h.images, tau="0"), h.label)
+    return fake
+
+
 def _sq1_report_altered(**changes):
     def factory(fn):
         def fake(der, w, d):
@@ -139,6 +148,11 @@ FAILURES = [
         _altered(generators_vanish=False, nonvanishing_generator="u2"),
         2, "comparison-map kernel", "comp:1 over real: nonvanishing generator u2",
         id="kernel-generator",
+    ),
+    pytest.param(
+        verify.check_kernel, "comp_map", _tau_to_zero,
+        2, "comparison-map kernel", "comp:1 over real: offending relation tau*v3 + rho*u2",
+        id="kernel-relation",
     ),
     pytest.param(
         verify.check_diagonal_recursion, "block_table", _bump_block("Npow:1"),

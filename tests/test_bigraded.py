@@ -364,7 +364,7 @@ def _dense_reducer(p, m):
     """The dense divisor rule: index of the first leading monomial that m
     reaches in every exponent, matching it on every module generator in a
     module; None when there is none."""
-    for k, lm in enumerate(p._gb_lms):
+    for k, lm in enumerate(map(p.lead_monomial, p.groebner)):
         if all(map(ge, m, lm)) and (
             not p.is_module or all(m[i] == lm[i] for i in p.module_idx)
         ):
@@ -383,7 +383,7 @@ def test_divisor_tests_match_the_dense_rule_random():
             modules += 1
             variants.append(replace(p, has_unit=False))
         for q in variants:
-            assert q._gb_lms == tuple(map(q.lead_monomial, q.groebner))
+            assert [t[4:] for t in q._gb_tests] == [(q.lead_monomial(g), g) for g in q.groebner]
             for w in range(6):
                 for d in range(6):
                     cell = _monomials_of_bidegree(q, w, d, q.has_unit)
@@ -393,6 +393,58 @@ def test_divisor_tests_match_the_dense_rule_random():
                     kept = [m for m in cell if _dense_reducer(q, m) is None]
                     assert standard_monomials(q, w, d) == sorted(kept, key=q.mono_key), where
     assert zero_weight >= 10 and modules >= 10
+
+
+def _assert_unique_reduced_basis(rng, q):
+    """The basis of q is minimal and reduced, as ``_reducer`` decides, and
+    completing the relations in shuffled order gives the same tuple."""
+    tests = q._gb_tests
+    where = (q.gens, q.relations, q.has_unit)
+    for k, (_, _, _, _, lm, g) in enumerate(tests):
+        # minimal: no other leading monomial divides this one
+        assert bigraded._reducer(lm, tests[:k] + tests[k + 1:]) is None, where
+        # reduced: no leading monomial divides another monomial
+        assert all(bigraded._reducer(m, tests) is None for m in g - {lm}), where
+    rels = list(q.relations)
+    rng.shuffle(rels)
+    again = presentation_new(q.gens, rels, q.truncation_bound, has_unit=q.has_unit)
+    assert again.groebner == q.groebner, where
+
+
+def test_completion_returns_the_unique_reduced_basis_random():
+    rng = random.Random(37)
+    modules = without_unit = 0
+    for _ in range(40):
+        p = _random_presentation(rng, rng.randint(10, 12), max_rels=6)
+        variants = [p]
+        if p.is_module:
+            modules += 1
+            variants.append(replace(p, has_unit=False))
+        for q in variants:
+            without_unit += not q.has_unit
+            _assert_unique_reduced_basis(rng, q)
+    assert modules >= 10 and without_unit >= 10
+
+
+def test_completion_drops_a_relation_a_later_element_divides():
+    # the S-pair of x*y + x^2 and y^2 reduces to x^3, which divides the
+    # leading monomial of the earlier relation x^4 (mu*x^3 that of mu*x^4),
+    # so the relation leaves the reduced basis
+    x, y = GenSpec("x", Bidegree(1, 1)), GenSpec("y", Bidegree(1, 1))
+    mu = GenSpec("mu", Bidegree(0, 1), MODULE_GEN)
+    rng = random.Random(41)
+    for gens, rels, want in [
+        ([x, y], ["x*y + x^2", "y^2", "x^4"], ["x*y + x^2", "y^2", "x^3"]),
+        (
+            [x, y, mu],
+            ["x*y + x^2", "y^2", "mu*x^4"],
+            ["x*y + x^2", "y^2", "x*y*mu + x^2*mu", "y^2*mu", "x^3", "x^3*mu"],
+        ),
+    ]:
+        p = presentation_new(gens, rels, 12)
+        assert [str(Element(p, g)) for g in p.groebner] == want
+        for q in (p, replace(p, has_unit=False)) if p.is_module else (p,):
+            _assert_unique_reduced_basis(rng, q)
 
 
 def _standard_monomials_reference(p, w, d):

@@ -283,6 +283,24 @@ def test_kernel_negative_control(real):
     assert not rep.generators_vanish
 
 
+def test_kernel_match_names_the_offending_relation(real):
+    # with tau sent to 0 the map is not well defined on tau*v3 + rho*u2, a
+    # source relation, which is no generator of the ideal
+    ideal = comp_kernel_ideal(real, 1, 6)
+    h = comp_map(real, 1, ideal.pres.truncation_bound)
+    broken = hom_define(h.source, h.target, dict(h.images, tau="0"), h.label)
+    rep = kernel_match(broken, ideal, 3, 3)
+    assert not rep.ok
+    assert rep.offending_relation == "tau*v3 + rho*u2"
+    assert rep.nonvanishing_generator is None
+    assert "offending relation: tau*v3 + rho*u2" in rep.render_text()
+    assert "nonvanishing generator" not in rep.render_text()
+    obj = rep.to_json_obj()
+    assert obj["offending_relation"] == "tau*v3 + rho*u2"
+    assert obj["nonvanishing_generator"] is None
+    assert "offending_relation" not in kernel_match(h, ideal, 3, 3).to_json_obj()
+
+
 def test_kernel_match_needs_the_ideal_in_the_map_source(real):
     # comp:3's pair generator v7*u2 + u3*u6 has total degree 13, so the ideal
     # asked for at bound 12 lives in the cached BOh:3 at bound 13
