@@ -221,16 +221,13 @@ class AlgebraPresentation:
     # ----- extension ---------------------------------------------------------
 
     def extend_bound(self, bound: int) -> "AlgebraPresentation":
-        """Return a presentation certified up to the larger bound."""
+        """Return a presentation certified up to the larger bound, keeping
+        ``model`` but, like ``quotient``, not ``block_id``: a block's
+        relations are read at its own bound, so they need not present it here."""
         if bound <= self.truncation_bound:
             return self
         return presentation_new(
-            self.gens,
-            list(self.relations),
-            bound,
-            has_unit=self.has_unit,
-            model=self.model,
-            block_id=self.block_id,
+            self.gens, list(self.relations), bound, has_unit=self.has_unit, model=self.model
         )
 
 @dataclass(frozen=True, eq=False)

@@ -239,12 +239,6 @@ def _cmd_hom(args) -> int:
     w, d = args.box
     bound = w + d
     map_arg = args.map
-    if args.action == "kernel" and map_arg.startswith("comp:"):
-        n = _map_index(map_arg)
-        ideal = comp_kernel_ideal(model, n, bound)
-        rep = kernel_match(comp_map(model, n, ideal.pres.truncation_bound), ideal, w, d)
-        _report(args, rep)
-        return 0 if rep.ok else 1
     if map_arg.startswith("comp:"):
         h = comp_map(model, _map_index(map_arg), bound)
     elif map_arg.startswith("pq:"):
@@ -254,8 +248,11 @@ def _cmd_hom(args) -> int:
     else:
         raise SubtleError(f"unknown map {map_arg!r} (expected comp:n, pq:n, or a file)")
     if args.action == "kernel":
-        raise SubtleError("kernel checking is defined for comp:n maps")
-
+        if not map_arg.startswith("comp:"):
+            raise SubtleError("kernel checking is defined for comp:n maps")
+        rep = kernel_match(h, comp_kernel_ideal(model, _map_index(map_arg), bound), w, d)
+        _report(args, rep)
+        return 0 if rep.ok else 1
     rep = hom_verify(h, w, d)
     _report(args, rep)
     return 0 if rep.well_defined else 1

@@ -33,12 +33,7 @@ from .errors import (
 from .gf2 import RowSpace
 from .milnor import FieldModel
 from .parse import ELEMENT_STRINGS, STRING, load_descriptor
-from .rings import (
-    block_presentation,
-    _fit_bound,
-    _ann_strings,
-    _require_alpha,
-)
+from .rings import block_presentation, _ann_strings, _require_alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +248,9 @@ def comp_map(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
 
 def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
     """The stated kernel ideal of the comparison map, with the top odd class
-    name substituted for n odd."""
+    name substituted for n odd, in the source of ``comp_map(model, n, bound)``.
+    It keeps the stated generators of total degree at most ``bound``: those
+    generate a homogeneous ideal's part up to that degree."""
     if n < 1:
         raise SubtleError("comparison map needs n >= 1")
     src = block_presentation(model, f"BOh:{n}", bound)
@@ -265,9 +262,7 @@ def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
         return top_v if (n % 2 == 1 and k == 2 * n + 1) else f"u{k}"
 
     jmax = (n - 1) // 2
-    gens: list[str] = []
-    for j in range(jmax + 1):
-        gens.append(uname(4 * j + 1))
+    gens = [uname(4 * j + 1) for j in range(jmax + 1)]
     for j in range(jmax + 1):
         gens.append(f"tau*{uname(4 * j + 3)} + ({alpha})*u{4 * j + 2}")
         gens += [f"({a})*{uname(4 * j + 3)}" for a in anns]
@@ -276,9 +271,8 @@ def comp_kernel_ideal(model: FieldModel, n: int, bound: int = 16) -> IdealGens:
             gens.append(
                 f"{uname(4 * i + 3)}*u{4 * j + 2} + {uname(4 * j + 3)}*u{4 * i + 2}"
             )
-    # the pair generators may outgrow the requested bound; widen to fit
-    src = block_presentation(model, f"BOh:{n}", _fit_bound(src, gens, bound))
-    elements = tuple(src.el(g) for g in gens)
+    polys = [src.raw_to_poly(g) for g in gens]
+    elements = tuple(src.el(p) for p in polys if src.poly_bidegree(p).total <= bound)
     return IdealGens(src, elements, bound)
 
 
@@ -332,8 +326,7 @@ def kernel_match(
 ) -> KernelReport:
     """Certify kernel = (ideal) on the box: the generators must map to 0 and
     the quotient table must equal the per-bidegree image ranks.  The ideal
-    must live in the map's source; ``comp_kernel_ideal`` may widen the bound,
-    so build the map at ``ideal.pres.truncation_bound``."""
+    must live in the map's source."""
     if ideal.pres is not h.source:
         raise SubtleError("the ideal does not belong to the map's source")
     report = hom_verify(h, wmax, dmax)

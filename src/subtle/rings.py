@@ -9,7 +9,7 @@ Block identifiers (CLI-facing):
     BOh:n        BOp:n for n odd, free u_1..u_2n for n even
     Npow:m       H-module on mu_1..mu_m, tau*mu_i = alpha*mu_{i-1}
     Mtilde       one-diagonal module on mu
-    Xtilde       modules mu_i on successive diagonals (truncated)
+    Xtilde       modules mu_i on successive diagonals, i up to the requested bound
     Xalpha       ring with mu adjoined, tau*mu = alpha
     XBU:n        Xalpha freely extended by c_1..c_n
     XBO:n        Xalpha freely extended by u_1..u_n (both sides of the twist map)
@@ -22,6 +22,11 @@ content, block, bound): package code asks it for a block.  The public
 returns the cached H and ``build_BOhtilde`` relabels a cached BOp:n or BO:2n.
 ``block_table`` is the one route from a block to its Poincare table and
 caches nothing across calls.
+
+The bound rule, applied by ``_present`` alone, the one reader of Ann(alpha)
+for a block: a block asked for at bound B is built at the first bound >= B
+that holds its relations, with Ann(alpha) read there, so it holds every
+relation of total degree up to the bound it states, which may exceed B.
 """
 
 from __future__ import annotations
@@ -67,19 +72,34 @@ def _fit_bound(pres: AlgebraPresentation, raws, bound: int) -> int:
     return bound
 
 
+@dataclass(frozen=True)
+class _Killed:
+    """Stands for the relations (a)*name, a over the generators of Ann(alpha)
+    read at the block's bound; ``_present`` expands it in place."""
+
+    name: str
+
+
 def _present(
     model: FieldModel, block_id: str, gens, rels, bound: int, **kwargs
 ) -> AlgebraPresentation:
     """The block over H: H's generators and relations, then the block's own
-    ``gens`` and ``rels``, with the bound raised to fit the relations
-    themselves; labelled with its model and block id."""
+    ``gens`` and ``rels``; labelled with its model and block id.  While the
+    relations outgrow the bound, the bound rises to fit them and Ann(alpha) is
+    read again; this ends, as the generators are fixed and Ann(alpha) is
+    finitely generated."""
     gens = h_gens(model) + gens
-    rels = list(model.relation_strings) + rels
     shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
-    needed = _fit_bound(shell, rels, bound)
-    return presentation_new(
-        gens, rels, needed, model=model, block_id=block_id, **kwargs
-    )
+    killed = any(isinstance(r, _Killed) for r in rels)
+    while True:
+        anns = _ann_strings(model, bound) if killed else []
+        expanded = list(model.relation_strings)
+        for r in rels:
+            expanded += [f"({a})*{r.name}" for a in anns] if isinstance(r, _Killed) else [r]
+        needed = _fit_bound(shell, expanded, bound)
+        if needed == bound:
+            return presentation_new(gens, expanded, bound, model=model, block_id=block_id, **kwargs)
+        bound = needed
 
 
 def _ann_strings(model: FieldModel, bound: int) -> list[str]:
@@ -108,15 +128,9 @@ def build_BUn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation
     odd = [j for j in range(1, n + 1) if j % 2 == 1]
     gens += [GenSpec(f"d{j}", Bidegree(j, 2 * j + 1)) for j in odd]
     rels = []
-    if n >= 1:
-        alpha = _require_alpha(model)
-        anns = _ann_strings(model, bound)
-        for j in odd:
-            rels.append(f"tau*d{j} + ({alpha})*c{j}")
-            rels += [f"({a})*d{j}" for a in anns]
-        for a_idx, j in enumerate(odd):
-            for jp in odd[a_idx + 1:]:
-                rels.append(f"c{jp}*d{j} + c{j}*d{jp}")
+    for j in odd:
+        rels += [f"tau*d{j} + ({_require_alpha(model)})*c{j}", _Killed(f"d{j}")]
+    rels += [f"c{jp}*d{j} + c{j}*d{jp}" for a, j in enumerate(odd) for jp in odd[a + 1:]]
     return _present(model, f"BU:{n}", gens, rels, bound)
 
 
@@ -130,8 +144,7 @@ def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
     v = f"v{2 * n + 1}"
     gens = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, 2 * n + 1)]
     gens.append(GenSpec(v, Bidegree(n, 2 * n + 1)))
-    rels = [f"tau*{v} + ({alpha})*u{2 * n}"]
-    rels += [f"({a})*{v}" for a in _ann_strings(model, bound)]
+    rels = [f"tau*{v} + ({alpha})*u{2 * n}", _Killed(v)]
     return _present(model, f"BOp:{n}", gens, rels, bound)
 
 
@@ -147,8 +160,7 @@ def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresent
 
 def _xalpha(model: FieldModel, block_id: str, free, bound: int) -> AlgebraPresentation:
     """Xalpha freely extended by the generators ``free``."""
-    rels = [f"tau*mu + ({_require_alpha(model)})"]
-    rels += [f"({a})*mu" for a in _ann_strings(model, bound)]
+    rels = [f"tau*mu + ({_require_alpha(model)})", _Killed("mu")]
     return _present(model, block_id, [GenSpec("mu", Bidegree(0, 1))] + free, rels, bound)
 
 
@@ -164,22 +176,15 @@ def build_Npow(model: FieldModel, m: int, bound: int = 16) -> AlgebraPresentatio
     alpha = _require_alpha(model)
     gens = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, m + 1)]
     rels = []
-    anns = _ann_strings(model, bound)
     for i in range(1, m + 1):
         prev = f"mu{i - 1}" if i > 1 else "1"
-        rels.append(f"tau*mu{i} + ({alpha})*{prev}")
-        rels += [f"({a})*mu{i}" for a in anns]
+        rels += [f"tau*mu{i} + ({alpha})*{prev}", _Killed(f"mu{i}")]
     return _present(model, f"Npow:{m}", gens, rels, bound)
 
 
 def _tau_torsion(model: FieldModel, block_id: str, mus, bound: int) -> AlgebraPresentation:
     """Module on the generators ``mus``, each killed by tau and by Ann(alpha)."""
-    _require_alpha(model)
-    anns = _ann_strings(model, bound)
-    rels = []
-    for mu in mus:
-        rels.append(f"tau*{mu.name}")
-        rels += [f"({a})*{mu.name}" for a in anns]
+    rels = [r for mu in mus for r in (f"tau*{mu.name}", _Killed(mu.name))]
     return _present(model, block_id, mus, rels, bound, has_unit=False)
 
 
@@ -189,8 +194,9 @@ def build_Mtilde(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
 
 
 def build_Xtilde(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
-    """One diagonal copy per mu_i, i >= 1, truncated at the working bound."""
-    mus = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, bound + 1)]
+    """One diagonal copy per mu_i, 1 <= i <= max(bound, 1): the mu_i stop at
+    the requested bound, and mu_1 keeps the block a module at bound 0."""
+    mus = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, max(bound, 1) + 1)]
     return _tau_torsion(model, "Xtilde", mus, bound)
 
 

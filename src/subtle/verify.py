@@ -129,9 +129,8 @@ def check_kernel(box: tuple[int, int] | None = None) -> str:
     w, d = _box((8, 8), box)
     for model in _models():
         for n in (1, 2, 3):
-            ideal = comp_kernel_ideal(model, n, w + d)
-            h = comp_map(model, n, ideal.pres.truncation_bound)
-            rep = kernel_match(h, ideal, w, d)
+            h = comp_map(model, n, w + d)
+            rep = kernel_match(h, comp_kernel_ideal(model, n, w + d), w, d)
             if not rep.ok:
                 if rep.offending_relation:
                     first = f"offending relation {rep.offending_relation}"

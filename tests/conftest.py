@@ -25,3 +25,21 @@ def two_gen():
     return build_field_model(
         {"name": "two_gen", "generators": ["a", "b"], "relations": ["a*b"], "alpha": "a"}
     )
+
+
+@pytest.fixture(scope="session")
+def ab4_path(tmp_path_factory):
+    # Ann(a) = (b^4): its generator sits far above the small bounds, so a
+    # block asked for at a small bound rises past it
+    path = tmp_path_factory.mktemp("models") / "ab4.json"
+    path.write_text(
+        '{"name": "ab4", "generators": ["a", "b"], "relations": ["a*b^4"], '
+        '"alpha": "a", "minus_one": "a"}',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.fixture(scope="session")
+def ab4(ab4_path):
+    return build_field_model(ab4_path)

@@ -184,6 +184,31 @@ def test_verify_all_small_box_exits_0():
     assert [CheckResult(**c).line() for c in checks] == out.splitlines()
 
 
+def _relations(out):
+    return set(dict(line.split(": ", 1) for line in out.splitlines())["relations"].split(", "))
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["sq1", "check", "BOp:1", "--model", "ab4", "--box", "1", "1"],
+         lambda out: "descends to quotient: True" in out),
+        (["hom", "kernel", "comp:1", "--model", "ab4", "--box", "1", "1"],
+         lambda out: out.splitlines()[-1] == "MATCH"),
+        (["ring", "build", "BU:3", "--model", "finite_field", "--box", "0", "0"],
+         lambda out: {"s*d1", "s*d3"} <= _relations(out)),
+        (["verify", "all", "--box", "0", "0"],
+         lambda out: [line[:4] for line in out.splitlines()] == ["PASS"] * 10),
+    ],
+    ids=["sq1", "kernel", "build", "verify"],
+)
+def test_blocks_at_small_boxes_hold_their_relations(argv, passes, ab4_path):
+    # a block asked for at a small bound rises to fit its relations and reads
+    # Ann(alpha) at the raised bound
+    code, out = run_cli(*(ab4_path if a == "ab4" else a for a in argv))
+    assert code == 0 and passes(out), out
+
+
 def test_unknown_block_exits_2():
     code, _ = run_cli("ring", "table", "QQ:1", "--model", "real")
     assert code == 2

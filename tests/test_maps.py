@@ -287,7 +287,7 @@ def test_kernel_match_names_the_offending_relation(real):
     # with tau sent to 0 the map is not well defined on tau*v3 + rho*u2, a
     # source relation, which is no generator of the ideal
     ideal = comp_kernel_ideal(real, 1, 6)
-    h = comp_map(real, 1, ideal.pres.truncation_bound)
+    h = comp_map(real, 1, 6)
     broken = hom_define(h.source, h.target, dict(h.images, tau="0"), h.label)
     rep = kernel_match(broken, ideal, 3, 3)
     assert not rep.ok
@@ -302,13 +302,14 @@ def test_kernel_match_names_the_offending_relation(real):
 
 
 def test_kernel_match_needs_the_ideal_in_the_map_source(real):
-    # comp:3's pair generator v7*u2 + u3*u6 has total degree 13, so the ideal
-    # asked for at bound 12 lives in the cached BOh:3 at bound 13
+    # the ideal lives in the map's own source; comp:3's pair generator
+    # v7*u2 + u3*u6 has total degree 13, so at bound 12 it is left out
     ideal = comp_kernel_ideal(real, 3, 12)
-    assert ideal.pres is block_presentation(real, "BOh:3", 13)
+    assert ideal.pres is comp_map(real, 3, 12).source
+    assert not any("v7" in str(g) and "u2" in str(g) for g in ideal.gens)
     with pytest.raises(SubtleError, match="does not belong to the map's source"):
-        kernel_match(comp_map(real, 3, 12), ideal, 4, 4)
-    assert kernel_match(comp_map(real, 3, ideal.pres.truncation_bound), ideal, 4, 4).ok
+        kernel_match(comp_map(real, 3, 14), ideal, 4, 4)
+    assert kernel_match(comp_map(real, 3, 12), ideal, 4, 4).ok
 
 
 def test_kernel_match_symmetry(real):

@@ -160,9 +160,50 @@ def test_extend_bound_and_quotient_keep_labels(real):
     assert pres.model == real and pres.block_id == "BOp:1"
     big = pres.extend_bound(10)
     assert big is not pres and big.truncation_bound == 10
-    assert big.model is pres.model and big.block_id == "BOp:1"
+    assert big.model is pres.model and big.block_id is None
     q = quotient(pres, ["u1"])
     assert q.model is pres.model and q.block_id is None
+    # Xtilde's mu_i stop at the requested bound, so extending Xtilde at 4 to 8
+    # is not the Xtilde block at 8 and must not carry its label
+    small = block_presentation(real, "Xtilde", 4)
+    big = small.extend_bound(8)
+    assert big.block_id is None and big.model is small.model
+    assert [poincare_table(big, 0, 8).entry(0, d) for d in range(5, 9)] == [0] * 4
+    assert [block_table(real, "Xtilde", 0, 8).entry(0, d) for d in range(5, 9)] == [1] * 4
+
+
+@pytest.mark.parametrize("name", ["real", "finite_field"])
+def test_xtilde_has_no_unit_at_bound_0(name):
+    # at bound 0 the block still has mu1, so it is a module without a unit
+    model = build_field_model(name)
+    assert block_presentation(model, "Xtilde", 0).is_module
+    assert block_table(model, "Xtilde", 0, 0).entry(0, 0) == 0
+    assert block_table(model, "Xtilde", 1, 0).entry(0, 0) == 0
+
+
+_BOUND_RULE_BLOCKS = ("BU:1", "BU:3", "BOp:1", "BOp:2", "Npow:2", "Mtilde", "Xalpha", "XBU:1", "XBO:2")
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "three", "ab4"])
+def test_block_holds_every_relation_up_to_its_bound(model_name, ab4):
+    # a block asked for at any bound is exact up to the bound it states: each
+    # cell there has as many standard monomials as in the block built higher.
+    # Xtilde is left out, its mu_i stop at the requested bound by definition
+    if model_name == "ab4":
+        model = ab4
+    elif model_name == "three":
+        model = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    else:
+        model = build_field_model(model_name)
+    for block in _BOUND_RULE_BLOCKS:
+        for asked in (0, 1, 2, 4):
+            pres = block_presentation(model, block, asked)
+            top = pres.truncation_bound
+            ref = block_presentation(model, block, top + 4)
+            for w in range(top + 1):
+                for d in range(top + 1 - w):
+                    got = len(standard_monomials(pres, w, d))
+                    assert got == len(standard_monomials(ref, w, d)), (block, asked, w, d)
 
 
 def test_npow_tables(real, fq):
@@ -533,5 +574,8 @@ def test_qc_model_rejected_for_alpha_blocks(qc):
         build_BUn(qc, 1, 8)
     with pytest.raises(AlphaIsSquare):
         build_Xalpha(qc, 8)
+    for build in (build_Mtilde, build_Xtilde):
+        with pytest.raises(AlphaIsSquare):
+            build(qc, 0)
     # alpha-free blocks still build
     assert build_BO(qc, 3, 8) is not None
