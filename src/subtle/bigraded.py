@@ -34,11 +34,12 @@ from .errors import (
     InvalidModuleProduct,
     NegativeBidegree,
     NonHomogeneousRelation,
-    ShapeMismatch,
+    RelationLeavesModule,
     UnknownGenerator,
     ZeroDivisorOfEverything,
 )
 from .gf2 import kernel_of_map
+from .tables import PoincareTable, table_tensor  # re-exported: callers import them from here
 
 Monomial = tuple[int, ...]
 Poly = frozenset  # frozenset[Monomial]
@@ -100,6 +101,7 @@ class AlgebraPresentation:
     is_module: bool = field(init=False)
     _gb_tests: tuple[tuple, ...] = field(init=False)
     _cone: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False)
+    _rules: tuple | None = field(init=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.gens)
@@ -118,6 +120,7 @@ class AlgebraPresentation:
         tests = tuple(_divisor_test(self, g) for g in self.groebner)
         object.__setattr__(self, "_gb_tests", tests)
         object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
+        object.__setattr__(self, "_rules", _enumeration_rules(len(gens), tests))
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -363,6 +366,64 @@ def _divisor_test(pres: AlgebraPresentation, g: Poly) -> tuple:
     return b.w, b.d, ge_pairs, eq, lm, g
 
 
+_NO_ACT = (0, ())  # (ban, part) at an exponent that runs no record
+
+
+def _enumeration_rules(n: int, tests) -> tuple | None:
+    """How ``_monomials_of_bidegree`` runs the divisor records ``tests`` over
+    n generators: ``(caps, acts)``, or None when a leading monomial is 1.
+
+    A record runs at generator i, the lowest it reads (the last generator's
+    at the one before).  It divides a monomial whose exponent e at i passes
+    its pair at i, if any (e == x for a pair of eq, else e >= x), and whose
+    tail after i passes its pairs after i.  In a module, a pair (j, 1) of eq
+    implies the (k, 0) ones, since a monomial holds at most one module
+    generator.  ``acts[i][min(e, len - 1)]`` is ``(ban, part)`` for the
+    records that e passes: ``ban`` has bit j for each whose pairs after i are
+    one pair (j, 1), so that the tails after i leave generator j out, and
+    ``part`` holds the others as ``(_, _, ge, eq)`` with indices counted
+    from i + 1, for ``_reducer`` to run on those tails.  A record with no
+    pairs after i and a pair of ge caps e below x: ``caps[i]``."""
+    caps = [1 << 62] * n
+    levels: list[list[tuple]] = [[] for _ in range(n)]
+    for t in tests:
+        ge, eq = t[2], t[3]
+        if eq:
+            eq = tuple(p for p in eq if p[1]) or eq
+        elif not ge:
+            return None
+        i = min(ge[0][0] if ge else n, eq[0][0] if eq else n, max(n - 2, 0))
+        if ge and ge[0][0] == i:
+            exact, x, ge = False, ge[0][1], ge[1:]
+        elif eq and eq[0][0] == i:
+            exact, x, eq = True, eq[0][1], eq[1:]
+        else:
+            exact, x = False, 0
+        after = ge + eq
+        if not after and not exact:
+            caps[i] = min(caps[i], x - 1)
+        elif len(after) == 1 and after[0][1] == 1:
+            levels[i].append((exact, x, 1 << after[0][0], None))
+        else:
+            s = i + 1
+            rest = (tuple((j - s, y) for j, y in ge), tuple((j - s, y) for j, y in eq))
+            levels[i].append((exact, x, 0, (exact, x) + rest))
+    acts: list[tuple | None] = [None] * n
+    for i, level in enumerate(levels):
+        if level:
+            table = []
+            for e in range(max(r[1] for r in level) + 2):
+                ban, part = 0, ()
+                for exact, x, b, rest in level:
+                    if e == x if exact else e >= x:
+                        ban |= b
+                        if rest:
+                            part += (rest,)
+                table.append((ban, part) if ban or part else _NO_ACT)
+            acts[i] = tuple(table)
+    return tuple(caps), tuple(acts)
+
+
 def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """The nonzero generator bidegrees ``((lw, ld), (hw, hd))`` of lowest and
     highest slope d/w, or None when no generator has a nonzero bidegree.
@@ -487,10 +548,14 @@ def presentation_new(
     """Build a presentation and compute its truncated Groebner basis.
 
     Generator bidegrees must be non-negative (zero is allowed): cell
-    enumeration and the divisor tests of ``standard_monomials`` rely on it.
+    enumeration and the generator cone of ``standard_monomials`` rely on it.
     ``rels`` entries may be element strings, parsed raw polys, monomial sets
     over these generators, or Elements of a presentation with the same
-    generator names.
+    generator names.  In a module without a unit component (``has_unit``
+    false), a relation must not mix module monomials with monomials free of
+    module generators: reduction would carry module elements out of the
+    module.  A relation wholly free of module generators is a coefficient-ring
+    relation and acts on each module generator.
     """
     seen = set()
     for g in gens:
@@ -522,6 +587,11 @@ def presentation_new(
         if b.total > bound:
             raise BoundTooSmall(
                 f"relation of total degree {b.total} exceeds bound {bound}"
+            )
+        if not has_unit and {bool(shell.module_count(m)) for m in poly} == {True, False}:
+            raise RelationLeavesModule(
+                f"relation {str(Element(shell, poly))!r} of a module without a unit "
+                "component mixes module monomials with monomials free of module generators"
             )
         rel_polys.append(poly)
 
@@ -558,112 +628,50 @@ def groebner(pres: AlgebraPresentation, bound: int | None = None):
     return p, [Element(p, g) for g in p.groebner]
 
 
-@dataclass(frozen=True)
-class PoincareTable:
-    """Bigraded GF(2)-dimension counts over a finite box."""
-
-    wmax: int
-    dmax: int
-    counts: tuple[tuple[int, ...], ...]  # counts[w][d]
-    class_gens: tuple[Bidegree, ...] | None = None
-    clipped: bool = False
-
-    def entry(self, w: int, d: int) -> int:
-        if 0 <= w <= self.wmax and 0 <= d <= self.dmax:
-            return self.counts[w][d]
-        return 0
-
-    def cells(self):
-        for w in range(self.wmax + 1):
-            for d in range(self.dmax + 1):
-                yield w, d, self.counts[w][d]
-
-    def __add__(self, other: "PoincareTable") -> "PoincareTable":
-        if (self.wmax, self.dmax) != (other.wmax, other.dmax):
-            raise ShapeMismatch("tables cover different boxes")
-        counts = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.counts, other.counts)
-        )
-        return PoincareTable(
-            self.wmax, self.dmax, counts, None, self.clipped or other.clipped
-        )
-
-    def shift(self, i: int, j: int) -> "PoincareTable":
-        """Tate twist (i)[j]: entry (w, d) becomes old entry (w-i, d-j)."""
-        clipped = self.clipped or i < 0 or j < 0
-        counts = tuple(
-            tuple(self.entry(w - i, d - j) for d in range(self.dmax + 1))
-            for w in range(self.wmax + 1)
-        )
-        return PoincareTable(self.wmax, self.dmax, counts, None, clipped)
-
-    def same_entries(self, other: "PoincareTable") -> bool:
-        return (self.wmax, self.dmax) == (other.wmax, other.dmax) and all(
-            a == b
-            for ra, rb in zip(self.counts, other.counts)
-            for a, b in zip(ra, rb)
-        )
-
-    def to_json_obj(self) -> dict:
-        entries = [
-            [w, d, self.counts[w][d]]
-            for w in range(self.wmax + 1)
-            for d in range(self.dmax + 1)
-        ]
-        return {"box": [self.wmax, self.dmax], "entries": entries}
-
-    def render_text(self) -> str:
-        width = max(
-            len(f"d={self.dmax}"),
-            max((len(str(c)) for _, _, c in self.cells()), default=1),
-        ) + 2
-        label = max(len(f"w={self.wmax}"), 4)
-        lines = []
-        header = " " * label + "".join(
-            f"d={d}".rjust(width) for d in range(self.dmax + 1)
-        )
-        lines.append(header)
-        for w in range(self.wmax + 1):
-            row = f"w={w}".ljust(label) + "".join(
-                str(self.counts[w][d]).rjust(width) for d in range(self.dmax + 1)
-            )
-            lines.append(row)
-        return "\n".join(lines)
-
-
 # Dead enumeration states, kept for the life of the process and shared by every
 # presentation of the same generator shape: generator bidegrees, module-generator
 # indices and unit-component flag.  _DEAD[shape][i, rw, mods] has bit rd set
 # when generators i.. cannot use up the remainder (rw)[rd] exactly.  A flag is a
-# fact about the shape alone, so sharing one cannot change a result, and an
-# update lost to a concurrent call only drops a flag.  Only flags are kept,
-# never monomials, so a shape costs a few dozen rows of ints.
+# fact about the shape alone: a state that leading terms emptied is never
+# flagged.  So sharing one cannot change a result, and an update lost to a
+# concurrent call only drops a flag.  Only flags are kept, never monomials, so a
+# shape costs a few dozen rows of ints.
 _DEAD: dict[tuple, dict[tuple[int, int, int], int]] = {}
 
 
 def _monomials_of_bidegree(
-    pres: AlgebraPresentation, w: int, d: int, include_unit_component: bool = True
+    pres: AlgebraPresentation,
+    w: int,
+    d: int,
+    include_unit_component: bool = True,
+    prune: bool = False,
 ) -> list[Monomial]:
     """All valid monomials of bidegree exactly (w)[d], in lexicographic order
-    of exponent vectors.
+    of exponent vectors; with ``prune``, only those that no leading monomial
+    of ``pres`` divides.
 
     Exponents are chosen generator by generator, and an exponent is kept only
     when the later generators can use up what it leaves exactly, so no prefix
     is extended that cannot reach (w)[d]; the last generator's exponent is
-    forced by the remainder.  A remainder that generators i.. cannot use up
-    is a dead state.  Deadness depends on the generator shape alone, so dead
-    states are flagged in ``_DEAD``, which outlives the call and the
-    presentation: every later call on the same shape skips them without
-    entering them.  The monomials of each state entered are memoised for
-    this call only.  Generator bidegrees are taken to be non-negative, as every
-    builder's are.  Only generator bidegrees, the module-generator limit and
-    the unit flag are used, never leading terms, which is why the dense
-    oracle may share this function.
+    forced by the remainder.  With ``prune``, the presentation's divisor
+    records run as the enumeration goes (``_enumeration_rules``): a tail that
+    a leading term divides is dropped at the first generator the term reads,
+    or not built at all, so no monomial it divides is built, since standard
+    monomials form an order ideal.  A remainder that generators i.. cannot use up is a dead
+    state.  Deadness depends on the generator shape alone, so dead states are
+    flagged in ``_DEAD``, which outlives the call and the presentation: every
+    later call on the same shape skips them without entering them.  The
+    monomials of each state entered are memoised for this call only.
+    Generator bidegrees are taken to be non-negative, as every builder's are.
+    Without ``prune``, as the dense oracle calls it, only generator
+    bidegrees, the module-generator limit and the unit flag are read.
     """
     n = len(pres.gens)
     module_idx = pres.module_idx if pres.is_module else ()
     keep_unit = include_unit_component or not pres.is_module
+    rules = pres._rules if prune else ([1 << 62] * n, [None] * n)
+    if rules is None:
+        return []  # the leading monomial 1 divides every monomial
     if n == 0:
         return [()] if w == 0 and d == 0 and keep_unit else []
     if w < 0 or d < 0:
@@ -687,14 +695,18 @@ def _monomials_of_bidegree(
 
     if n == 1:
         e = closing(w, d, 0)
-        return [] if e is None else [(e,)]
+        return [] if e is None or prune and _reducer((e,), pres._gb_tests) is not None else [(e,)]
     if dead.get((0, w, 0), 0) >> d & 1:
         return []
-    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
+    caps, acts = rules
+    memo: dict[tuple[int, int, int, int, int], list[Monomial]] = {}
+    nothing: tuple = ()  # the tails of a dead state
 
-    def tails(i: int, rw: int, rd: int, mods: int) -> list[Monomial]:
-        """Exponents of generators i.. that use up (rw)[rd] exactly."""
-        key = (i, rw, rd, mods)
+    def tails(i: int, rw: int, rd: int, mods: int, banned: int) -> list[Monomial]:
+        """Exponents of generators i.. that use up (rw)[rd] exactly, leave
+        out the generators of the bits of ``banned`` and pass every rule run
+        at generators i.. (``_enumeration_rules``)."""
+        key = (i, rw, rd, mods, banned)
         found = memo.get(key)
         if found is None:
             gw, gd = gen_w[i], gen_d[i]
@@ -709,30 +721,63 @@ def _monomials_of_bidegree(
             limited = i in module_idx
             if limited and cap > 1 - mods:
                 cap = 1 - mods
+            stop = 0 if banned >> i & 1 else caps[i]
+            if stop > cap:
+                stop = cap
+            act = acts[i]
             found = []
-            if i + 1 < last:
-                j = i + 1
-                for e in range(cap + 1):
+            live = False  # some exponents use up the remainder
+            j = i + 1
+            if j < last:
+                high = banned >> j << j
+                for e in range(stop + 1):
                     cw, cd = rw - e * gw, rd - e * gd
                     cm = mods + e if limited else mods
                     if dead.get((j, cw, cm), 0) >> cd & 1:
                         continue
-                    for t in tails(j, cw, cd, cm):
-                        found.append((e,) + t)
+                    ban, part = (act[e] if e < len(act) else act[-1]) if act else _NO_ACT
+                    below = tails(j, cw, cd, cm, high | ban)
+                    if below is nothing:
+                        continue
+                    live = True
+                    if part:
+                        for t in below:
+                            if _reducer(t, part) is None:
+                                found.append((e,) + t)
+                    else:
+                        for t in below:
+                            found.append((e,) + t)
             else:
-                for e in range(cap + 1):
+                for e in range(stop + 1):
                     f = closing(rw - e * gw, rd - e * gd, mods + e if limited else mods)
-                    if f is not None:
-                        found.append((e, f))
-            if not found:
+                    if f is None:
+                        continue
+                    live = True
+                    ban, part = (act[e] if e < len(act) else act[-1]) if act else _NO_ACT
+                    if f and (banned | ban) >> j & 1 or part and _reducer((f,), part) is not None:
+                        continue
+                    found.append((e, f))
+            if not live and stop < cap:
+                # the exponents above stop were not entered: each is live
+                # unless it is known to be dead
+                for e in range(stop + 1, cap + 1):
+                    cw, cd = rw - e * gw, rd - e * gd
+                    cm = mods + e if limited else mods
+                    if j < last and not dead.get((j, cw, cm), 0) >> cd & 1 or (
+                        j == last and closing(cw, cd, cm) is not None
+                    ):
+                        live = True
+                        break
+            if not live:
                 row = (i, rw, mods)
                 dead[row] = dead.get(row, 0) | 1 << rd
+                found = nothing
             memo[key] = found
         return found
 
-    out = tails(0, w, d, 0)
+    out = tails(0, w, d, 0, 0)
     del tails  # it refers to itself: unbinding it frees it and the memo now
-    return out
+    return [] if out is nothing else out
 
 
 _REVERSED = itemgetter(slice(None, None, -1))
@@ -757,20 +802,15 @@ def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomi
     """Monomial basis of the (w)[d] piece: monomials no leading term divides.
 
     A cell outside the generator cone (``_in_cone``) is returned empty at
-    once, without enumeration.  A cell inside it is enumerated, and only the
-    divisor tests of leading terms that fit inside (w)[d] are run.  The basis
-    is sorted by ``mono_key``, which inside one bidegree is the order of
-    reversed exponent vectors.  A module without a unit component
+    once, without enumeration.  A cell inside it is enumerated with pruning,
+    so only its standard monomials are built (``_monomials_of_bidegree``).
+    The basis is sorted by ``mono_key``, which inside one bidegree is the
+    order of reversed exponent vectors.  A module without a unit component
     (``has_unit`` false) leaves out the monomials free of module
     generators."""
     if not _in_cone(pres, w, d):
         return []
-    tests = [t for t in pres._gb_tests if t[0] <= w and t[1] <= d]
-    out = [
-        m
-        for m in _monomials_of_bidegree(pres, w, d, pres.has_unit)
-        if _reducer(m, tests) is None
-    ]
+    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True)
     out.sort(key=_REVERSED)
     return out
 
@@ -907,43 +947,3 @@ def colon_ideal(
         if test.reduce_poly(g.monomials):
             reduced.append(g)
     return IdealGens(pres, tuple(reduced), bound)
-
-
-def table_tensor(free: PoincareTable, module: PoincareTable) -> PoincareTable:
-    """Tensor over H of a free H-algebra table with a module table.
-
-    ``free`` must carry class-generator bidegrees; the result convolves the
-    module table against the class-monomial counting function.
-    """
-    if free.class_gens is None:
-        raise ShapeMismatch("free factor lacks generator metadata")
-    wmax = min(free.wmax, module.wmax)
-    dmax = min(free.dmax, module.dmax)
-    cls_counts = [[0] * (dmax + 1) for _ in range(wmax + 1)]
-    cls_counts[0][0] = 1
-    for b in free.class_gens:
-        # unbounded powers of each generator, folded one generator at a time
-        nxt = [[0] * (dmax + 1) for _ in range(wmax + 1)]
-        for w in range(wmax + 1):
-            for d in range(dmax + 1):
-                if not cls_counts[w][d]:
-                    continue
-                k = 0
-                while w + k * b.w <= wmax and d + k * b.d <= dmax:
-                    nxt[w + k * b.w][d + k * b.d] += cls_counts[w][d]
-                    k += 1
-                    if b.w == 0 and b.d == 0:
-                        break
-        cls_counts = nxt
-    counts = tuple(
-        tuple(
-            sum(
-                cls_counts[a][b] * module.entry(w - a, d - b)
-                for a in range(w + 1)
-                for b in range(d + 1)
-            )
-            for d in range(dmax + 1)
-        )
-        for w in range(wmax + 1)
-    )
-    return PoincareTable(wmax, dmax, counts)

@@ -79,3 +79,8 @@ class UnsupportedBlock(SubtleError):
 
 class InvalidModuleProduct(SubtleError):
     """Two module elements were multiplied; module generators admit no products."""
+
+
+class RelationLeavesModule(SubtleError):
+    """A relation of a module without a unit component mixes monomials free of
+    module generators with module monomials."""

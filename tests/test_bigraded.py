@@ -33,6 +33,7 @@ from subtle.errors import (
     InvalidModuleProduct,
     NegativeBidegree,
     NonHomogeneousRelation,
+    RelationLeavesModule,
     ShapeMismatch,
     UnknownGenerator,
     ZeroDivisorOfEverything,
@@ -295,11 +296,12 @@ def _random_presentation(rng, bound, max_rels=3):
 
 
 def _random_cell_poly(rng, p, factors):
-    """A few monomials of the cell a product of `factors` generators lands in."""
+    """A few monomials of the cell a product of `factors` generators lands in,
+    module monomials only in a module without a unit component."""
     cell = Bidegree(0, 0)
     for _ in range(factors):
         cell = cell + rng.choice(p.gens).bidegree
-    monos = _monomials_of_bidegree(p, cell.w, cell.d)
+    monos = _monomials_of_bidegree(p, cell.w, cell.d, p.has_unit)
     return cell, frozenset(rng.sample(monos, min(len(monos), rng.randint(1, 3))))
 
 
@@ -360,6 +362,113 @@ def test_standard_monomials_are_the_irreducible_monomials_random():
                 ), (trial, p.gens, p.relations, w, d)
 
 
+def _assert_pruning_is_filtering(p, box=6):
+    """Every cell of the box, with both unit flags: the pruned enumeration is
+    the full one filtered by the divisor records."""
+    for w in range(-1, box):
+        for d in range(-1, box):
+            for unit in (True, False):
+                full = _monomials_of_bidegree(p, w, d, unit)
+                want = [m for m in full if bigraded._reducer(m, p._gb_tests) is None]
+                got = _monomials_of_bidegree(p, w, d, unit, True)
+                assert got == want, (p.gens, p.groebner, p.has_unit, w, d, unit)
+
+
+def test_pruned_enumeration_edge_cases():
+    x, y = GenSpec("x", Bidegree(1, 1)), GenSpec("y", Bidegree(1, 2))
+    z = GenSpec("z", Bidegree(0, 0))  # a zero-bidegree generator
+    mu, nu = GenSpec("mu", Bidegree(0, 1), MODULE_GEN), GenSpec("nu", Bidegree(0, 1), MODULE_GEN)
+    cases = [
+        # a basis holding 1: the leading monomial reads no generator
+        ([x, y], ["1"], True),
+        ([x], ["1"], True),
+        ([], ["1"], True),
+        ([x, y, mu], ["1"], True),
+        # leading monomials on generator 0 alone, on the last alone, and on both
+        ([x, y], ["x^2"], True),
+        ([x, y], ["y^3"], True),
+        ([x, y], ["x^2", "y^2", "x*y"], True),
+        ([x, GenSpec("v", Bidegree(1, 1)), y], ["x*v + v^2", "v*y"], True),
+        ([x], ["x^3"], True),
+        # module generators: pairs that must match exactly
+        ([x, mu], ["x*mu", "x^3"], True),
+        ([mu, x, nu], ["x*mu + x*nu", "x^2*nu", "x^2"], True),
+        ([mu, x, nu], ["x*mu", "nu"], False),
+        ([x, mu, nu], ["x^2*mu + x^2*nu", "x^3*nu"], False),
+        ([x, mu, nu], ["x^2", "mu"], False),
+        # zero-bidegree generators
+        ([z, x], ["z^2", "z*x"], True),
+        ([x, z], ["z"], True),
+        ([z, x, mu], ["z*mu", "x^2"], True),
+    ]
+    for gens, rels, has_unit in cases:
+        p = presentation_new(gens, rels, 12, has_unit=has_unit)
+        _assert_pruning_is_filtering(p)
+    # the leading monomial 1 leaves every cell empty, in a module too, where
+    # 1 times the module generator joins the basis
+    assert all(
+        not standard_monomials(presentation_new([x, y], ["1"], 8), w, d)
+        for w in range(5) for d in range(5)
+    )
+    m = presentation_new([x, y, mu], ["1"], 8)
+    assert standard_monomials(m, 1, 2) == []
+    assert standard_monomials(presentation_new([x, y, mu], ["x*mu"], 8), 1, 2) == [(0, 1, 0)]
+
+
+def test_pruned_enumeration_is_filtering_random():
+    rng = random.Random(43)
+    modules = 0
+    for _ in range(40):
+        p = _random_presentation(rng, 10, max_rels=6)
+        modules += p.is_module
+        for q in filter(None, (p, p.is_module and _without_unit(p))):
+            _assert_pruning_is_filtering(q, box=5)
+    assert modules >= 10
+
+
+def test_pruned_empty_states_are_never_flagged_dead():
+    # cells that the relations empty are enumerated first, on a fresh record
+    # of dead states; the same generators without relations must still
+    # enumerate every monomial of every cell
+    x, y = GenSpec("x", Bidegree(1, 1)), GenSpec("y", Bidegree(1, 2))
+    t = GenSpec("t", Bidegree(1, 0))
+    mu = GenSpec("mu", Bidegree(0, 1), MODULE_GEN)
+    for gens, rels, has_unit in [
+        ([x, t, y], ["x^2", "x*y", "y^2", "t*y", "t^2"], True),
+        ([t, x, y], ["t", "x*y"], True),
+        ([x, t, y, mu], ["x^2", "t*y", "x*mu", "t*mu", "y*mu"], True),
+        ([x, t, y, mu], ["x*mu", "t*mu", "y^2*mu"], False),
+    ]:
+        bigraded._DEAD.clear()
+        p = presentation_new(gens, rels, 16, has_unit=has_unit)
+        empty = 0
+        for w in range(8):
+            for d in range(8):
+                empty += not standard_monomials(p, w, d) and bool(_naive_monomials(p, w, d, has_unit))
+        assert empty >= 10, (gens, rels)
+        free = presentation_new(gens, [], 16, has_unit=has_unit)
+        for w in range(8):
+            for d in range(8):
+                for unit in (True, False):
+                    want = _naive_monomials(free, w, d, unit)
+                    assert _monomials_of_bidegree(free, w, d, unit) == want, (gens, rels, w, d, unit)
+
+
+def test_module_relation_leaving_the_module_is_refused():
+    # x1*m1 + x1*x0 would send x1*x0*m1 to x1*x0^2, outside the module
+    gens = [
+        GenSpec("x0", Bidegree(0, 1)),
+        GenSpec("x1", Bidegree(1, 1)),
+        GenSpec("m1", Bidegree(0, 1), MODULE_GEN),
+    ]
+    with pytest.raises(RelationLeavesModule, match="x1\\*m1"):
+        presentation_new(gens, ["x1*m1 + x1*x0"], 8, has_unit=False)
+    # with the unit component, and for relations wholly inside or wholly
+    # outside the module, it stands
+    assert presentation_new(gens, ["x1*m1 + x1*x0"], 8).relations
+    assert len(presentation_new(gens, ["x0*m1", "x1^2"], 8, has_unit=False).relations) == 2
+
+
 def _dense_reducer(p, m):
     """The dense divisor rule: index of the first leading monomial that m
     reaches in every exponent, matching it on every module generator in a
@@ -411,6 +520,18 @@ def _assert_unique_reduced_basis(rng, q):
     assert again.groebner == q.groebner, where
 
 
+def _without_unit(p):
+    """p without its unit component, or None when a relation of p mixes
+    module monomials with monomials free of module generators, which
+    ``presentation_new`` refuses for a module without a unit component."""
+    for r in p.relations:
+        if 0 < sum(1 for m in r if p.module_count(m)) < len(r):
+            with pytest.raises(RelationLeavesModule):
+                presentation_new(p.gens, p.relations, p.truncation_bound, has_unit=False)
+            return None
+    return replace(p, has_unit=False)
+
+
 def test_completion_returns_the_unique_reduced_basis_random():
     rng = random.Random(37)
     modules = without_unit = 0
@@ -419,8 +540,8 @@ def test_completion_returns_the_unique_reduced_basis_random():
         variants = [p]
         if p.is_module:
             modules += 1
-            variants.append(replace(p, has_unit=False))
-        for q in variants:
+            variants.append(_without_unit(p))
+        for q in filter(None, variants):
             without_unit += not q.has_unit
             _assert_unique_reduced_basis(rng, q)
     assert modules >= 10 and without_unit >= 10
@@ -461,8 +582,8 @@ def _cone_presentations():
     for _ in range(30):
         p = _random_presentation(rng, 10, max_rels=6)
         yield p
-        if p.is_module:
-            yield replace(p, has_unit=False)
+        if p.is_module and _without_unit(p):
+            yield _without_unit(p)
     for module_gens, has_unit in [(0, True), (1, True), (2, False)] * 10:
         yield _random_solver_presentation(rng, 10, module_gens, has_unit)
     x = GenSpec("x", Bidegree(1, 2))
