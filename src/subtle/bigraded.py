@@ -632,10 +632,10 @@ def groebner(pres: AlgebraPresentation, bound: int | None = None):
 # presentation of the same generator shape: generator bidegrees, module-generator
 # indices and unit-component flag.  _DEAD[shape][i, rw, mods] has bit rd set
 # when generators i.. cannot use up the remainder (rw)[rd] exactly.  A flag is a
-# fact about the shape alone: a state that leading terms emptied is never
-# flagged.  So sharing one cannot change a result, and an update lost to a
+# fact about the shape alone: a state that leading terms emptied is live and
+# never flagged.  So sharing one cannot change a result, and an update lost to a
 # concurrent call only drops a flag.  Only flags are kept, never monomials, so a
-# shape costs a few dozen rows of ints.
+# shape costs a few dozen rows of ints; no memo holds a dead state.
 _DEAD: dict[tuple, dict[tuple[int, int, int], int]] = {}
 
 
@@ -645,26 +645,25 @@ def _monomials_of_bidegree(
     d: int,
     include_unit_component: bool = True,
     prune: bool = False,
+    states: dict | None = None,
 ) -> list[Monomial]:
     """All valid monomials of bidegree exactly (w)[d], in lexicographic order
     of exponent vectors; with ``prune``, only those that no leading monomial
     of ``pres`` divides.
 
-    Exponents are chosen generator by generator, and an exponent is kept only
-    when the later generators can use up what it leaves exactly, so no prefix
-    is extended that cannot reach (w)[d]; the last generator's exponent is
-    forced by the remainder.  With ``prune``, the presentation's divisor
-    records run as the enumeration goes (``_enumeration_rules``): a tail that
-    a leading term divides is dropped at the first generator the term reads,
-    or not built at all, so no monomial it divides is built, since standard
-    monomials form an order ideal.  A remainder that generators i.. cannot use up is a dead
-    state.  Deadness depends on the generator shape alone, so dead states are
-    flagged in ``_DEAD``, which outlives the call and the presentation: every
-    later call on the same shape skips them without entering them.  The
-    monomials of each state entered are memoised for this call only.
-    Generator bidegrees are taken to be non-negative, as every builder's are.
-    Without ``prune``, as the dense oracle calls it, only generator
-    bidegrees, the module-generator limit and the unit flag are read.
+    Exponents are chosen generator by generator, keeping an exponent only when
+    the later generators can use up what it leaves; the last one is forced.
+    With ``prune``, each divisor record runs at the first generator its
+    leading term reads (``_enumeration_rules``), so no monomial it divides is
+    built: standard monomials form an order ideal.  A remainder that
+    generators i.. cannot use up is a dead state, a fact about the generator
+    shape flagged in ``_DEAD`` for every later call.  A live state's tails do
+    not depend on the cell: a sweep of one presentation and flags passes one
+    dict ``states`` to each call, which keeps the states of at most one tail;
+    the others are memoised for this call only.  Generator bidegrees are
+    taken to be non-negative, as every builder's are.  Without ``prune``, as
+    the dense oracle calls it, only generator bidegrees, the module-generator
+    limit and the unit flag are read.
     """
     n = len(pres.gens)
     module_idx = pres.module_idx if pres.is_module else ()
@@ -700,6 +699,8 @@ def _monomials_of_bidegree(
         return []
     caps, acts = rules
     memo: dict[tuple[int, int, int, int, int], list[Monomial]] = {}
+    if states is None:
+        states = memo
     nothing: tuple = ()  # the tails of a dead state
 
     def tails(i: int, rw: int, rd: int, mods: int, banned: int) -> list[Monomial]:
@@ -707,7 +708,9 @@ def _monomials_of_bidegree(
         out the generators of the bits of ``banned`` and pass every rule run
         at generators i.. (``_enumeration_rules``)."""
         key = (i, rw, rd, mods, banned)
-        found = memo.get(key)
+        found = states.get(key)
+        if found is None:
+            found = memo.get(key)
         if found is None:
             gw, gd = gen_w[i], gen_d[i]
             if gw > 0:
@@ -771,13 +774,16 @@ def _monomials_of_bidegree(
             if not live:
                 row = (i, rw, mods)
                 dead[row] = dead.get(row, 0) | 1 << rd
-                found = nothing
-            memo[key] = found
+                return nothing  # callers read ``dead`` first
+            if len(found) < 2:
+                states[key] = found
+            else:
+                memo[key] = found
         return found
 
     out = tails(0, w, d, 0, 0)
     del tails  # it refers to itself: unbinding it frees it and the memo now
-    return [] if out is nothing else out
+    return out if len(out) > 1 else list(out)
 
 
 _REVERSED = itemgetter(slice(None, None, -1))
@@ -798,7 +804,9 @@ def _in_cone(pres: AlgebraPresentation, w: int, d: int) -> bool:
     return w * ld <= d * lw and d * hw <= w * hd
 
 
-def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomial]:
+def standard_monomials(
+    pres: AlgebraPresentation, w: int, d: int, states: dict | None = None
+) -> list[Monomial]:
     """Monomial basis of the (w)[d] piece: monomials no leading term divides.
 
     A cell outside the generator cone (``_in_cone``) is returned empty at
@@ -807,10 +815,10 @@ def standard_monomials(pres: AlgebraPresentation, w: int, d: int) -> list[Monomi
     The basis is sorted by ``mono_key``, which inside one bidegree is the
     order of reversed exponent vectors.  A module without a unit component
     (``has_unit`` false) leaves out the monomials free of module
-    generators."""
+    generators.  ``states``: the sweep's dict (``_monomials_of_bidegree``)."""
     if not _in_cone(pres, w, d):
         return []
-    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True)
+    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True, states)
     out.sort(key=_REVERSED)
     return out
 
@@ -838,17 +846,20 @@ def cell_maps(
     source cell's ``standard_monomials`` and the ``cell_images`` of
     ``image`` on it into the target cell (w, d) + ``shift``.  When ``source
     is target``, a target basis is kept until the sweep reaches that cell as
-    a source, then dropped; otherwise each basis is enumerated per use."""
+    a source, then dropped; otherwise each basis is enumerated per use.  The
+    sweep has one ``states`` dict per presentation."""
     same = source is target
     ahead: dict[tuple[int, int], list[Monomial]] = {}
+    source_states: dict = {}
+    target_states = source_states if same else {}
     for w, d in cells:
         basis = ahead.pop((w, d), None)
         if basis is None:
-            basis = standard_monomials(source, w, d)
+            basis = standard_monomials(source, w, d, source_states)
         cell = (w + shift[0], d + shift[1])
         tgt = basis if same and cell == (w, d) else ahead.get(cell)
         if tgt is None:
-            tgt = standard_monomials(target, *cell)
+            tgt = standard_monomials(target, *cell, target_states)
             if same:
                 ahead[cell] = tgt
         yield (w, d, basis, *cell_images(basis, tgt, image))
@@ -863,9 +874,10 @@ def poincare_table(
             f"box ({wmax},{dmax}) needs bound >= {wmax + dmax}, "
             f"presentation certifies {pres.truncation_bound}"
         )
+    states: dict = {}
     counts = tuple(
         tuple(
-            len(standard_monomials(pres, w, d))
+            len(standard_monomials(pres, w, d, states))
             for d in range(dmax + 1)
         )
         for w in range(wmax + 1)

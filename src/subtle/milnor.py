@@ -107,10 +107,8 @@ class FieldModel:
 
     def dimensions(self, max_degree: int) -> list[int]:
         """GF(2)-dimension of each graded piece up to max_degree."""
-        return [
-            len(standard_monomials(self.presentation, n, n))
-            for n in range(max_degree + 1)
-        ]
+        pres, states = self.presentation, {}
+        return [len(standard_monomials(pres, n, n, states)) for n in range(max_degree + 1)]
 
     def annihilator(self, degree_bound: int | None = None) -> IdealGens:
         """Generators of Ann({alpha}) of degree below the bound, cached per

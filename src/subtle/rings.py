@@ -16,8 +16,9 @@ Block identifiers (CLI-facing):
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
-``block_presentation`` holds the package's one build cache, keyed by (model
-content, block, bound): package code asks it for a block.  The public
+``block_presentation`` holds the package's one build cache, keyed by model
+content and block: package code asks it for a block, and a build serves every
+request from the bound it was asked for up to the bound it states.  The public
 ``build_*`` functions build afresh, except that ``build_Npow(model, 0)``
 returns the cached H and ``build_BOhtilde`` relabels a cached BOp:n or BO:2n.
 ``block_table`` is the one route from a block to its Poincare table and
@@ -358,8 +359,8 @@ BLOCKS = {
     "NpowBU": (2, None),
 }
 
-# the one build cache: (model, kind, parameters, bound) -> presentation
-_BUILT: dict[tuple, AlgebraPresentation] = {}
+# the one build cache: (model, kind, parameters) -> [(requested bound, presentation)]
+_BUILT: dict[tuple, list[tuple[int, AlgebraPresentation]]] = {}
 
 
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
@@ -379,16 +380,25 @@ def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
 def block_presentation(
     model: FieldModel, block: str, bound: int = 16
 ) -> AlgebraPresentation:
-    """Presentation for a block id, built once per (model content, block,
-    bound) and shared; table-only blocks are rejected."""
+    """Presentation for a block id, built once and shared; table-only blocks
+    are rejected.
+
+    ``_present`` builds at the first bound >= the requested one that holds
+    the relations, so a build asked for at b that states bound B is the build
+    of every request in [b, B]; it is looked up before building again.
+    Xtilde's generators stop at the requested bound, so a build of it serves
+    only its own request."""
     kind, args = parse_block_id(block)
     builder = BLOCKS[kind][1]
     if builder is None:
         raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
-    key = (model, kind, args, bound)
-    if key not in _BUILT:
-        _BUILT[key] = builder(model, *args, bound)
-    return _BUILT[key]
+    builds = _BUILT.setdefault((model, kind, args), [])
+    for asked, pres in builds:
+        if asked == bound or kind != "Xtilde" and asked <= bound <= pres.truncation_bound:
+            return pres
+    pres = builder(model, *args, bound)
+    builds.append((bound, pres))
+    return pres
 
 
 def block_table(

@@ -744,9 +744,9 @@ def test_cell_maps_equal_per_cell_bases_and_images_random(monkeypatch):
     rng = random.Random(37)
     calls = []
 
-    def counted(pres, w, d):
+    def counted(pres, w, d, *rest):
         calls.append((id(pres), w, d))
-        return standard_monomials(pres, w, d)
+        return standard_monomials(pres, w, d, *rest)
 
     monkeypatch.setattr(bigraded, "standard_monomials", counted)
     same = quotients = zero_weight = modules = no_unit = 0
@@ -774,6 +774,66 @@ def test_cell_maps_equal_per_cell_bases_and_images_random(monkeypatch):
         modules += source.is_module and source.has_unit
         no_unit += not source.has_unit
     assert min(same, quotients, zero_weight, modules, no_unit) >= 20
+
+
+def _shared_states_presentations(rng):
+    """Random rings and modules, with and without a unit component, then the
+    sources and targets of ``_cell_maps_cases``: quotients, zero-weight and
+    zero-bidegree generators, Milnor-like rays."""
+    for _ in range(30):
+        p = _random_presentation(rng, 10, max_rels=6)
+        yield p
+        if p.is_module and _without_unit(p):
+            yield _without_unit(p)
+    seen = {}
+    for source, target, _, _ in _cell_maps_cases(rng):
+        for p in (source, target):
+            if id(p) not in seen:
+                seen[id(p)] = p  # held, so that no id is reused
+                yield p
+
+
+def test_shared_states_sweep_equals_per_cell_bases_random():
+    # a sweep hands one states dict to every cell, in w-major and in
+    # total-degree order, each time on a fresh record of dead states as in a
+    # new process.  Every cell equals a fresh standard_monomials call and the
+    # reference (unpruned enumeration on a fresh record, filtered densely);
+    # the dict keeps no state of more than one tail; and no state that the
+    # leading terms emptied reaches _DEAD, so the same generators without
+    # relations still enumerate every monomial of every cell.
+    rng = random.Random(47)
+    box = [(w, d) for w in range(-1, 7) for d in range(-1, 7)]
+    orders = (box, sorted(box, key=lambda c: (c[0] + c[1], c[0])))
+    rings = modules = no_unit = zero_weight = zero_bidegree = emptied = 0
+    for p in _shared_states_presentations(rng):
+        where = (p.gens, p.groebner, p.has_unit)
+        free = presentation_new(p.gens, [], p.truncation_bound, has_unit=p.has_unit)
+        bigraded._DEAD.clear()
+        want = {(w, d): _standard_monomials_reference(p, w, d) for w, d in box}
+        free_want = {(w, d): _monomials_of_bidegree(free, w, d, p.has_unit) for w, d in box}
+        shape = (p.gen_w, p.gen_d, p.module_idx, p.has_unit or not p.is_module)
+        for cells in orders:
+            bigraded._DEAD.clear()
+            states = {}
+            for w, d in cells:
+                assert standard_monomials(p, w, d, states) == want[w, d], (where, cells[:2], w, d)
+            assert all(len(tails) <= 1 for tails in states.values()), where
+            dead = bigraded._DEAD.get(shape, {})
+            for i, rw, rd, mods, _ in (key for key, tails in states.items() if not tails):
+                assert not dead.get((i, rw, mods), 0) >> rd & 1, (where, i, rw, rd, mods)
+                emptied += 1
+            for w, d in box:
+                got = _monomials_of_bidegree(free, w, d, p.has_unit)
+                assert got == free_want[w, d], (where, cells[:2], w, d)
+        for w, d in box:
+            assert standard_monomials(p, w, d) == want[w, d], (where, w, d)
+        rings += not p.is_module
+        modules += p.is_module and p.has_unit
+        no_unit += not p.has_unit
+        zero_weight += 0 in p.gen_w
+        zero_bidegree += any(not (a or b) for a, b in zip(p.gen_w, p.gen_d))
+    assert min(rings, modules, no_unit, zero_weight) >= 20, (rings, modules, no_unit, zero_weight)
+    assert zero_bidegree >= 2 and emptied >= 1000, (zero_bidegree, emptied)
 
 
 def test_normal_form_and_printing_helpers():

@@ -5,14 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from subtle import bigraded
+from subtle import bigraded, rings
 from subtle.bigraded import Bidegree, Element, poincare_table, quotient, standard_monomials
 from subtle.errors import UnknownGenerator, UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model, km_annihilator
 from subtle.oracle import oracle_entry, oracle_table
-from subtle.maps import hom_verify, twist_iso
-from subtle.steenrod import sq1_check, sq1_define
+from subtle.maps import comp_map, hom_verify, twist_iso
+from subtle.steenrod import leibniz_offender, sq1_check, sq1_define, sq1_presentation, sq1_solve
 from subtle.verify import ORACLE_BLOCKS
 from subtle.rings import (
     block_presentation,
@@ -206,6 +206,59 @@ def test_block_holds_every_relation_up_to_its_bound(model_name, ab4):
                     assert got == len(standard_monomials(ref, w, d)), (block, asked, w, d)
 
 
+def _content(p):
+    return (
+        p.names, p.gen_w, p.gen_d, p.module_idx, p.relations, p.groebner,
+        p.truncation_bound, p.has_unit, p.block_id,
+    )
+
+
+@pytest.mark.parametrize("model_name", ["real", "three", "ab4"])
+def test_a_build_serves_every_bound_up_to_the_one_it_states(model_name, monkeypatch, ab4):
+    # requests at bounds 0..12 in rising order: each is the presentation a
+    # fresh build at that bound makes, and a build is made only when no
+    # earlier build asked at or below the bound states a bound at or above
+    # it.  On ab4, BOp:1 states bound 12 from every request: one build, not
+    # thirteen.  Xtilde's generators follow the request, so each is built
+    if model_name == "ab4":
+        model = ab4
+    elif model_name == "three":
+        model = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    else:
+        model = build_field_model(model_name)
+    made = []
+    new = rings.presentation_new
+
+    def counted(*args, **kwargs):
+        pres = new(*args, **kwargs)
+        made.append(pres)
+        return pres
+
+    for block in _BOUND_RULE_BLOCKS + ("BOh:1", "Xtilde"):
+        kind, args = parse_block_id(block)
+        want = []
+        for b in range(13):
+            monkeypatch.setattr(rings, "_BUILT", {})  # BOh:1 asks the cache for BOp:1
+            want.append(_content(rings.BLOCKS[kind][1](model, *args, b)))
+        monkeypatch.setattr(rings, "_BUILT", {})
+        monkeypatch.setattr(rings, "presentation_new", counted)
+        made.clear()
+        got = [block_presentation(model, block, b) for b in range(13)]
+        monkeypatch.setattr(rings, "presentation_new", new)
+        assert [_content(p) for p in got] == want, block
+        distinct = list({id(p): p for p in got}.values())
+        if block == "BOh:1":  # a relabelled copy of each BOp:1 build
+            assert len(made) == len(distinct), block
+        else:
+            assert made == distinct, block
+        if block == "Xtilde":
+            assert len(made) == 13
+        else:
+            assert len(made) == len({p.truncation_bound for p in got}), block
+        if model_name == "ab4" and block == "BOp:1":
+            assert [p.truncation_bound for p in made] == [12]
+
+
 def test_npow_tables(real, fq):
     # H plus one extra unit on each cell of the first off-diagonal
     t = block_table(real, "Npow:1", 5, 5)
@@ -331,6 +384,37 @@ def _inside_generator_cone(pres, w, d):
 
     rays = [slope(a, b) for a, b in zip(pres.gen_w, pres.gen_d) if a or b]
     return (w, d) == (0, 0) or bool(rays) and min(rays) <= slope(w, d) <= max(rays)
+
+
+def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
+    # every enumeration of a sweep passes the sweep's states dict, one per
+    # presentation: a single one when a map's source is its target
+    calls = []
+    enumerate_cell = bigraded._monomials_of_bidegree
+
+    def counted(pres, w, d, *rest):
+        calls.append((pres, rest[2] if len(rest) > 2 else None))
+        return enumerate_cell(pres, w, d, *rest)
+
+    monkeypatch.setattr(bigraded, "_monomials_of_bidegree", counted)
+    three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    comp = comp_map(three, 2, 8)
+    assert comp.source is not comp.target
+    solved, _ = sq1_solve(sq1_define(sq1_presentation(real, "BO:4", 3, 3)))
+    sweeps = {
+        "poincare_table": (lambda: poincare_table(block_presentation(three, "BU:2", 8), 4, 4), 1),
+        "cell_maps, one presentation": (lambda: ann_dimensions(three, 6), 1),
+        "cell_maps, two presentations": (lambda: hom_verify(comp, 4, 4), 2),
+        "leibniz_offender": (lambda: leibniz_offender(solved, 3, 3), 1),
+        "dimensions": (lambda: three.dimensions(6), 1),
+    }
+    for name, (sweep, presentations) in sweeps.items():
+        calls.clear()
+        sweep()
+        assert len(calls) >= 5, name
+        assert all(isinstance(states, dict) for _, states in calls), name
+        pairs = {(id(pres), id(states)) for pres, states in calls}
+        assert len(pairs) == len({p for p, _ in pairs}) == len({s for _, s in pairs}) == presentations, name
 
 
 def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
