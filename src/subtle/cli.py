@@ -35,7 +35,7 @@ from .maps import (
 )
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
-from .parse import STRING, load_descriptor
+from .parse import STRING, load_descriptor, parse_id
 from .rings import block_presentation, block_table
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
@@ -225,24 +225,16 @@ def _cmd_ring(args) -> int:
     return 0
 
 
-def _map_index(map_arg: str) -> int:
-    """The n of a comp:n or pq:n map argument."""
-    text = map_arg.split(":", 1)[1]
-    try:
-        return int(text)
-    except ValueError:
-        raise SubtleError(f"bad map {map_arg!r}: {text!r} is not an integer") from None
-
-
 def _cmd_hom(args) -> int:
     model = _resolve_model(args.model)
     w, d = args.box
     bound = w + d
     map_arg = args.map
-    if map_arg.startswith("comp:"):
-        h = comp_map(model, _map_index(map_arg), bound)
-    elif map_arg.startswith("pq:"):
-        h = twist_iso(model, _map_index(map_arg), bound)
+    if map_arg.startswith(("comp:", "pq:")):
+        kind, (n, *more) = parse_id(map_arg, "map")
+        if more:
+            raise SubtleError(f"bad map {map_arg!r} (expected {kind}:n)")
+        h = (comp_map if kind == "comp" else twist_iso)(model, n, bound)
     elif Path(map_arg).is_file():
         h = load_map_descriptor(map_arg, model, bound)
     else:
@@ -250,7 +242,7 @@ def _cmd_hom(args) -> int:
     if args.action == "kernel":
         if not map_arg.startswith("comp:"):
             raise SubtleError("kernel checking is defined for comp:n maps")
-        rep = kernel_match(h, comp_kernel_ideal(model, _map_index(map_arg), bound), w, d)
+        rep = kernel_match(h, comp_kernel_ideal(model, n, bound), w, d)
         _report(args, rep)
         return 0 if rep.ok else 1
     rep = hom_verify(h, w, d)

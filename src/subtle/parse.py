@@ -5,6 +5,8 @@ object a user supplies (config, model, map and derivation files, and model
 dicts), and ``Parser`` is the one recursive-descent scaffold under both
 expression grammars: elements here and motives in ``motives``.
 
+``parse_id`` reads block and map ids such as ``NpowBU:1:2`` and ``comp:3``.
+
 The element grammar: `+` for sums, `*` for products, `^` for powers,
 parentheses, integer literals (taken mod 2) and generator names like `tau`,
 `rho`, `u3`, `c1`.
@@ -61,6 +63,18 @@ def check_descriptor(value, what: str, fields: dict, required: tuple = ()) -> di
         if key not in present:
             raise SubtleError(f"{what}: {key} is required")
     return present
+
+
+def parse_id(text: str, what: str, error=ParseError) -> tuple[str, tuple[int, ...]]:
+    """An id's name and parameters: an ASCII name, then ``:`` and ASCII digits
+    per parameter; otherwise ``error``, naming ``what``, the id and its bad part."""
+    name, *params = text.split(":")
+    if not re.fullmatch("[A-Za-z][A-Za-z0-9]*", name):
+        raise error(f"bad {what} {text!r}: {name!r} is not an ASCII name")
+    for p in params:
+        if not re.fullmatch("[0-9]+", p):
+            raise error(f"bad {what} {text!r}: {p!r} is not an integer (ASCII digits, no sign)")
+    return name, tuple(int(p) for p in params)
 
 
 def load_descriptor(path, what: str, fields: dict, required: tuple = ()) -> dict:

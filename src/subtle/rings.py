@@ -1,6 +1,6 @@
 """Builders for every cohomology ring and module block the artifact knows.
 
-Block identifiers (CLI-facing):
+Block identifiers (CLI-facing; ``parse.parse_id`` reads them):
 
     H            coefficient ring: the Milnor model with tau adjoined
     BO:n         free algebra on subtle Stiefel-Whitney classes u_1..u_n
@@ -16,11 +16,11 @@ Block identifiers (CLI-facing):
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
-``block_presentation`` holds the package's one build cache, keyed by model
-content and block: package code asks it for a block, and a build serves every
-request from the bound it was asked for up to the bound it states.  The public
-``build_*`` functions build afresh, except that ``build_Npow(model, 0)``
-returns the cached H and ``build_BOhtilde`` relabels a cached BOp:n or BO:2n.
+``_present`` holds the package's one build cache, keyed by what a build is
+made from: model, block id, generators, expanded relations, stated bound and
+unit.  Every builder reads it, so requests that come to the same content
+share one completion, whatever order their bounds come in.
+``block_presentation`` keeps a memo of requests by model, block id and bound;
 ``block_table`` is the one route from a block to its Poincare table and
 caches nothing across calls.
 
@@ -50,6 +50,7 @@ from .bigraded import (
 from .errors import UnsupportedBlock
 from .gf2 import RowSpace
 from .milnor import FieldModel
+from .parse import parse_id
 
 
 def h_gens(model: FieldModel) -> list[GenSpec]:
@@ -82,13 +83,14 @@ class _Killed:
 
 
 def _present(
-    model: FieldModel, block_id: str, gens, rels, bound: int, **kwargs
+    model: FieldModel, block_id: str, gens, rels, bound: int, has_unit: bool = True
 ) -> AlgebraPresentation:
     """The block over H: H's generators and relations, then the block's own
     ``gens`` and ``rels``; labelled with its model and block id.  While the
     relations outgrow the bound, the bound rises to fit them and Ann(alpha) is
     read again; this ends, as the generators are fixed and Ann(alpha) is
-    finitely generated."""
+    finitely generated.  Then the build is looked up by what it is made from
+    and completed only if it is new."""
     gens = h_gens(model) + gens
     shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
     killed = any(isinstance(r, _Killed) for r in rels)
@@ -99,8 +101,12 @@ def _present(
             expanded += [f"({a})*{r.name}" for a in anns] if isinstance(r, _Killed) else [r]
         needed = _fit_bound(shell, expanded, bound)
         if needed == bound:
-            return presentation_new(gens, expanded, bound, model=model, block_id=block_id, **kwargs)
+            break
         bound = needed
+    key = (model, block_id, tuple(gens), tuple(expanded), bound, has_unit)
+    if key not in _BUILT:
+        _BUILT[key] = presentation_new(gens, expanded, bound, has_unit, model, block_id)
+    return _BUILT[key]
 
 
 def _ann_strings(model: FieldModel, bound: int) -> list[str]:
@@ -150,12 +156,9 @@ def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
 
 
 def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
-    """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd.
-
-    The result is a relabelled copy, so the cached BOp:n or BO:2n keeps its
-    own block id.
-    """
-    base = block_presentation(model, f"BOp:{n}" if n % 2 == 1 else f"BO:{2 * n}", bound)
+    """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd;
+    a relabelled copy, so the BOp:n or BO:2n build keeps its own block id."""
+    base = build_BOpn(model, n, bound) if n % 2 == 1 else build_BO(model, 2 * n, bound)
     return replace(base, model=model, block_id=f"BOh:{n}")
 
 
@@ -173,7 +176,7 @@ def build_Xalpha(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
 def build_Npow(model: FieldModel, m: int, bound: int = 16) -> AlgebraPresentation:
     """H-module on mu_1..mu_m with tau*mu_i = alpha*mu_{i-1} (mu_0 = 1)."""
     if m == 0:
-        return block_presentation(model, "H", bound)
+        return build_H(model, bound)
     alpha = _require_alpha(model)
     gens = [GenSpec(f"mu{i}", Bidegree(0, i), MODULE_GEN) for i in range(1, m + 1)]
     rels = []
@@ -359,21 +362,16 @@ BLOCKS = {
     "NpowBU": (2, None),
 }
 
-# the one build cache: (model, kind, parameters) -> [(requested bound, presentation)]
-_BUILT: dict[tuple, list[tuple[int, AlgebraPresentation]]] = {}
+# the one build cache, keyed by what a build is made from (see ``_present``),
+# and the memo of requests, keyed by (model, block id, bound)
+_BUILT: dict[tuple, AlgebraPresentation] = {}
+_REQUESTS: dict[tuple, AlgebraPresentation] = {}
 
 
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
-    parts = block.split(":")
-    kind = parts[0]
-    try:
-        args = tuple(int(x) for x in parts[1:])
-    except ValueError as exc:
-        raise UnsupportedBlock(f"bad block id {block!r}") from exc
+    kind, args = parse_id(block, "block id", UnsupportedBlock)
     if kind not in BLOCKS or len(args) != BLOCKS[kind][0]:
         raise UnsupportedBlock(f"unknown block id {block!r}")
-    if any(a < 0 for a in args):
-        raise UnsupportedBlock(f"block parameters must be >= 0 in {block!r}")
     return kind, args
 
 
@@ -381,24 +379,16 @@ def block_presentation(
     model: FieldModel, block: str, bound: int = 16
 ) -> AlgebraPresentation:
     """Presentation for a block id, built once and shared; table-only blocks
-    are rejected.
-
-    ``_present`` builds at the first bound >= the requested one that holds
-    the relations, so a build asked for at b that states bound B is the build
-    of every request in [b, B]; it is looked up before building again.
-    Xtilde's generators stop at the requested bound, so a build of it serves
-    only its own request."""
-    kind, args = parse_block_id(block)
-    builder = BLOCKS[kind][1]
-    if builder is None:
-        raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
-    builds = _BUILT.setdefault((model, kind, args), [])
-    for asked, pres in builds:
-        if asked == bound or kind != "Xtilde" and asked <= bound <= pres.truncation_bound:
-            return pres
-    pres = builder(model, *args, bound)
-    builds.append((bound, pres))
-    return pres
+    are rejected.  A request is answered from its memo; otherwise the builder
+    runs, and ``_present`` completes only a build not made before."""
+    key = (model, block, bound)
+    if key not in _REQUESTS:
+        kind, args = parse_block_id(block)
+        builder = BLOCKS[kind][1]
+        if builder is None:
+            raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
+        _REQUESTS[key] = builder(model, *args, bound)
+    return _REQUESTS[key]
 
 
 def block_table(

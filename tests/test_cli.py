@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import shlex
 from contextlib import redirect_stdout
 from importlib import resources
@@ -226,6 +227,58 @@ def test_bad_map_index_exits_2(capsys):
         assert "'x' is not an integer" in capsys.readouterr().err
     code, _ = run_cli("hom", "verify", "pq:", "--model", "real", "--box", "2", "2")
     assert code == 2
+    code, out = run_cli("hom", "verify", "pq:0_1", "--model", "real", "--box", "2", "2")
+    assert code == 2 and out == ""
+    assert "'0_1' is not an integer" in capsys.readouterr().err
+
+
+# golden commands whose third argument is a block or map id
+_ID_GOLDENS = [(name, argv) for name, argv in GOLDEN_COMMANDS if argv[0] in ("ring", "hom", "sq1")]
+
+
+def _near_misses(ident: str) -> list[str]:
+    """Ids one edit away from ``ident`` that the id grammar (an ASCII name,
+    then ``:`` and ASCII digits per parameter) refuses or names no block."""
+    name, _, digits = ident.partition(":")
+    misses = [
+        ident + " ", " " + ident, ident + "\n", ident + ":", ident + "::1",
+        ident + ":+1", ident + "_1", ident.swapcase(), "\u0412" + ident[1:],
+    ]
+    if digits:
+        wide = "".join(chr(ord(c) + 0xFEE0) for c in digits)
+        arabic = "".join(chr(ord(c) + 0x0630) for c in digits)
+        misses += [
+            f"{name}:+{digits}", f"{name}:-{digits}", f"{name}:{digits}_0",
+            f"{name}:0_{digits}", f"{name}:{wide}", f"{name}:{arabic}",
+            f"{name}: {digits}", f"{name}:{digits}.0", f"{name}:0x{digits}",
+            f"{name}:{digits}e0", f"{name}:\u00b9",
+        ]
+    else:
+        misses += [ident + ":0", ident + ":x"]
+    return misses
+
+
+_rng = random.Random(20250801)
+_ID_CASES = [
+    (name, bad) for name, argv in _ID_GOLDENS for bad in _rng.sample(_near_misses(argv[2]), 6)
+]
+
+
+@pytest.mark.parametrize("golden,bad", _ID_CASES)
+def test_near_miss_ids_exit_2_naming_the_id(golden, bad, capsys):
+    argv = dict(_ID_GOLDENS)[golden]
+    code, out = run_cli(*argv[:2], bad, *argv[3:])
+    assert code == 2 and out == ""
+    assert repr(bad) in capsys.readouterr().err
+
+
+def test_valid_ids_keep_their_output():
+    # the golden ids are checked by test_golden_outputs_byte_identical; a
+    # leading zero is still ASCII digits: the same block, printed as asked
+    code, out = run_cli("ring", "table", "BU:01", "--model", "real", "--box", "4", "4")
+    assert (code, out.replace("BU:01", "BU:1")) == run_cli(*dict(_ID_GOLDENS)["table_bu1_real.txt"])
+    code, out = run_cli("ring", "table", "NpowBU:1:2", "--model", "real", "--box", "2", "2")
+    assert code == 0 and out.startswith("block: NpowBU:1:2\n")
 
 
 def test_negative_box_exits_2(capsys):

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from subtle.errors import SubtleError
-from subtle.parse import STRING, STRINGS, ParseError, check_descriptor, parse_poly
+from subtle.parse import STRING, STRINGS, ParseError, check_descriptor, parse_id, parse_poly
 
 FIELDS = {"name": STRING, "items": STRINGS}
 
@@ -56,3 +56,17 @@ def test_check_descriptor_errors(value, required, message):
     with pytest.raises(SubtleError) as info:
         check_descriptor(value, "thing", FIELDS, required)
     assert str(info.value).startswith(message)
+
+
+def test_parse_id_reads_a_name_and_ascii_digits():
+    assert parse_id("H", "id") == ("H", ())
+    assert parse_id("NpowBU:1:20", "id") == ("NpowBU", (1, 20))
+    assert parse_id("comp:007", "id") == ("comp", (7,))
+    for text, part in (
+        ("BU:1_0", "'1_0'"), ("BU:+1", "'+1'"), ("BU:-1", "'-1'"), ("BU:1 ", "'1 '"),
+        ("BU:\uff11", "'\uff11'"), ("BU:", "''"), (" BU:1", "' BU'"), ("B_U:1", "'B_U'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_id(text, "id")
+        assert str(exc.value).startswith(f"bad id {text!r}: {part} is not")
+

@@ -213,13 +213,21 @@ def _content(p):
     )
 
 
+_BOUND_ORDERS = {
+    "rising": list(range(13)),
+    "falling": list(range(12, -1, -1)),
+    "shuffled": random.Random(21).sample(range(13), 13),
+}
+
+
 @pytest.mark.parametrize("model_name", ["real", "three", "ab4"])
-def test_a_build_serves_every_bound_up_to_the_one_it_states(model_name, monkeypatch, ab4):
-    # requests at bounds 0..12 in rising order: each is the presentation a
-    # fresh build at that bound makes, and a build is made only when no
-    # earlier build asked at or below the bound states a bound at or above
-    # it.  On ab4, BOp:1 states bound 12 from every request: one build, not
-    # thirteen.  Xtilde's generators follow the request, so each is built
+def test_requests_share_one_build_per_content(model_name, monkeypatch, ab4):
+    # requests at bounds 0..12 in rising, falling and shuffled order: each is
+    # the presentation a fresh build at that bound makes, one completion is
+    # made per distinct content whatever the order, and a repeated request
+    # returns the same object.  On ab4 every BOp:1 request states bound 12:
+    # one completion.  Xtilde's generators follow the request; only its
+    # requests 0 and 1 (mu_1 alone, the same stated bound) share a build
     if model_name == "ab4":
         model = ab4
     elif model_name == "three":
@@ -234,29 +242,29 @@ def test_a_build_serves_every_bound_up_to_the_one_it_states(model_name, monkeypa
         made.append(pres)
         return pres
 
+    def fresh_caches():
+        monkeypatch.setattr(rings, "_BUILT", {})
+        monkeypatch.setattr(rings, "_REQUESTS", {})
+
     for block in _BOUND_RULE_BLOCKS + ("BOh:1", "Xtilde"):
         kind, args = parse_block_id(block)
-        want = []
+        want = {}
         for b in range(13):
-            monkeypatch.setattr(rings, "_BUILT", {})  # BOh:1 asks the cache for BOp:1
-            want.append(_content(rings.BLOCKS[kind][1](model, *args, b)))
-        monkeypatch.setattr(rings, "_BUILT", {})
-        monkeypatch.setattr(rings, "presentation_new", counted)
-        made.clear()
-        got = [block_presentation(model, block, b) for b in range(13)]
-        monkeypatch.setattr(rings, "presentation_new", new)
-        assert [_content(p) for p in got] == want, block
-        distinct = list({id(p): p for p in got}.values())
-        if block == "BOh:1":  # a relabelled copy of each BOp:1 build
-            assert len(made) == len(distinct), block
-        else:
-            assert made == distinct, block
-        if block == "Xtilde":
-            assert len(made) == 13
-        else:
-            assert len(made) == len({p.truncation_bound for p in got}), block
-        if model_name == "ab4" and block == "BOp:1":
-            assert [p.truncation_bound for p in made] == [12]
+            fresh_caches()
+            want[b] = _content(rings.BLOCKS[kind][1](model, *args, b))
+        for name, order in _BOUND_ORDERS.items():
+            fresh_caches()
+            monkeypatch.setattr(rings, "presentation_new", counted)
+            made.clear()
+            got = {b: block_presentation(model, block, b) for b in order}
+            assert all(block_presentation(model, block, b) is got[b] for b in order)
+            monkeypatch.setattr(rings, "presentation_new", new)
+            assert {b: _content(p) for b, p in got.items()} == want, (block, name)
+            assert len(made) == len(set(want.values())), (block, name)
+            if block == "Xtilde":
+                assert len(made) == 12, name
+            if model_name == "ab4" and block == "BOp:1":
+                assert [p.truncation_bound for p in made] == [12], name
 
 
 def test_npow_tables(real, fq):
@@ -647,6 +655,10 @@ def test_parse_block_id_errors():
         parse_block_id("BU:x")
     with pytest.raises(UnsupportedBlock):
         parse_block_id("BU:-1")
+    # Python's int() reads each of these; the id grammar reads none
+    for block in ("BU:1_0", "BU:+1", "BU:1 ", "BU:\uff11"):
+        with pytest.raises(UnsupportedBlock, match="bad block id"):
+            parse_block_id(block)
     with pytest.raises(UnsupportedBlock):
         block_presentation(build_field_model("real"), "nbar", 8)
 
