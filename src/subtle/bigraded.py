@@ -101,7 +101,7 @@ class AlgebraPresentation:
     is_module: bool = field(init=False)
     _gb_tests: tuple[tuple, ...] = field(init=False)
     _cone: tuple[tuple[int, int], tuple[int, int]] | None = field(init=False)
-    _rules: tuple | None = field(init=False)
+    _walk: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         gens = tuple(self.gens)
@@ -120,7 +120,7 @@ class AlgebraPresentation:
         tests = tuple(_divisor_test(self, g) for g in self.groebner)
         object.__setattr__(self, "_gb_tests", tests)
         object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
-        object.__setattr__(self, "_rules", _enumeration_rules(len(gens), tests))
+        object.__setattr__(self, "_walk", _walk_rules(self))
 
     # ----- monomial helpers -------------------------------------------------
 
@@ -366,62 +366,37 @@ def _divisor_test(pres: AlgebraPresentation, g: Poly) -> tuple:
     return b.w, b.d, ge_pairs, eq, lm, g
 
 
-_NO_ACT = (0, ())  # (ban, part) at an exponent that runs no record
+def _walk_rules(pres: AlgebraPresentation) -> tuple:
+    """What ``_walk`` reads of a presentation: ``(seeds, steps, wide, tall)``.
 
-
-def _enumeration_rules(n: int, tests) -> tuple | None:
-    """How ``_monomials_of_bidegree`` runs the divisor records ``tests`` over
-    n generators: ``(caps, acts)``, or None when a leading monomial is 1.
-
-    A record runs at generator i, the lowest it reads (the last generator's
-    at the one before).  It divides a monomial whose exponent e at i passes
-    its pair at i, if any (e == x for a pair of eq, else e >= x), and whose
-    tail after i passes its pairs after i.  In a module, a pair (j, 1) of eq
-    implies the (k, 0) ones, since a monomial holds at most one module
-    generator.  ``acts[i][min(e, len - 1)]`` is ``(ban, part)`` for the
-    records that e passes: ``ban`` has bit j for each whose pairs after i are
-    one pair (j, 1), so that the tails after i leave generator j out, and
-    ``part`` holds the others as ``(_, _, ge, eq)`` with indices counted
-    from i + 1, for ``_reducer`` to run on those tails.  A record with no
-    pairs after i and a pair of ge caps e below x: ``caps[i]``."""
-    caps = [1 << 62] * n
-    levels: list[list[tuple]] = [[] for _ in range(n)]
-    for t in tests:
-        ge, eq = t[2], t[3]
-        if eq:
-            eq = tuple(p for p in eq if p[1]) or eq
-        elif not ge:
-            return None
-        i = min(ge[0][0] if ge else n, eq[0][0] if eq else n, max(n - 2, 0))
-        if ge and ge[0][0] == i:
-            exact, x, ge = False, ge[0][1], ge[1:]
-        elif eq and eq[0][0] == i:
-            exact, x, eq = True, eq[0][1], eq[1:]
-        else:
-            exact, x = False, 0
-        after = ge + eq
-        if not after and not exact:
-            caps[i] = min(caps[i], x - 1)
-        elif len(after) == 1 and after[0][1] == 1:
-            levels[i].append((exact, x, 1 << after[0][0], None))
-        else:
-            s = i + 1
-            rest = (tuple((j - s, y) for j, y in ge), tuple((j - s, y) for j, y in eq))
-            levels[i].append((exact, x, 0, (exact, x) + rest))
-    acts: list[tuple | None] = [None] * n
-    for i, level in enumerate(levels):
-        if level:
-            table = []
-            for e in range(max(r[1] for r in level) + 2):
-                ban, part = 0, ()
-                for exact, x, b, rest in level:
-                    if e == x if exact else e >= x:
-                        ban |= b
-                        if rest:
-                            part += (rest,)
-                table.append((ban, part) if ban or part else _NO_ACT)
-            acts[i] = tuple(table)
-    return tuple(caps), tuple(acts)
+    ``seeds[w, d, keep_unit]`` holds the standard monomials of ring part 1 in
+    (w)[d]: each module generator's, and the unit's with ``keep_unit``.
+    ``steps`` holds, per ring generator k of nonzero bidegree in index order,
+    ``(k, w_k, d_k, reads)``: ``reads`` maps an exponent e to the divisor
+    records whose leading monomial's last generator is k, with exponent e + 1
+    there, each cut to ``(w, d, ge, eq)`` without that pair.  ``wide`` and
+    ``tall`` are the largest weight and total of a step."""
+    n, tests = len(pres.gens), pres._gb_tests
+    seeds: dict[tuple, tuple] = {}
+    for i in (None,) + pres.module_idx:
+        m = tuple(int(j == i) for j in range(n))
+        if _reducer(m, tests) is None:
+            b = pres.mono_bidegree(m)
+            for keep in (False, True)[i is None:]:
+                seeds[b.w, b.d, keep] = seeds.get((b.w, b.d, keep), ()) + (m,)
+    steps = []
+    for k, (w, d) in enumerate(zip(pres.gen_w, pres.gen_d)):
+        if (w or d) and k not in pres.module_idx:
+            reads: dict[int, tuple] = {}
+            for t in tests:
+                ge = dict(t[2])
+                if max(ge, default=-1) == k:
+                    e = ge.pop(k) - 1
+                    reads[e] = reads.get(e, ()) + (t[:2] + (tuple(ge.items()), t[3]),)
+            steps.append((k, w, d, reads or None))
+    wide = max((s[1] for s in steps), default=0)
+    tall = max((s[1] + s[2] for s in steps), default=0)
+    return seeds, tuple(steps), wide, tall
 
 
 def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -518,10 +493,10 @@ def _buchberger(
         b = pres.mono_bidegree(lcm)
         if b.total > bound:
             continue
-        if (not pres.is_module or pres.module_count(lcm) == 0) and all(
-            x == 0 or y == 0 for x, y in zip(lmi, lmj)
+        if all(x == 0 or y == 0 for x, y in zip(lmi, lmj)) and not (
+            pres.is_module and any(map(pres.module_count, gi | gj))
         ):
-            continue  # coprime criterion (polynomial components only)
+            continue  # coprime criterion: it holds for two ring elements only
         add(_mul_mono_poly(ti, gi) ^ _mul_mono_poly(tj, gj))
 
     # The reduced basis in one pass.  An element entered reduced against the
@@ -628,14 +603,13 @@ def groebner(pres: AlgebraPresentation, bound: int | None = None):
     return p, [Element(p, g) for g in p.groebner]
 
 
-# Dead enumeration states, kept for the life of the process and shared by every
-# presentation of the same generator shape: generator bidegrees, module-generator
-# indices and unit-component flag.  _DEAD[shape][i, rw, mods] has bit rd set
-# when generators i.. cannot use up the remainder (rw)[rd] exactly.  A flag is a
-# fact about the shape alone: a state that leading terms emptied is live and
-# never flagged.  So sharing one cannot change a result, and an update lost to a
-# concurrent call only drops a flag.  Only flags are kept, never monomials, so a
-# shape costs a few dozen rows of ints; no memo holds a dead state.
+# Dead states of the unpruned enumeration, which the dense oracle alone runs,
+# kept for the life of the process and shared by every presentation of the same
+# generator shape: generator bidegrees, module-generator indices, unit flag.
+# _DEAD[shape][i, rw, mods] has bit rd set when generators i.. cannot use up the
+# remainder (rw)[rd] exactly.  A flag is a fact about the shape alone, so sharing
+# one cannot change a result, and an update lost to a concurrent call only drops
+# a flag.  The walk neither reads nor writes it.
 _DEAD: dict[tuple, dict[tuple[int, int, int], int]] = {}
 
 
@@ -645,36 +619,32 @@ def _monomials_of_bidegree(
     d: int,
     include_unit_component: bool = True,
     prune: bool = False,
-    states: dict | None = None,
+    store: dict | None = None,
 ) -> list[Monomial]:
-    """All valid monomials of bidegree exactly (w)[d], in lexicographic order
-    of exponent vectors; with ``prune``, only those that no leading monomial
-    of ``pres`` divides.
+    """All valid monomials of bidegree exactly (w)[d]; with ``prune``, only
+    those that no leading monomial of ``pres`` divides, walked (``_walk``) in
+    no fixed order from the cells of the sweep's dict ``store``.
 
-    Exponents are chosen generator by generator, keeping an exponent only when
-    the later generators can use up what it leaves; the last one is forced.
-    With ``prune``, each divisor record runs at the first generator its
-    leading term reads (``_enumeration_rules``), so no monomial it divides is
-    built: standard monomials form an order ideal.  A remainder that
-    generators i.. cannot use up is a dead state, a fact about the generator
-    shape flagged in ``_DEAD`` for every later call.  A live state's tails do
-    not depend on the cell: a sweep of one presentation and flags passes one
-    dict ``states`` to each call, which keeps the states of at most one tail;
-    the others are memoised for this call only.  Generator bidegrees are
-    taken to be non-negative, as every builder's are.  Without ``prune``, as
-    the dense oracle calls it, only generator bidegrees, the module-generator
-    limit and the unit flag are read.
-    """
-    n = len(pres.gens)
-    module_idx = pres.module_idx if pres.is_module else ()
+    Without ``prune``, as the dense oracle calls it, they come in
+    lexicographic order of exponent vectors: exponents are chosen generator by
+    generator, keeping one only when the later generators can use up what it
+    leaves (the last one is forced), and a remainder they cannot use up is
+    flagged in ``_DEAD``.  Only generator bidegrees, the module-generator
+    limit and the unit flag are read there.  Generator bidegrees are taken to
+    be non-negative, as every builder's are."""
     keep_unit = include_unit_component or not pres.is_module
-    rules = pres._rules if prune else ([1 << 62] * n, [None] * n)
-    if rules is None:
-        return []  # the leading monomial 1 divides every monomial
-    if n == 0:
-        return [()] if w == 0 and d == 0 and keep_unit else []
     if w < 0 or d < 0:
         return []
+    if prune:
+        if store is None:
+            store = {}
+        else:
+            _reach(pres, store, w, d)
+        return list(_walk(pres, w, d, keep_unit, store)[0])
+    n = len(pres.gens)
+    if n == 0:
+        return [()] if w == 0 and d == 0 and keep_unit else []
+    module_idx = pres.module_idx if pres.is_module else ()
     gen_w, gen_d = pres.gen_w, pres.gen_d
     dead = _DEAD.setdefault((gen_w, gen_d, module_idx, keep_unit), {})
     last = n - 1
@@ -694,23 +664,15 @@ def _monomials_of_bidegree(
 
     if n == 1:
         e = closing(w, d, 0)
-        return [] if e is None or prune and _reducer((e,), pres._gb_tests) is not None else [(e,)]
+        return [] if e is None else [(e,)]
     if dead.get((0, w, 0), 0) >> d & 1:
         return []
-    caps, acts = rules
-    memo: dict[tuple[int, int, int, int, int], list[Monomial]] = {}
-    if states is None:
-        states = memo
-    nothing: tuple = ()  # the tails of a dead state
+    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
 
-    def tails(i: int, rw: int, rd: int, mods: int, banned: int) -> list[Monomial]:
-        """Exponents of generators i.. that use up (rw)[rd] exactly, leave
-        out the generators of the bits of ``banned`` and pass every rule run
-        at generators i.. (``_enumeration_rules``)."""
-        key = (i, rw, rd, mods, banned)
-        found = states.get(key)
-        if found is None:
-            found = memo.get(key)
+    def tails(i: int, rw: int, rd: int, mods: int) -> list[Monomial]:
+        """Exponents of generators i.. that use up (rw)[rd] exactly."""
+        key = (i, rw, rd, mods)
+        found = memo.get(key)
         if found is None:
             gw, gd = gen_w[i], gen_d[i]
             if gw > 0:
@@ -724,66 +686,99 @@ def _monomials_of_bidegree(
             limited = i in module_idx
             if limited and cap > 1 - mods:
                 cap = 1 - mods
-            stop = 0 if banned >> i & 1 else caps[i]
-            if stop > cap:
-                stop = cap
-            act = acts[i]
             found = []
-            live = False  # some exponents use up the remainder
             j = i + 1
-            if j < last:
-                high = banned >> j << j
-                for e in range(stop + 1):
-                    cw, cd = rw - e * gw, rd - e * gd
-                    cm = mods + e if limited else mods
-                    if dead.get((j, cw, cm), 0) >> cd & 1:
-                        continue
-                    ban, part = (act[e] if e < len(act) else act[-1]) if act else _NO_ACT
-                    below = tails(j, cw, cd, cm, high | ban)
-                    if below is nothing:
-                        continue
-                    live = True
-                    if part:
-                        for t in below:
-                            if _reducer(t, part) is None:
-                                found.append((e,) + t)
-                    else:
-                        for t in below:
-                            found.append((e,) + t)
-            else:
-                for e in range(stop + 1):
-                    f = closing(rw - e * gw, rd - e * gd, mods + e if limited else mods)
-                    if f is None:
-                        continue
-                    live = True
-                    ban, part = (act[e] if e < len(act) else act[-1]) if act else _NO_ACT
-                    if f and (banned | ban) >> j & 1 or part and _reducer((f,), part) is not None:
-                        continue
-                    found.append((e, f))
-            if not live and stop < cap:
-                # the exponents above stop were not entered: each is live
-                # unless it is known to be dead
-                for e in range(stop + 1, cap + 1):
-                    cw, cd = rw - e * gw, rd - e * gd
-                    cm = mods + e if limited else mods
-                    if j < last and not dead.get((j, cw, cm), 0) >> cd & 1 or (
-                        j == last and closing(cw, cd, cm) is not None
-                    ):
-                        live = True
-                        break
-            if not live:
+            for e in range(cap + 1):
+                cw, cd = rw - e * gw, rd - e * gd
+                cm = mods + e if limited else mods
+                if j < last:
+                    if not dead.get((j, cw, cm), 0) >> cd & 1:
+                        found += [(e,) + t for t in tails(j, cw, cd, cm)]
+                else:
+                    f = closing(cw, cd, cm)
+                    if f is not None:
+                        found.append((e, f))
+            if not found:
                 row = (i, rw, mods)
                 dead[row] = dead.get(row, 0) | 1 << rd
-                return nothing  # callers read ``dead`` first
-            if len(found) < 2:
-                states[key] = found
-            else:
-                memo[key] = found
+            memo[key] = found
         return found
 
-    out = tails(0, w, d, 0, 0)
+    out = tails(0, w, d, 0)
     del tails  # it refers to itself: unbinding it frees it and the memo now
-    return out if len(out) > 1 else list(out)
+    return out
+
+
+def _walk(pres: AlgebraPresentation, w: int, d: int, keep_unit: bool, store: dict):
+    """The cell (w)[d] of standard monomials as ``(monos, ends)``, held in
+    ``store``; the missing cells it reads are built first, iteratively, in
+    rising total degree.
+
+    A standard monomial whose last ring generator is x_k is s * x_k, with s
+    standard in the cell below by the bidegree of x_k and its own last at most
+    k.  So a cell is its seeds (``_walk_rules``), then per step x_k the
+    products s * x_k that no leading monomial divides; only one whose last
+    generator is k, with exponent s[k] + 1 there, can.  ``monos`` is ordered
+    by last ring generator; ``ends[j]`` counts those whose last is at most
+    the j-th step's.  Each module component grows from its own seed: the ring
+    part of a standard module monomial need not be standard.  A cell outside
+    the generator cone is empty and not held."""
+    seeds, steps, _, _ = pres._walk
+    need = []
+    stack = [(w, d)]
+    while stack:
+        cell = stack.pop()
+        if cell in store:
+            continue
+        cw, cd = cell
+        if cw < 0 or cd < 0 or not _in_cone(pres, cw, cd):
+            continue
+        store[cell] = None  # filled below, before any cell that reads it
+        need.append(cell)
+        stack += [(cw - sw, cd - sd) for _, sw, sd, _ in steps]
+    need.sort(key=sum)
+    for cw, cd in need:
+        out = list(seeds.get((cw, cd, keep_unit), ()))
+        ends = []
+        for j, (k, sw, sd, reads) in enumerate(steps):
+            below = store.get((cw - sw, cd - sd))
+            if below:
+                k1 = k + 1
+                prefix = below[0][: below[1][j]]
+                out += [
+                    s[:k] + (s[k] + 1,) + s[k1:] for s in prefix
+                    if (r := reads.get(s[k])) is None or _reducer(s, r) is None
+                ] if reads else [s[:k] + (s[k] + 1,) + s[k1:] for s in prefix]
+            ends.append(len(out))
+        store[cw, cd] = (out, ends)
+    return store.get((w, d)) or ((), ())
+
+
+def _reach(pres: AlgebraPresentation, store: dict, w: int, d: int) -> None:
+    """Note that the sweep of ``store`` has reached cell (w)[d], and drop the
+    cells that no later cell of the sweep can read.
+
+    ``store[None]`` holds the last two cells reached, whether the sweep still
+    runs in rising weight and in rising total degree, and the reaches of the
+    last drop.  A cell breaks an order only below both of the last two, as a
+    map's sweep reaches a target cell after each source cell.  A later cell
+    reads cells down to the largest step weight (``wide``) and step total
+    (``tall``) below it; a cell is dropped when it lies below the reach of
+    every order the sweep still runs in, so a sweep in neither drops none."""
+    t = w + d
+    rec = store.get(None)
+    if rec is None:
+        rec = store[None] = [w, t, w, t, True, True, None, None]
+    pw, pt, qw, qt, by_w, by_t, last_w, last_t = rec
+    by_w = by_w and w >= min(pw, qw)
+    by_t = by_t and t >= min(pt, qt)
+    _, _, wide, tall = pres._walk
+    low_w = min(qw, w) - wide if by_w else 1 << 62
+    low_t = min(qt, t) - tall if by_t else 1 << 62
+    rec[:] = qw, qt, w, t, by_w, by_t, low_w, low_t
+    if (by_w or by_t) and (low_w, low_t) != (last_w, last_t):
+        for cell in [c for c in store if c and c[0] < low_w and c[0] + c[1] < low_t]:
+            del store[cell]
 
 
 _REVERSED = itemgetter(slice(None, None, -1))
@@ -805,20 +800,22 @@ def _in_cone(pres: AlgebraPresentation, w: int, d: int) -> bool:
 
 
 def standard_monomials(
-    pres: AlgebraPresentation, w: int, d: int, states: dict | None = None
+    pres: AlgebraPresentation, w: int, d: int, store: dict | None = None
 ) -> list[Monomial]:
     """Monomial basis of the (w)[d] piece: monomials no leading term divides.
 
     A cell outside the generator cone (``_in_cone``) is returned empty at
-    once, without enumeration.  A cell inside it is enumerated with pruning,
-    so only its standard monomials are built (``_monomials_of_bidegree``).
-    The basis is sorted by ``mono_key``, which inside one bidegree is the
-    order of reversed exponent vectors.  A module without a unit component
-    (``has_unit`` false) leaves out the monomials free of module
-    generators.  ``states``: the sweep's dict (``_monomials_of_bidegree``)."""
+    once.  A cell inside it is walked (``_monomials_of_bidegree``, ``_walk``)
+    from the cells below it, which a sweep holds in its dict ``store``: one
+    dict per presentation, passed to every cell of the sweep, holds the cells
+    a later cell of the sweep can read (``_reach``).  Without one, each call
+    walks every cell below its own afresh.  The basis is sorted by
+    ``mono_key``, which inside one bidegree is the order of reversed exponent
+    vectors.  A module without a unit component (``has_unit`` false) leaves
+    out the monomials free of module generators."""
     if not _in_cone(pres, w, d):
         return []
-    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True, states)
+    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True, store)
     out.sort(key=_REVERSED)
     return out
 
@@ -846,20 +843,23 @@ def cell_maps(
     source cell's ``standard_monomials`` and the ``cell_images`` of
     ``image`` on it into the target cell (w, d) + ``shift``.  When ``source
     is target``, a target basis is kept until the sweep reaches that cell as
-    a source, then dropped; otherwise each basis is enumerated per use.  The
-    sweep has one ``states`` dict per presentation."""
+    a source, then dropped, and the sweep's dict is told that it was reached
+    (``_reach``); otherwise each basis is walked per use.  The sweep has one
+    dict of cells per presentation (``standard_monomials``)."""
     same = source is target
     ahead: dict[tuple[int, int], list[Monomial]] = {}
-    source_states: dict = {}
-    target_states = source_states if same else {}
+    source_store: dict = {}
+    target_store = source_store if same else {}
     for w, d in cells:
         basis = ahead.pop((w, d), None)
         if basis is None:
-            basis = standard_monomials(source, w, d, source_states)
+            basis = standard_monomials(source, w, d, source_store)
+        else:
+            _reach(source, source_store, w, d)
         cell = (w + shift[0], d + shift[1])
         tgt = basis if same and cell == (w, d) else ahead.get(cell)
         if tgt is None:
-            tgt = standard_monomials(target, *cell, target_states)
+            tgt = standard_monomials(target, *cell, target_store)
             if same:
                 ahead[cell] = tgt
         yield (w, d, basis, *cell_images(basis, tgt, image))
@@ -874,10 +874,10 @@ def poincare_table(
             f"box ({wmax},{dmax}) needs bound >= {wmax + dmax}, "
             f"presentation certifies {pres.truncation_bound}"
         )
-    states: dict = {}
+    store: dict = {}
     counts = tuple(
         tuple(
-            len(standard_monomials(pres, w, d, states))
+            len(standard_monomials(pres, w, d, store))
             for d in range(dmax + 1)
         )
         for w in range(wmax + 1)

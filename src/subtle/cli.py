@@ -36,7 +36,7 @@ from .maps import (
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
 from .parse import STRING, load_descriptor, parse_id
-from .rings import block_presentation, block_table
+from .rings import block_presentation, block_table, canonical_block_id
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
 
@@ -182,18 +182,19 @@ def _cmd_field(args) -> int:
 def _cmd_ring(args) -> int:
     model = _resolve_model(args.model)
     w, d = args.box
+    block = canonical_block_id(args.block)
     if args.action == "table":
-        table = block_table(model, args.block, w, d)
+        table = block_table(model, block, w, d)
         if args.format == "json":
             _emit(args, _json(table.to_json_obj()))
         else:
-            head = f"block: {args.block}\nmodel: {model.tag}\nbox: {w} {d}"
+            head = f"block: {block}\nmodel: {model.tag}\nbox: {w} {d}"
             _emit(args, head + "\n" + table.render_text())
         return 0
-    pres = block_presentation(model, args.block, w + d)
+    pres = block_presentation(model, block, w + d)
     if args.format == "json":
         payload = {
-            "block": args.block,
+            "block": block,
             "model": model.tag,
             "bound": pres.truncation_bound,
             "is_module": pres.is_module,
@@ -211,7 +212,7 @@ def _cmd_ring(args) -> int:
         _emit(args, _json(payload))
     else:
         lines = [
-            f"block: {args.block}",
+            f"block: {block}",
             f"model: {model.tag}",
             f"bound: {pres.truncation_bound}",
             "generators: "

@@ -181,8 +181,9 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     Long-exact-sequence bookkeeping over the triangle linking it to the unit
     and the invertible block: the connecting map is multiplication by the
     unique nonzero class mu_1, whose per-cell ranks are computable, so every
-    cell is determined.  Per weight, one ``cell_maps`` sweep from H (w)[d]
-    to Npow:1 (w)[d+1], d = -1..dmax, gives both dimensions and the ranks.
+    cell is determined.  One ``cell_maps`` sweep, w-major, from H (w)[d] to
+    Npow:1 (w)[d+1], d = -1..dmax, gives both dimensions and the ranks; one
+    sweep, not one per weight, so that each cell is walked once.
     """
     h_pres = block_presentation(model, "H", wmax + dmax + 1)
     n1_pres = block_presentation(model, "Npow:1", wmax + dmax + 1)
@@ -193,20 +194,19 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     def times_mu1(m):
         return n1_pres.reduce_poly([m + (1,)])
 
-    counts = []
-    for w in range(wmax + 1):
-        # sweep[d + 1] = (dim H(w)[d], dim Npow:1(w)[d+1], rank of mu_1 on (w)[d])
-        sweep = [
-            (len(basis), dim, RowSpace(rows).rank)
-            for _, _, basis, dim, rows in cell_maps(
-                h_pres, n1_pres, (0, 1), [(w, d) for d in range(-1, dmax + 1)], times_mu1
-            )
-        ]
-        counts.append(tuple(
+    # sweeps[w][d + 1] = (dim H(w)[d], dim Npow:1(w)[d+1], rank of mu_1 on (w)[d])
+    sweeps: list[list[tuple[int, int, int]]] = [[] for _ in range(wmax + 1)]
+    cells = [(w, d) for w in range(wmax + 1) for d in range(-1, dmax + 1)]
+    for w, _, basis, dim, rows in cell_maps(h_pres, n1_pres, (0, 1), cells, times_mu1):
+        sweeps[w].append((len(basis), dim, RowSpace(rows).rank))
+    counts = tuple(
+        tuple(
             sweep[d + 1][0] + sweep[d][1] - sweep[d + 1][2] - sweep[d][2]
             for d in range(dmax + 1)
-        ))
-    return PoincareTable(wmax, dmax, tuple(counts))
+        )
+        for sweep in sweeps
+    )
+    return PoincareTable(wmax, dmax, counts)
 
 
 def atom_table(model: FieldModel, atom: Atom, wmax: int, dmax: int) -> PoincareTable:

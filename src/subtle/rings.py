@@ -157,9 +157,12 @@ def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
 
 def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd;
-    a relabelled copy, so the BOp:n or BO:2n build keeps its own block id."""
+    a relabelled copy, made once per build, so the BOp:n or BO:2n build
+    keeps its own block id."""
     base = build_BOpn(model, n, bound) if n % 2 == 1 else build_BO(model, 2 * n, bound)
-    return replace(base, model=model, block_id=f"BOh:{n}")
+    if base not in _RELABELS:
+        _RELABELS[base] = replace(base, block_id=f"BOh:{n}")
+    return _RELABELS[base]
 
 
 def _xalpha(model: FieldModel, block_id: str, free, bound: int) -> AlgebraPresentation:
@@ -363,9 +366,11 @@ BLOCKS = {
 }
 
 # the one build cache, keyed by what a build is made from (see ``_present``),
-# and the memo of requests, keyed by (model, block id, bound)
+# the memo of requests, keyed by (model, canonical block id, bound), and the
+# BOh:n relabel of each build it relabels
 _BUILT: dict[tuple, AlgebraPresentation] = {}
 _REQUESTS: dict[tuple, AlgebraPresentation] = {}
+_RELABELS: dict[AlgebraPresentation, AlgebraPresentation] = {}
 
 
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
@@ -375,13 +380,21 @@ def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
     return kind, args
 
 
+def canonical_block_id(block: str) -> str:
+    """The id as it is printed: parameters without leading zeros, so that
+    ``BU:01`` reads ``BU:1``."""
+    kind, args = parse_block_id(block)
+    return ":".join([kind, *map(str, args)])
+
+
 def block_presentation(
     model: FieldModel, block: str, bound: int = 16
 ) -> AlgebraPresentation:
     """Presentation for a block id, built once and shared; table-only blocks
     are rejected.  A request is answered from its memo; otherwise the builder
-    runs, and ``_present`` completes only a build not made before."""
-    key = (model, block, bound)
+    runs, and ``_present`` completes only a build not made before.  Ids that
+    differ only in leading zeros share one memo entry."""
+    key = (model, canonical_block_id(block), bound)
     if key not in _REQUESTS:
         kind, args = parse_block_id(block)
         builder = BLOCKS[kind][1]

@@ -212,13 +212,13 @@ def leibniz_offender(
             x = pres.gen(gen.name)
             limits = (2 * wmax - gb.w, 2 * dmax - gb.d, bound - 1 - gb.total)
             xs.append((limits, x, sq1_apply(der, x)))
-    states: dict = {}
+    store: dict = {}
     for w in range(2 * wmax + 1):
         for d in range(2 * dmax + 1):
             pairs = [(x, sx) for (mw, md, mt), x, sx in xs if w <= mw and d <= md and w + d <= mt]
             if not pairs:
                 continue
-            for m in standard_monomials(pres, w, d, states):
+            for m in standard_monomials(pres, w, d, store):
                 c = Element(pres, frozenset([m]))
                 sc = sq1_apply(der, c)
                 for x, sx in pairs:

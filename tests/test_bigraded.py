@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from operator import ge
 
 import pytest
@@ -38,7 +39,7 @@ from subtle.errors import (
     UnknownGenerator,
     ZeroDivisorOfEverything,
 )
-from subtle.oracle import oracle_table
+from subtle.oracle import oracle_entry, oracle_table
 from dataclasses import replace
 
 
@@ -363,15 +364,15 @@ def test_standard_monomials_are_the_irreducible_monomials_random():
 
 
 def _assert_pruning_is_filtering(p, box=6):
-    """Every cell of the box, with both unit flags: the pruned enumeration is
-    the full one filtered by the divisor records."""
+    """Every cell of the box, with both unit flags: the walk gives the full
+    enumeration filtered by the divisor records, in its own order."""
     for w in range(-1, box):
         for d in range(-1, box):
             for unit in (True, False):
                 full = _monomials_of_bidegree(p, w, d, unit)
                 want = [m for m in full if bigraded._reducer(m, p._gb_tests) is None]
                 got = _monomials_of_bidegree(p, w, d, unit, True)
-                assert got == want, (p.gens, p.groebner, p.has_unit, w, d, unit)
+                assert sorted(got) == want, (p.gens, p.groebner, p.has_unit, w, d, unit)
 
 
 def test_pruned_enumeration_edge_cases():
@@ -427,9 +428,9 @@ def test_pruned_enumeration_is_filtering_random():
 
 
 def test_pruned_empty_states_are_never_flagged_dead():
-    # cells that the relations empty are enumerated first, on a fresh record
-    # of dead states; the same generators without relations must still
-    # enumerate every monomial of every cell
+    # cells that the relations empty are walked first, on a fresh record of
+    # dead states, which the walk leaves empty; the same generators without
+    # relations must still enumerate every monomial of every cell
     x, y = GenSpec("x", Bidegree(1, 1)), GenSpec("y", Bidegree(1, 2))
     t = GenSpec("t", Bidegree(1, 0))
     mu = GenSpec("mu", Bidegree(0, 1), MODULE_GEN)
@@ -439,12 +440,15 @@ def test_pruned_empty_states_are_never_flagged_dead():
         ([x, t, y, mu], ["x^2", "t*y", "x*mu", "t*mu", "y*mu"], True),
         ([x, t, y, mu], ["x*mu", "t*mu", "y^2*mu"], False),
     ]:
-        bigraded._DEAD.clear()
         p = presentation_new(gens, rels, 16, has_unit=has_unit)
+        bigraded._DEAD.clear()
         empty = 0
         for w in range(8):
             for d in range(8):
                 empty += not standard_monomials(p, w, d) and bool(_naive_monomials(p, w, d, has_unit))
+                for unit in (True, False):
+                    _monomials_of_bidegree(p, w, d, unit, True)
+        assert bigraded._DEAD == {}, (gens, rels)  # pruned calls never write it
         assert empty >= 10, (gens, rels)
         free = presentation_new(gens, [], 16, has_unit=has_unit)
         for w in range(8):
@@ -793,35 +797,51 @@ def _shared_states_presentations(rng):
                 yield p
 
 
-def test_shared_states_sweep_equals_per_cell_bases_random():
-    # a sweep hands one states dict to every cell, in w-major and in
-    # total-degree order, each time on a fresh record of dead states as in a
-    # new process.  Every cell equals a fresh standard_monomials call and the
-    # reference (unpruned enumeration on a fresh record, filtered densely);
-    # the dict keeps no state of more than one tail; and no state that the
-    # leading terms emptied reaches _DEAD, so the same generators without
+def count_builds(monkeypatch):
+    """Wrap ``bigraded._walk`` so that the returned Counter counts each cell
+    built into a sweep's dict, keyed (id of the dict, cell): a cell dropped
+    and built again counts twice.  Each dict is kept, so no id is reused."""
+    built = Counter()
+    walk = bigraded._walk
+    held = []
+
+    def counted(pres, w, d, keep_unit, store):
+        held.append(store)
+        before = set(store)
+        out = walk(pres, w, d, keep_unit, store)
+        built.update((id(store), c) for c in set(store) - before)
+        return out
+
+    monkeypatch.setattr(bigraded, "_walk", counted)
+    return built
+
+
+def test_shared_states_sweep_equals_per_cell_bases_random(monkeypatch):
+    # a sweep hands one dict to every cell, in w-major and in total-degree
+    # order.  Every cell equals a fresh standard_monomials call and the
+    # reference (unpruned enumeration, filtered densely); no cell is built
+    # twice in one sweep, though the dict drops the cells no later cell reads;
+    # and the walk writes nothing to _DEAD, so the same generators without
     # relations still enumerate every monomial of every cell.
     rng = random.Random(47)
     box = [(w, d) for w in range(-1, 7) for d in range(-1, 7)]
     orders = (box, sorted(box, key=lambda c: (c[0] + c[1], c[0])))
-    rings = modules = no_unit = zero_weight = zero_bidegree = emptied = 0
+    built = count_builds(monkeypatch)
+    rings = modules = no_unit = zero_weight = zero_bidegree = dropped = 0
     for p in _shared_states_presentations(rng):
         where = (p.gens, p.groebner, p.has_unit)
         free = presentation_new(p.gens, [], p.truncation_bound, has_unit=p.has_unit)
-        bigraded._DEAD.clear()
         want = {(w, d): _standard_monomials_reference(p, w, d) for w, d in box}
         free_want = {(w, d): _monomials_of_bidegree(free, w, d, p.has_unit) for w, d in box}
-        shape = (p.gen_w, p.gen_d, p.module_idx, p.has_unit or not p.is_module)
         for cells in orders:
             bigraded._DEAD.clear()
-            states = {}
+            built.clear()
+            store = {}
             for w, d in cells:
-                assert standard_monomials(p, w, d, states) == want[w, d], (where, cells[:2], w, d)
-            assert all(len(tails) <= 1 for tails in states.values()), where
-            dead = bigraded._DEAD.get(shape, {})
-            for i, rw, rd, mods, _ in (key for key, tails in states.items() if not tails):
-                assert not dead.get((i, rw, mods), 0) >> rd & 1, (where, i, rw, rd, mods)
-                emptied += 1
+                assert standard_monomials(p, w, d, store) == want[w, d], (where, cells[:2], w, d)
+            assert max(built.values(), default=1) == 1, (where, cells[:2])
+            assert bigraded._DEAD == {}, where
+            dropped += len(built) - len(store) + 1
             for w, d in box:
                 got = _monomials_of_bidegree(free, w, d, p.has_unit)
                 assert got == free_want[w, d], (where, cells[:2], w, d)
@@ -833,7 +853,43 @@ def test_shared_states_sweep_equals_per_cell_bases_random():
         zero_weight += 0 in p.gen_w
         zero_bidegree += any(not (a or b) for a, b in zip(p.gen_w, p.gen_d))
     assert min(rings, modules, no_unit, zero_weight) >= 20, (rings, modules, no_unit, zero_weight)
-    assert zero_bidegree >= 2 and emptied >= 1000, (zero_bidegree, emptied)
+    assert zero_bidegree >= 2 and dropped >= 1000, (zero_bidegree, dropped)
+
+
+def test_walk_seeds_each_module_component():
+    # x1*x0*m0 is standard while x1*x0 is not: a module component is walked
+    # from its own generator, not from the ring part of its monomials
+    gens = [
+        GenSpec("x1", Bidegree(3, 2)),
+        GenSpec("x2", Bidegree(3, 0)),
+        GenSpec("x0", Bidegree(2, 0)),
+        GenSpec("m0", Bidegree(0, 2), MODULE_GEN),
+    ]
+    p = presentation_new(gens, ["x0^2", "x2*x0", "x2*x0*m0 + x1*x0", "x2*m0"], 12)
+    assert [str(Element(p, frozenset([m]))) for m in standard_monomials(p, 5, 4)] == ["x1*x0*m0"]
+    assert standard_monomials(p, 5, 2) == [] and oracle_entry(p, 5, 4) == 1
+    assert poincare_table(p, 6, 6) == oracle_table(p, 6, 6)
+
+
+def test_walk_fills_a_far_cell_without_recursion():
+    p = presentation_new([GenSpec("u", Bidegree(0, 1))], [], 3000)
+    assert standard_monomials(p, 0, 3000) == [(3000,)]
+
+
+def test_coprime_criterion_skips_no_pair_with_a_module_tail():
+    # x0*x3 + m0*x0*x1^2 and x1*x2 + m0*x1*x3 have coprime leading monomials
+    # but module tails; their S-pair is needed: m0*x0*x1*x3^2 equals
+    # r2*x0*x3 + r1*x1*x2 + r3*m0*x0*x1*x2 for the relations r1, r2, r3
+    gens = [
+        GenSpec("m0", Bidegree(0, 1), MODULE_GEN),
+        GenSpec("x0", Bidegree(0, 3)),
+        GenSpec("x1", Bidegree(1, 0)),
+        GenSpec("x3", Bidegree(2, 1)),
+        GenSpec("x2", Bidegree(2, 2)),
+    ]
+    p = presentation_new(gens, ["x0*x3 + m0*x0*x1^2", "x1*x2 + m0*x1*x3", "x1^2"], 12)
+    assert standard_monomials(p, 5, 6) == [] and oracle_entry(p, 5, 6) == 0
+    assert poincare_table(p, 6, 6) == oracle_table(p, 6, 6)
 
 
 def test_normal_form_and_printing_helpers():

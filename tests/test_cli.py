@@ -274,9 +274,10 @@ def test_near_miss_ids_exit_2_naming_the_id(golden, bad, capsys):
 
 def test_valid_ids_keep_their_output():
     # the golden ids are checked by test_golden_outputs_byte_identical; a
-    # leading zero is still ASCII digits: the same block, printed as asked
+    # leading zero is still ASCII digits: the same block, printed canonically
     code, out = run_cli("ring", "table", "BU:01", "--model", "real", "--box", "4", "4")
-    assert (code, out.replace("BU:01", "BU:1")) == run_cli(*dict(_ID_GOLDENS)["table_bu1_real.txt"])
+    assert (code, out) == run_cli(*dict(_ID_GOLDENS)["table_bu1_real.txt"])
+    assert out.startswith("block: BU:1\n")
     code, out = run_cli("ring", "table", "NpowBU:1:2", "--model", "real", "--box", "2", "2")
     assert code == 0 and out.startswith("block: NpowBU:1:2\n")
 

@@ -118,6 +118,23 @@ def test_bohtilde_leaves_cached_blocks_labelled(real):
     assert "BOh:1" not in report.render_text()
 
 
+def test_ids_differing_in_leading_zeros_share_one_request(real, monkeypatch):
+    monkeypatch.setattr(rings, "_REQUESTS", {})
+    assert block_presentation(real, "BU:01", 8) is block_presentation(real, "BU:1", 8)
+    assert list(rings._REQUESTS) == [(real, "BU:1", 8)]
+    assert rings.canonical_block_id("NpowBU:01:002") == "NpowBU:1:2"
+
+
+def test_bohtilde_relabels_each_build_once(ab4, monkeypatch):
+    # on ab4 every BOp:1 request states bound 12, so the 13 requests share
+    # one build and one relabelled copy of it
+    for cache in ("_BUILT", "_REQUESTS", "_RELABELS"):
+        monkeypatch.setattr(rings, cache, {})
+    got = {id(block_presentation(ab4, "BOh:1", b)) for b in range(13)}
+    assert len(got) == 1 and len(rings._RELABELS) == 1
+    assert build_BOhtilde(ab4, 1, 5) is block_presentation(ab4, "BOh:1", 0)
+
+
 @pytest.mark.parametrize("attr", ["block_id", "groebner", "model", "truncation_bound"])
 def test_built_presentation_refuses_assignment(real, attr):
     pres = block_presentation(real, "BU:1", 8)
@@ -395,7 +412,7 @@ def _inside_generator_cone(pres, w, d):
 
 
 def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
-    # every enumeration of a sweep passes the sweep's states dict, one per
+    # every enumeration of a sweep passes the sweep's dict of cells, one per
     # presentation: a single one when a map's source is its target
     calls = []
     enumerate_cell = bigraded._monomials_of_bidegree
@@ -426,6 +443,11 @@ def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
 
 
 def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
+    # each cell is asked for once and built once, though the sweep's dict
+    # drops the cells no later cell reads
+    from test_bigraded import count_builds
+
+    built = count_builds(monkeypatch)
     calls = Counter()
     enumerate_cell = bigraded._monomials_of_bidegree
 
@@ -444,9 +466,11 @@ def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
     }
     for name, sweep in sweeps.items():
         calls.clear()
+        built.clear()
         sweep()
         assert calls, name
         assert max(calls.values()) == 1, (name, [k[1:] for k, n in calls.items() if n > 1])
+        assert max(built.values()) == 1, (name, [c for c, n in built.items() if n > 1])
         outside = [(w, d) for pres, w, d in calls if not _inside_generator_cone(pres, w, d)]
         assert not outside, (name, outside)
 
