@@ -603,16 +603,6 @@ def groebner(pres: AlgebraPresentation, bound: int | None = None):
     return p, [Element(p, g) for g in p.groebner]
 
 
-# Dead states of the unpruned enumeration, which the dense oracle alone runs,
-# kept for the life of the process and shared by every presentation of the same
-# generator shape: generator bidegrees, module-generator indices, unit flag.
-# _DEAD[shape][i, rw, mods] has bit rd set when generators i.. cannot use up the
-# remainder (rw)[rd] exactly.  A flag is a fact about the shape alone, so sharing
-# one cannot change a result, and an update lost to a concurrent call only drops
-# a flag.  The walk neither reads nor writes it.
-_DEAD: dict[tuple, dict[tuple[int, int, int], int]] = {}
-
-
 def _monomials_of_bidegree(
     pres: AlgebraPresentation,
     w: int,
@@ -628,10 +618,11 @@ def _monomials_of_bidegree(
     Without ``prune``, as the dense oracle calls it, they come in
     lexicographic order of exponent vectors: exponents are chosen generator by
     generator, keeping one only when the later generators can use up what it
-    leaves (the last one is forced), and a remainder they cannot use up is
-    flagged in ``_DEAD``.  Only generator bidegrees, the module-generator
-    limit and the unit flag are read there.  Generator bidegrees are taken to
-    be non-negative, as every builder's are."""
+    leaves (the last one is forced).  The tails of each remainder are kept in
+    ``store[keep_unit]``, so the calls of one oracle table list each once (an
+    empty list when none is left); such a ``store`` serves one presentation
+    and no walk.  Generator bidegrees are taken to be non-negative, as every
+    builder's are."""
     keep_unit = include_unit_component or not pres.is_module
     if w < 0 or d < 0:
         return []
@@ -646,7 +637,6 @@ def _monomials_of_bidegree(
         return [()] if w == 0 and d == 0 and keep_unit else []
     module_idx = pres.module_idx if pres.is_module else ()
     gen_w, gen_d = pres.gen_w, pres.gen_d
-    dead = _DEAD.setdefault((gen_w, gen_d, module_idx, keep_unit), {})
     last = n - 1
     lw, ld = gen_w[last], gen_d[last]
     last_limited = last in module_idx
@@ -665,9 +655,7 @@ def _monomials_of_bidegree(
     if n == 1:
         e = closing(w, d, 0)
         return [] if e is None else [(e,)]
-    if dead.get((0, w, 0), 0) >> d & 1:
-        return []
-    memo: dict[tuple[int, int, int, int], list[Monomial]] = {}
+    memo = {} if store is None else store.setdefault(keep_unit, {})
 
     def tails(i: int, rw: int, rd: int, mods: int) -> list[Monomial]:
         """Exponents of generators i.. that use up (rw)[rd] exactly."""
@@ -692,20 +680,16 @@ def _monomials_of_bidegree(
                 cw, cd = rw - e * gw, rd - e * gd
                 cm = mods + e if limited else mods
                 if j < last:
-                    if not dead.get((j, cw, cm), 0) >> cd & 1:
-                        found += [(e,) + t for t in tails(j, cw, cd, cm)]
+                    found += [(e,) + t for t in tails(j, cw, cd, cm)]
                 else:
                     f = closing(cw, cd, cm)
                     if f is not None:
                         found.append((e, f))
-            if not found:
-                row = (i, rw, mods)
-                dead[row] = dead.get(row, 0) | 1 << rd
             memo[key] = found
         return found
 
-    out = tails(0, w, d, 0)
-    del tails  # it refers to itself: unbinding it frees it and the memo now
+    out = list(tails(0, w, d, 0))  # a copy: the caller may change it, the memo not
+    del tails  # it refers to itself: unbinding it frees it now
     return out
 
 

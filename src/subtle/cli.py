@@ -35,7 +35,7 @@ from .maps import (
 )
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
-from .parse import STRING, load_descriptor, parse_id
+from .parse import STRING, ParseError, load_descriptor, parse_id, parse_int
 from .rings import block_presentation, block_table, canonical_block_id
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
@@ -47,9 +47,9 @@ DEFAULT_SEED = 20250801
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--model", default=None, help="builtin name or descriptor path")
-    shared.add_argument("--box", nargs=2, type=int, metavar=("W", "D"), default=None)
+    shared.add_argument("--box", nargs=2, metavar=("W", "D"), default=None)
     shared.add_argument("--format", choices=["text", "json"], default=None)
-    shared.add_argument("--seed", type=int, default=None)
+    shared.add_argument("--seed", default=None)
     shared.add_argument("--out", default=None, help="write the report to a file")
     shared.add_argument("--config", default=None, help="JSON file presetting flags")
 
@@ -105,6 +105,10 @@ CONFIG_FIELDS = {
 
 
 def _apply_config(args) -> None:
+    if args.box is not None:
+        args.box = [parse_int(v, "--box") for v in args.box]
+    if args.seed is not None:
+        args.seed = parse_int(args.seed, "--seed", signed=True)
     if args.config:
         for key, value in load_descriptor(args.config, "config", CONFIG_FIELDS).items():
             if getattr(args, key) is None:
@@ -114,8 +118,6 @@ def _apply_config(args) -> None:
     args.explicit_box = args.box is not None
     if args.box is None:
         args.box = list(DEFAULT_BOX)
-    if min(args.box) < 0:
-        raise SubtleError(f"--box needs W, D >= 0, got {args.box[0]} {args.box[1]}")
     if args.format is None:
         args.format = "text"
     if args.seed is None:
@@ -267,7 +269,10 @@ def _cmd_sq1(args) -> int:
 
 
 def _cmd_motive(args) -> int:
-    motive = parse_motive(args.expr)
+    try:
+        motive = parse_motive(args.expr)
+    except ParseError as exc:
+        raise ParseError(f"bad motive expression {args.expr!r}: {exc}") from None
     if args.explicit_box:
         model = _resolve_model(args.model)
         w, d = args.box

@@ -254,7 +254,7 @@ class MotiveParseError(ParseError):
 
 
 class _MotiveParser(Parser):
-    TOKEN = re.compile(r"\s*(N\^-?\d+|[A-Za-z]+|-?\d+|[+*()\[\]])")
+    TOKEN = re.compile(r"\s*(N\^-?[0-9]+|[A-Za-z]+|-?[0-9]+|[+*()\[\]])")
     error = MotiveParseError
     what = "motive expression"
 

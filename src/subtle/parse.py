@@ -5,11 +5,12 @@ object a user supplies (config, model, map and derivation files, and model
 dicts), and ``Parser`` is the one recursive-descent scaffold under both
 expression grammars: elements here and motives in ``motives``.
 
-``parse_id`` reads block and map ids such as ``NpowBU:1:2`` and ``comp:3``.
+``parse_id`` reads block and map ids such as ``NpowBU:1:2`` and ``comp:3``, and
+``parse_int`` the integers in them and in the ``--box`` and ``--seed`` flags.
 
 The element grammar: `+` for sums, `*` for products, `^` for powers,
-parentheses, integer literals (taken mod 2) and generator names like `tau`,
-`rho`, `u3`, `c1`.
+parentheses, integer literals in ASCII digits (taken mod 2) and generator
+names like `tau`, `rho`, `u3`, `c1`.
 """
 
 from __future__ import annotations
@@ -65,16 +66,22 @@ def check_descriptor(value, what: str, fields: dict, required: tuple = ()) -> di
     return present
 
 
+def parse_int(text: str, what: str, signed: bool = False, error=ParseError) -> int:
+    """``text`` as an integer: ASCII digits, after one optional sign when
+    ``signed``; otherwise ``error``, naming ``what`` and the text."""
+    if not re.fullmatch("[+-]?[0-9]+" if signed else "[0-9]+", text):
+        sign = "an optional" if signed else "no"
+        raise error(f"bad {what}: {text!r} is not an integer (ASCII digits, {sign} sign)")
+    return int(text)
+
+
 def parse_id(text: str, what: str, error=ParseError) -> tuple[str, tuple[int, ...]]:
     """An id's name and parameters: an ASCII name, then ``:`` and ASCII digits
     per parameter; otherwise ``error``, naming ``what``, the id and its bad part."""
     name, *params = text.split(":")
     if not re.fullmatch("[A-Za-z][A-Za-z0-9]*", name):
         raise error(f"bad {what} {text!r}: {name!r} is not an ASCII name")
-    for p in params:
-        if not re.fullmatch("[0-9]+", p):
-            raise error(f"bad {what} {text!r}: {p!r} is not an integer (ASCII digits, no sign)")
-    return name, tuple(int(p) for p in params)
+    return name, tuple(parse_int(p, f"{what} {text!r}", error=error) for p in params)
 
 
 def load_descriptor(path, what: str, fields: dict, required: tuple = ()) -> dict:
@@ -185,7 +192,7 @@ def _power(poly: RawPoly, n: int) -> RawPoly:
 
 
 class _PolyParser(Parser):
-    TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[+*^()])")
+    TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[0-9]+|[+*^()])")
 
     add = staticmethod(xor)
     mul = staticmethod(_mul)

@@ -40,6 +40,7 @@ from subtle.errors import (
     ZeroDivisorOfEverything,
 )
 from subtle.oracle import oracle_entry, oracle_table
+from subtle.tables import PoincareTable
 from dataclasses import replace
 
 
@@ -222,11 +223,12 @@ def _random_gens(rng, module_gens=0):
 
 
 def test_monomial_enumeration_matches_naive_random():
-    # Dead enumeration states are recorded per generator shape for the life of
-    # the process, so each cell is visited twice, in shuffled order, with both
-    # unit flags interleaved, on a module presentation and on a ring with the
-    # same generator bidegrees: a record keyed too coarsely drops monomials.
-    bigraded._DEAD.clear()
+    # An oracle table shares one enumeration memo across its cells, so each
+    # cell is visited twice, in shuffled order, with both unit flags
+    # interleaved, on a module presentation and on a ring with the same
+    # generator bidegrees, alone and through one memo per presentation: a memo
+    # keyed too coarsely drops or adds monomials, and one handing out its own
+    # lists is changed by a caller that appends to them.
     rng = random.Random(20250801)
     for trial in range(40):
         module_gens = rng.choice([0, 0, 1, 2])
@@ -242,9 +244,13 @@ def test_monomial_enumeration_matches_naive_random():
         }
         visits = list(expected) * 2
         random.Random(trial).shuffle(visits)
+        stores = {id(p): {}, id(ring): {}}
         for q, w, d, unit in visits:
             got = _monomials_of_bidegree(q, w, d, unit)
             assert got == expected[q, w, d, unit], (trial, gens, q.is_module, w, d, unit)
+            got = _monomials_of_bidegree(q, w, d, unit, store=stores[id(q)])
+            assert got == expected[q, w, d, unit], (trial, gens, q.is_module, w, d, unit, "memo")
+            got.append(None)
 
 
 def test_monomial_enumeration_edge_cells():
@@ -312,6 +318,34 @@ def test_poincare_matches_dense_oracle_random():
     for trial in range(40):
         p = _random_presentation(rng, 10)
         assert poincare_table(p, 5, 5) == oracle_table(p, 5, 5), (trial, p.gens, p.relations)
+
+
+def _oracle_presentations(rng):
+    """Random rings and modules, their variants without a unit component, and
+    each draw again with a zero-bidegree generator slotted in."""
+    for _ in range(30):
+        p = _random_presentation(rng, 10, max_rels=6)
+        yield p
+        if p.is_module and _without_unit(p):
+            yield _without_unit(p)
+        k = rng.randint(0, len(p.gens))
+        gens = p.gens[:k] + (GenSpec("z", Bidegree(0, 0)),) + p.gens[k:]
+        rels = [frozenset(m[:k] + (0,) + m[k:] for m in r) for r in p.relations]
+        yield presentation_new(gens, rels, 10, has_unit=p.has_unit)
+
+
+def test_oracle_table_equals_fresh_per_cell_entries_random():
+    # oracle_table hands one enumeration memo to all its cells; each entry
+    # equals a call with a memo of its own
+    rng = random.Random(53)
+    modules = no_unit = zero_bidegree = 0
+    for p in _oracle_presentations(rng):
+        fresh = tuple(tuple(oracle_entry(p, w, d) for d in range(7)) for w in range(7))
+        assert oracle_table(p, 6, 6) == PoincareTable(6, 6, fresh), (p.gens, p.relations, p.has_unit)
+        modules += p.is_module
+        no_unit += not p.has_unit
+        zero_bidegree += (0, 0) in zip(p.gen_w, p.gen_d)
+    assert modules >= 10 and no_unit >= 5 and zero_bidegree >= 30, (modules, no_unit, zero_bidegree)
 
 
 def test_normal_form_idempotent_and_additive_random():
@@ -428,9 +462,8 @@ def test_pruned_enumeration_is_filtering_random():
 
 
 def test_pruned_empty_states_are_never_flagged_dead():
-    # cells that the relations empty are walked first, on a fresh record of
-    # dead states, which the walk leaves empty; the same generators without
-    # relations must still enumerate every monomial of every cell
+    # cells that the relations empty are walked first; the same generators
+    # without relations must still enumerate every monomial of every cell
     x, y = GenSpec("x", Bidegree(1, 1)), GenSpec("y", Bidegree(1, 2))
     t = GenSpec("t", Bidegree(1, 0))
     mu = GenSpec("mu", Bidegree(0, 1), MODULE_GEN)
@@ -441,14 +474,12 @@ def test_pruned_empty_states_are_never_flagged_dead():
         ([x, t, y, mu], ["x*mu", "t*mu", "y^2*mu"], False),
     ]:
         p = presentation_new(gens, rels, 16, has_unit=has_unit)
-        bigraded._DEAD.clear()
         empty = 0
         for w in range(8):
             for d in range(8):
                 empty += not standard_monomials(p, w, d) and bool(_naive_monomials(p, w, d, has_unit))
                 for unit in (True, False):
                     _monomials_of_bidegree(p, w, d, unit, True)
-        assert bigraded._DEAD == {}, (gens, rels)  # pruned calls never write it
         assert empty >= 10, (gens, rels)
         free = presentation_new(gens, [], 16, has_unit=has_unit)
         for w in range(8):
@@ -821,8 +852,8 @@ def test_shared_states_sweep_equals_per_cell_bases_random(monkeypatch):
     # order.  Every cell equals a fresh standard_monomials call and the
     # reference (unpruned enumeration, filtered densely); no cell is built
     # twice in one sweep, though the dict drops the cells no later cell reads;
-    # and the walk writes nothing to _DEAD, so the same generators without
-    # relations still enumerate every monomial of every cell.
+    # and after each sweep the same generators without relations still
+    # enumerate every monomial of every cell.
     rng = random.Random(47)
     box = [(w, d) for w in range(-1, 7) for d in range(-1, 7)]
     orders = (box, sorted(box, key=lambda c: (c[0] + c[1], c[0])))
@@ -834,13 +865,11 @@ def test_shared_states_sweep_equals_per_cell_bases_random(monkeypatch):
         want = {(w, d): _standard_monomials_reference(p, w, d) for w, d in box}
         free_want = {(w, d): _monomials_of_bidegree(free, w, d, p.has_unit) for w, d in box}
         for cells in orders:
-            bigraded._DEAD.clear()
             built.clear()
             store = {}
             for w, d in cells:
                 assert standard_monomials(p, w, d, store) == want[w, d], (where, cells[:2], w, d)
             assert max(built.values(), default=1) == 1, (where, cells[:2])
-            assert bigraded._DEAD == {}, where
             dropped += len(built) - len(store) + 1
             for w, d in box:
                 got = _monomials_of_bidegree(free, w, d, p.has_unit)

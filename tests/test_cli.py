@@ -282,6 +282,63 @@ def test_valid_ids_keep_their_output():
     assert code == 0 and out.startswith("block: NpowBU:1:2\n")
 
 
+def _near_miss_integers(digit: str, signed: bool) -> list[str]:
+    """Integers one edit away from the ASCII ``digit`` that the integer rule
+    (ASCII digits, after one optional sign when ``signed``) refuses; none
+    starts with ``-``, which argparse would take for a flag."""
+    misses = [
+        chr(ord(digit) + 0xFEE0), chr(ord(digit) + 0x0630), chr(ord(digit) + 0x0936),
+        "\u00b9", f"{digit}_0", f"0_{digit}", f" {digit}", f"{digit} ", f"{digit}\n",
+        f"{digit}.0", f"0x{digit}", f"{digit}e0", f"+-{digit}", f"++{digit}", "",
+    ]
+    return misses if signed else misses + [f"+{digit}"]
+
+
+def _near_miss_integer_cases() -> list[tuple[str, str]]:
+    """(where, near miss) pairs: in ``--box``, in ``--seed``, as an element
+    exponent in a model file and as a motive exponent.  An element token reads
+    a non-ASCII digit alone, so those near misses are single characters, and
+    a motive expression may end in spaces."""
+    wheres = {
+        "box": _near_miss_integers("2", signed=False),
+        "seed": _near_miss_integers("3", signed=True),
+        "element": ["\uff12", "\u0662", "\u0968", "\u09e8", "\u00b2"],
+        "motive": [bad for bad in _near_miss_integers("1", signed=True) if bad == bad.rstrip()],
+    }
+    rng = random.Random(20250801)
+    return [(where, bad) for where, misses in wheres.items() for bad in rng.sample(misses, 5)]
+
+
+@pytest.mark.parametrize("where,bad", _near_miss_integer_cases())
+def test_near_miss_integers_exit_2_naming_the_value(where, bad, tmp_path, capsys):
+    named = bad
+    if where == "box":
+        box = [bad, "2"] if len(bad) % 2 else ["2", bad]
+        argv = ["ring", "table", "BU:1", "--model", "real", "--box", *box]
+    elif where == "seed":
+        argv = ["verify", "all", "--seed", bad]
+    elif where == "element":
+        model = tmp_path / "model.json"
+        relation = {"generators": ["a"], "relations": [f"a^{bad}"], "alpha": "a"}
+        model.write_text(json.dumps(relation), encoding="utf-8")
+        argv = ["field", "show", "--model", str(model)]
+    else:
+        named = f"N^{bad}"
+        argv = ["motive", "eval", named]
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, ""), argv
+    assert repr(named) in capsys.readouterr().err, argv
+
+
+def test_valid_integers_keep_their_output():
+    # leading zeros and a signed seed are still ASCII integers
+    golden = dict(GOLDEN_COMMANDS)["table_bu1_real.txt"]
+    assert run_cli("ring", "table", "BU:1", "--model", "real", "--box", "04", "004") == run_cli(*golden)
+    for seed in ("+5", "-5", "05"):
+        code, out = run_cli("motive", "eval", "N^01 * N^-1", "--seed", seed)
+        assert (code, out) == (0, "T\n"), seed
+
+
 def test_negative_box_exits_2(capsys):
     code, out = run_cli("ring", "table", "BU:1", "--model", "real", "--box", "-1", "3")
     assert code == 2 and out == ""
