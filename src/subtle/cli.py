@@ -17,6 +17,7 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,6 +45,8 @@ DEFAULT_BOX = (8, 8)
 DEFAULT_SEED = 20250801
 
 
+# parse_args leaves the parser as it was, so one serves every run in a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--model", default=None, help="builtin name or descriptor path")

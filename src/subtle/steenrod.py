@@ -222,7 +222,9 @@ def leibniz_offender(
                 c = Element(pres, frozenset([m]))
                 sc = sq1_apply(der, c)
                 for x, sx in pairs:
-                    if sq1_apply(der, x * c) != sx * c + x * sc:
+                    # normal form is GF(2)-linear: one reduction for the right side
+                    right = pres.reduce_poly(sx.product_monomials(c) ^ x.product_monomials(sc))
+                    if sq1_apply(der, x * c).monomials != right:
                         return x, c
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import random
 from contextlib import redirect_stdout
 from dataclasses import dataclass
@@ -233,27 +234,41 @@ def _random_product(rng: random.Random, n_atoms: int) -> list[Atom]:
     return atoms
 
 
-def _reduce_random(atoms: list[Atom], rng: random.Random) -> Atom:
-    work = list(atoms)
-    while len(work) > 1:
-        i, j = sorted(rng.sample(range(len(work)), 2))
-        b = work.pop(j)
-        a = work.pop(i)
-        work.append(atom_tensor(a, b))
-    return work[0]
+def _every_reduction(atoms: list[Atom]) -> set[Atom]:
+    """Every atom that some order of pairwise ``atom_tensor`` products of
+    ``atoms`` reaches.
+
+    ``reach[mask]`` holds the results for the atoms at the positions set in
+    ``mask``: a product's last step joins the results of two disjoint nonempty
+    parts, in either argument order, so each mask takes every split into a
+    submask and its complement.  Both parts are smaller masks, already
+    filled; a mask of one bit has no split and keeps its atom.
+    """
+    reach: list[set[Atom]] = [set() for _ in range(1 << len(atoms))]
+    for i, a in enumerate(atoms):
+        reach[1 << i].add(a)
+    for mask in range(len(reach)):
+        out = reach[mask]
+        part = (mask - 1) & mask
+        while part:
+            for x in reach[part]:
+                for y in reach[mask ^ part]:
+                    out.add(atom_tensor(x, y))
+            part = (part - 1) & mask
+    return reach[-1]
 
 
 @_criterion(7, "motive rewrite suite")
 def check_motive_suite(seed: int = 20250801) -> str:
     rng = random.Random(seed)
-    # confluence on seeded random expressions
+    # confluence on seeded random expressions: every merge order of each
+    # product, against the left fold through the public tensor
     for trial in range(1000):
         n_products = rng.randint(1, 3)
         sizes = [rng.randint(1, 4) for _ in range(n_products)]
         while sum(sizes) > 6:
             sizes[sizes.index(max(sizes))] -= 1
         products = [_random_product(rng, s) for s in sizes]
-        # left-fold through the public tensor as the canonical route
         folded = []
         for p in products:
             acc = FormalMotive.of(p[0])
@@ -261,10 +276,12 @@ def check_motive_suite(seed: int = 20250801) -> str:
                 acc = motive_tensor(acc, FormalMotive.of(a))
             folded.extend(acc.atoms)
         canonical = FormalMotive.of(*folded)
-        for strategy in range(3):
-            alt = FormalMotive.of(
-                *[_reduce_random(p, random.Random(seed + trial * 7 + strategy)) for p in products]
-            )
+        # every combination of the products' reachable atoms must be the left
+        # fold; there is one when each product reaches one atom.  Sorted, so
+        # the combination reported does not depend on string hashing
+        reaches = [sorted(_every_reduction(p), key=Atom.sort_key) for p in products]
+        for combination in itertools.product(*reaches):
+            alt = FormalMotive.of(*combination)
             if alt != canonical:
                 raise _Failure(f"confluence failure on trial {trial}: {alt} vs {canonical}")
     # invertibility

@@ -3,6 +3,8 @@ pass/fail line.  Everything is exact GF(2) combinatorics; no tolerances.
 """
 
 import io
+import itertools
+import random
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 
 from subtle import cli, verify
 from subtle.maps import hom_define
-from subtle.motives import Atom, FormalMotive
+from subtle.motives import Atom, FormalMotive, atom_tensor
 
 
 def _run(check, *args):
@@ -53,6 +55,37 @@ def test_criterion_06_groebner_oracle():
 def test_criterion_07_motive_rewrites():
     # confluence on 1000 seeded expressions, inverses, torsor coherence
     _run(verify.check_motive_suite)
+
+
+def _every_merge_sequence(work, tensor):
+    """Brute force: every sequence of steps that replaces an ordered pair
+    (i, j), i != j, by tensor(work[i], work[j])."""
+    if len(work) == 1:
+        return {work[0]}
+    out = set()
+    for i, j in itertools.permutations(range(len(work)), 2):
+        rest = [a for k, a in enumerate(work) if k not in (i, j)]
+        out |= _every_merge_sequence(rest + [tensor(work[i], work[j])], tensor)
+    return out
+
+
+def _ordered_tensor(a, b):
+    # neither commutative nor associative, so merge orders reach many atoms
+    return Atom("N", 2 * a.power - b.power + a.twist, a.twist + 1, b.shift - a.shift)
+
+
+@pytest.mark.parametrize("tensor", [atom_tensor, _ordered_tensor], ids=["atom_tensor", "ordered"])
+def test_every_reduction_equals_every_merge_sequence_random(monkeypatch, tensor):
+    monkeypatch.setattr(verify, "atom_tensor", tensor)
+    rng = random.Random(24)
+    sizes = []
+    for _ in range(300):
+        atoms = verify._random_product(rng, rng.randint(1, 4))
+        reached = verify._every_reduction(atoms)
+        assert reached == _every_merge_sequence(atoms, tensor), atoms
+        sizes.append(len(reached))
+    if tensor is _ordered_tensor:
+        assert max(sizes) > 10
 
 
 def test_criterion_08_sq1_suite():
@@ -110,6 +143,15 @@ def _tau_to_zero(fn):
         h = fn(*args)
         return hom_define(h.source, h.target, dict(h.images, tau="0"), h.label)
     return fake
+
+
+def _shift_when(cond):
+    def factory(fn):
+        def fake(a, b):
+            atom = fn(a, b)
+            return replace(atom, shift=atom.shift + 1) if cond(a, b) else atom
+        return fake
+    return factory
 
 
 def _sq1_report_altered(**changes):
@@ -185,6 +227,16 @@ FAILURES = [
         7, "motive rewrite suite",
         "confluence failure on trial 0: T + T + Mt(1)[2] vs Mt(1)[2] + Mt(6)[4] + Mt(7)[6]",
         id="motive-confluence",
+    ),
+    pytest.param(
+        # only a product of N atoms with twists summing to 6 or more, taken on
+        # the left of Ma, meets the fault: three random merge orders per
+        # expression miss it on the default seed
+        verify.check_motive_suite, "atom_tensor", _shift_when(
+            lambda a, b: a.base == "N" and b.base == "Ma" and a.twist >= 6
+        ),
+        7, "motive rewrite suite", "confluence failure on trial 66: Ma(7)[5] vs Ma(7)[4]",
+        id="motive-confluence-rare-order",
     ),
     pytest.param(
         verify.check_motive_suite, "T_ATOM", lambda atom: Atom("N", 0, 1, 0),

@@ -352,6 +352,37 @@ def test_usage_error_exits_2():
     assert cli.run(["frobnicate"]) == 2
 
 
+def test_runs_in_a_row_equal_fresh_runs(tmp_path, capsys):
+    # one parser serves every run in a process: no flag, config or usage
+    # error of one run reaches the next
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"box": [3, 3], "format": "json"}), encoding="utf-8")
+    runs = [
+        ("motive", "eval", "N^1 * N^-1", "--format", "json"),
+        ("motive", "eval", "N^1 * N^-1"),
+        ("ring", "table", "H", "--config", str(cfg)),
+        ("ring", "table", "H"),
+        ("ring",),
+        ("field", "show", "--model", "finite_field"),
+        ("ring", "table", "H", "--box", "x", "2"),
+        ("ring", "table", "H", "--box", "2", "2"),
+    ]
+
+    def outcome(argv):
+        code, out = run_cli(*argv)
+        return code, out, capsys.readouterr().err
+
+    in_a_row = [outcome(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_a_row == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 0, 2, 0]
+    assert json.loads(fresh[2][1])["box"] == [3, 3]
+    assert fresh[3][1].startswith("block: H\nmodel: real\nbox: 8 8\n")
+
+
 def test_model_dir_env(tmp_path, monkeypatch):
     (tmp_path / "mymodel.json").write_text(
         '{"generators": ["a"], "relations": [], "alpha": "a"}', encoding="utf-8"
@@ -431,6 +462,25 @@ def test_bad_model_file_exits_2(tmp_path, monkeypatch, capsys, text, via):
     code, out = run_cli("field", "show", "--model", name)
     assert code == 2 and out == ""
     assert "model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, text, expected",
+    [
+        ("relations", "a^2_0", "model relation 'a^2_0': trailing input at token '_0'"),
+        ("relations", "a^$", "model relation 'a^$': unexpected character '$' at position 2"),
+        ("alpha", "a^$", "model alpha 'a^$': unexpected character '$'"),
+        ("minus_one", "a+", "model minus_one 'a+': unexpected end of expression"),
+    ],
+)
+def test_model_parse_error_names_field_and_text(tmp_path, capsys, field, text, expected):
+    descriptor = {"generators": ["a"], "relations": [], "alpha": "a"}
+    descriptor[field] = [text] if field == "relations" else text
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    code, out = run_cli("field", "show", "--model", str(path))
+    assert code == 2 and out == ""
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
