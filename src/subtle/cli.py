@@ -36,7 +36,7 @@ from .maps import (
 )
 from .milnor import BUILTIN_MODELS, build_field_model
 from .motives import motive_cohomology, parse_motive
-from .parse import STRING, ParseError, load_descriptor, parse_id, parse_int
+from .parse import STRING, load_descriptor, parse_id, parse_int
 from .rings import block_presentation, block_table, canonical_block_id
 from .steenrod import sq1_check, sq1_define, sq1_presentation
 from . import verify as verify_mod
@@ -272,10 +272,7 @@ def _cmd_sq1(args) -> int:
 
 
 def _cmd_motive(args) -> int:
-    try:
-        motive = parse_motive(args.expr)
-    except ParseError as exc:
-        raise ParseError(f"bad motive expression {args.expr!r}: {exc}") from None
+    motive = parse_motive(args.expr)
     if args.explicit_box:
         model = _resolve_model(args.model)
         w, d = args.box

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .gf2 import RowSpace
 from .milnor import FieldModel
-from .parse import ELEMENT_STRINGS, STRING, load_descriptor
+from .parse import ELEMENT_STRINGS, STRING, load_descriptor, naming
 from .rings import block_presentation, _ann_strings, _require_alpha
 
 
@@ -116,7 +116,8 @@ def hom_define(
     same bidegree (zero images are allowed in any bidegree), and a key that
     names no source generator raises UnknownGenerator.  An image is anything
     ``target.el`` takes: a string, a parsed poly or an Element of any
-    presentation with the same generator names."""
+    presentation with the same generator names; an image string that does not
+    read names its generator and the text."""
     resolved: dict[str, Element] = {}
     for name in images:
         if name not in source.index:
@@ -124,7 +125,8 @@ def hom_define(
     for gen in source.gens:
         if gen.name not in images:
             raise UnknownGenerator(f"no image assigned for generator {gen.name!r}")
-        el = target.el(images[gen.name])
+        with naming(f"image of {gen.name}", images[gen.name]):
+            el = target.el(images[gen.name])
         if not el.is_zero():
             b = el.bidegree()
             if b != gen.bidegree:
@@ -486,7 +488,5 @@ def load_map_descriptor(path: str, model: FieldModel, bound: int = 16) -> Homomo
     images = _same_named(src, tgt)
     images.update(desc.get("images", {}))
     label = f"{desc['source']}->{desc['target']}"
-    try:
+    with naming("map descriptor images"):
         return hom_define(src, tgt, images, label)
-    except UnknownGenerator as exc:
-        raise UnknownGenerator(f"map descriptor images: {exc}") from None

@@ -30,7 +30,7 @@ from .bigraded import (
     standard_monomials,
 )
 from .errors import AlphaIsSquare, SubtleError, ZeroElement
-from .parse import STRING, STRINGS, ParseError, check_descriptor, load_descriptor, parse_poly
+from .parse import STRING, STRINGS, check_descriptor, load_descriptor, naming
 
 KMElement = Element
 
@@ -170,20 +170,21 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     tag = descriptor.get("builtin") or descriptor.get("name") or "custom"
 
     gens = [GenSpec(name, Bidegree(1, 1), MILNOR) for name in generators]
-    rel_polys = [_parse_field("relation", r) for r in relations]
+    shell = AlgebraPresentation(gens, (), (), 2 * degree_bound)  # reads relations only
+    rel_polys = [_read_field(shell, "relation", r) for r in relations]
     pres = presentation_new(gens, rel_polys, 2 * degree_bound)
 
     if alpha is None:
         if tag != "quadratically_closed":
             raise AlphaIsSquare("descriptor must designate alpha")
     else:
-        alpha_el = pres.el(_parse_field("alpha", alpha))
+        alpha_el = pres.el(_read_field(pres, "alpha", alpha))
         if alpha_el.is_zero():
             raise AlphaIsSquare(f"alpha = {alpha!r} reduces to 0 in the model")
         if alpha_el.bidegree() != Bidegree(1, 1):
             raise AlphaIsSquare(f"alpha = {alpha!r} is not homogeneous of degree 1")
     if minus_one is not None:
-        pres.el(_parse_field("minus_one", minus_one))  # validates
+        pres.el(_read_field(pres, "minus_one", minus_one))  # validates
 
     return FieldModel(
         tag=tag,
@@ -196,12 +197,11 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     )
 
 
-def _parse_field(field: str, text: str):
-    """The parsed element string of a model field; a parse error names both."""
-    try:
-        return parse_poly(text)
-    except ParseError as exc:
-        raise ParseError(f"model {field} {text!r}: {exc}") from None
+def _read_field(pres: AlgebraPresentation, field: str, text: str):
+    """The monomials of a model field's element string over the generators of
+    ``pres``; an error in reading it names the field and the text."""
+    with naming(f"model {field}", text):
+        return pres.raw_to_poly(text)
 
 
 def _resolve_descriptor(spec) -> dict:

@@ -29,7 +29,7 @@ from .bigraded import PoincareTable, cell_maps
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .gf2 import RowSpace
 from .milnor import FieldModel
-from .parse import ParseError, Parser
+from .parse import ParseError, Parser, naming
 from .rings import block_presentation, block_table
 
 BASES = ("N", "Ma", "Mt", "Xa", "Xt")
@@ -299,4 +299,6 @@ class _MotiveParser(Parser):
 
 
 def parse_motive(text: str) -> FormalMotive:
-    return _MotiveParser.parse(text)
+    """The motive of an expression; a parse error names the expression."""
+    with naming("bad motive expression", text):
+        return _MotiveParser.parse(text)

@@ -7,6 +7,7 @@ expression grammars: elements here and motives in ``motives``.
 
 ``parse_id`` reads block and map ids such as ``NpowBU:1:2`` and ``comp:3``, and
 ``parse_int`` the integers in them and in the ``--box`` and ``--seed`` flags.
+``naming`` puts the field or expression an error is about in its message.
 
 The element grammar: `+` for sums, `*` for products, `^` for powers,
 parentheses, integer literals in ASCII digits (taken mod 2) and generator
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from operator import xor
 
-from .errors import SubtleError
+from .errors import SubtleError, UnknownGenerator
 
 # A parsed polynomial: set of monomials, each a sorted tuple of
 # (name, exponent) pairs.  The empty tuple is the monomial 1.
@@ -40,6 +42,18 @@ ELEMENT_STRINGS = (
 
 class ParseError(SubtleError):
     pass
+
+
+@contextmanager
+def naming(what: str, text=None):
+    """Raise a ParseError or UnknownGenerator from the block again, of its own
+    class, its message after ``what`` and, when it is a string, ``text``: so
+    it says which field, image or expression it is about."""
+    try:
+        yield
+    except (ParseError, UnknownGenerator) as exc:
+        where = f"{what} {text!r}" if isinstance(text, str) else what
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def check_descriptor(value, what: str, fields: dict, required: tuple = ()) -> dict:

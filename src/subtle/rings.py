@@ -16,13 +16,12 @@ Block identifiers (CLI-facing; ``parse.parse_id`` reads them):
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
-``_present`` holds the package's one build cache, keyed by what a build is
-made from: model, block id, generators, expanded relations, stated bound and
-unit.  Every builder reads it, so requests that come to the same content
-share one completion, whatever order their bounds come in.
-``block_presentation`` keeps a memo of requests by model, block id and bound;
-``block_table`` is the one route from a block to its Poincare table and
-caches nothing across calls.
+``_present`` holds the package's one build cache, and every block, ``BOh:n``
+included, is built through it under its own id.  It looks a request up by
+its arguments, then by what the build is made from, so requests that come to
+the same content share one completion, whatever order their bounds come in.
+``block_presentation`` only dispatches an id to its builder, and
+``block_table`` is the one route from a block to its Poincare table.
 
 The bound rule, applied by ``_present`` alone, the one reader of Ann(alpha)
 for a block: a block asked for at bound B is built at the first bound >= B
@@ -86,12 +85,19 @@ def _present(
     model: FieldModel, block_id: str, gens, rels, bound: int, has_unit: bool = True
 ) -> AlgebraPresentation:
     """The block over H: H's generators and relations, then the block's own
-    ``gens`` and ``rels``; labelled with its model and block id.  While the
-    relations outgrow the bound, the bound rises to fit them and Ann(alpha) is
-    read again; this ends, as the generators are fixed and Ann(alpha) is
-    finitely generated.  Then the build is looked up by what it is made from
-    and completed only if it is new."""
+    ``gens`` and ``rels``; labelled with its model and block id.  A new
+    request (looked up by its arguments) raises the bound while the relations
+    outgrow it, reading Ann(alpha) again each time; this ends, as the
+    generators are fixed and Ann(alpha) is finitely generated.  The build is
+    then looked up by what it is made from, completed only if new, and kept
+    under both keys in one dict: the arguments fix the build, as (model,
+    bound) fixes each ``_Killed``'s expansion, and an argument key equals a
+    content key only when ``rels`` holds no ``_Killed`` and the asked bound
+    is the fitted one, and then both name the same build."""
     gens = h_gens(model) + gens
+    asked = (model, block_id, tuple(gens), tuple(rels), bound, has_unit)
+    if asked in _BUILT:
+        return _BUILT[asked]
     shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
     killed = any(isinstance(r, _Killed) for r in rels)
     while True:
@@ -106,6 +112,7 @@ def _present(
     key = (model, block_id, tuple(gens), tuple(expanded), bound, has_unit)
     if key not in _BUILT:
         _BUILT[key] = presentation_new(gens, expanded, bound, has_unit, model, block_id)
+    _BUILT[asked] = _BUILT[key]
     return _BUILT[key]
 
 
@@ -122,10 +129,14 @@ def u_bidegree(i: int) -> Bidegree:
     return Bidegree(i // 2, i)
 
 
+def _us(n: int) -> list[GenSpec]:
+    """The classes u_1..u_n."""
+    return [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n + 1)]
+
+
 def build_BO(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """Free H-algebra on u_1..u_n, deg u_i = ([i/2])[i]."""
-    gens = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n + 1)]
-    return _present(model, f"BO:{n}", gens, [], bound)
+    return _present(model, f"BO:{n}", _us(n), [], bound)
 
 
 def build_BUn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
@@ -141,28 +152,26 @@ def build_BUn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation
     return _present(model, f"BU:{n}", gens, rels, bound)
 
 
+def _bop(model: FieldModel, n: int) -> tuple[list[GenSpec], list]:
+    """BOp:n's generators and relations: u_1..u_2n and v_{2n+1}, modulo
+    tau*v + alpha*u_2n and Ann(alpha)*v."""
+    v = f"v{2 * n + 1}"
+    gens = _us(2 * n) + [GenSpec(v, Bidegree(n, 2 * n + 1))]
+    return gens, [f"tau*{v} + ({_require_alpha(model)})*u{2 * n}", _Killed(v)]
+
+
 def build_BOpn(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
     """u_1..u_2n and v_{2n+1}, modulo tau*v + alpha*u_2n and Ann(alpha)*v."""
     if n < 1:
-        raise UnsupportedBlock(
-            "BOp:0 is degenerate (v_1 with tau*v_1 + alpha); not built"
-        )
-    alpha = _require_alpha(model)
-    v = f"v{2 * n + 1}"
-    gens = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, 2 * n + 1)]
-    gens.append(GenSpec(v, Bidegree(n, 2 * n + 1)))
-    rels = [f"tau*{v} + ({alpha})*u{2 * n}", _Killed(v)]
-    return _present(model, f"BOp:{n}", gens, rels, bound)
+        raise UnsupportedBlock("BOp:0 is degenerate (v_1 with tau*v_1 + alpha); not built")
+    return _present(model, f"BOp:{n}", *_bop(model, n), bound)
 
 
 def build_BOhtilde(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentation:
-    """Hyperbolic-or-shifted form: free u_1..u_2n for n even, BOp:n for n odd;
-    a relabelled copy, made once per build, so the BOp:n or BO:2n build
-    keeps its own block id."""
-    base = build_BOpn(model, n, bound) if n % 2 == 1 else build_BO(model, 2 * n, bound)
-    if base not in _RELABELS:
-        _RELABELS[base] = replace(base, block_id=f"BOh:{n}")
-    return _RELABELS[base]
+    """Hyperbolic-or-shifted form: BOp:n's content for n odd, BO:2n's (free
+    u_1..u_2n) for n even, built under its own id."""
+    gens, rels = _bop(model, n) if n % 2 == 1 else (_us(2 * n), [])
+    return _present(model, f"BOh:{n}", gens, rels, bound)
 
 
 def _xalpha(model: FieldModel, block_id: str, free, bound: int) -> AlgebraPresentation:
@@ -215,8 +224,7 @@ def build_X_BU(model: FieldModel, n: int, bound: int = 16) -> AlgebraPresentatio
 
 def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> AlgebraPresentation:
     """Xalpha freely extended by u_1..u_{n_u}; both sides of the twist map."""
-    free = [GenSpec(f"u{i}", u_bidegree(i)) for i in range(1, n_u + 1)]
-    return _xalpha(model, f"XBO:{n_u}", free, bound)
+    return _xalpha(model, f"XBO:{n_u}", _us(n_u), bound)
 
 
 # ----- dimension-table-only blocks --------------------------------------------
@@ -365,12 +373,9 @@ BLOCKS = {
     "NpowBU": (2, None),
 }
 
-# the one build cache, keyed by what a build is made from (see ``_present``),
-# the memo of requests, keyed by (model, canonical block id, bound), and the
-# BOh:n relabel of each build it relabels
+# the one build cache, keyed by a request's arguments and by what a build is
+# made from (see ``_present``)
 _BUILT: dict[tuple, AlgebraPresentation] = {}
-_REQUESTS: dict[tuple, AlgebraPresentation] = {}
-_RELABELS: dict[AlgebraPresentation, AlgebraPresentation] = {}
 
 
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:
@@ -387,21 +392,15 @@ def canonical_block_id(block: str) -> str:
     return ":".join([kind, *map(str, args)])
 
 
-def block_presentation(
-    model: FieldModel, block: str, bound: int = 16
-) -> AlgebraPresentation:
-    """Presentation for a block id, built once and shared; table-only blocks
-    are rejected.  A request is answered from its memo; otherwise the builder
-    runs, and ``_present`` completes only a build not made before.  Ids that
-    differ only in leading zeros share one memo entry."""
-    key = (model, canonical_block_id(block), bound)
-    if key not in _REQUESTS:
-        kind, args = parse_block_id(block)
-        builder = BLOCKS[kind][1]
-        if builder is None:
-            raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
-        _REQUESTS[key] = builder(model, *args, bound)
-    return _REQUESTS[key]
+def block_presentation(model: FieldModel, block: str, bound: int = 16) -> AlgebraPresentation:
+    """Presentation for a block id from its builder; table-only blocks are
+    rejected.  ``_present`` shares the build: ids that differ only in leading
+    zeros reach one, as the builders format the canonical id."""
+    kind, args = parse_block_id(block)
+    builder = BLOCKS[kind][1]
+    if builder is None:
+        raise UnsupportedBlock(f"{block!r} has a dimension table but no presentation")
+    return builder(model, *args, bound)
 
 
 def block_table(

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gf2 import solve
 from .milnor import FieldModel
-from .parse import ELEMENT_STRINGS, load_descriptor
+from .parse import ELEMENT_STRINGS, load_descriptor, naming
 from .rings import block_presentation
 
 SQ1_SHIFT = Bidegree(0, 1)
@@ -98,7 +98,8 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
     """Derivation with default values, optionally overridden per generator.
 
     Generators with neither default nor override are recorded as unknown; an
-    override for a name that is no generator raises UnknownGenerator.
+    override for a name that is no generator raises UnknownGenerator, and an
+    override string that does not read names its generator and the text.
     """
     resolved: dict[str, Element] = {}
     unknown: list[str] = []
@@ -108,7 +109,8 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
             raise UnknownGenerator(f"presentation has no generator {name!r}")
     for gen in pres.gens:
         if gen.name in overrides:
-            val = pres.el(overrides[gen.name])
+            with naming(f"value of {gen.name}", overrides[gen.name]):
+                val = pres.el(overrides[gen.name])
         else:
             val = _default_value(pres, gen, pres.model)
         if val is None:
@@ -128,10 +130,8 @@ def load_derivation_descriptor(path: str, pres: AlgebraPresentation) -> Derivati
     generators absent from the file keep their defaults (or stay unknown),
     and a key that names no generator exits 2."""
     desc = load_descriptor(path, "derivation descriptor", {"values": ELEMENT_STRINGS})
-    try:
+    with naming("derivation descriptor values"):
         return sq1_define(pres, desc.get("values"))
-    except UnknownGenerator as exc:
-        raise UnknownGenerator(f"derivation descriptor values: {exc}") from None
 
 
 def _leibniz(pres: AlgebraPresentation, poly, value) -> set:

@@ -383,6 +383,44 @@ def test_runs_in_a_row_equal_fresh_runs(tmp_path, capsys):
     assert fresh[3][1].startswith("block: H\nmodel: real\nbox: 8 8\n")
 
 
+def _sweep_commands(model_path):
+    blocks = ["BOh:1", "BOh:2", "BOp:1", "BO:4", "Xtilde", "Npow:2"]
+    argv = [
+        ("ring", action, block, "--box", *box)
+        for block in blocks
+        for action in ("build", "table")
+        for box in (("3", "3"), ("6", "5"))
+    ]
+    argv += [("sq1", "check", block, "--box", "4", "4") for block in ("BOh:1", "BOp:1")]
+    argv += [("hom", "verify", f"comp:{n}", "--box", "5", "5") for n in (1, 2)]
+    argv += [("ring", "table", "BOh:1", "--box", "3", "3", "--model", model_path)]
+    argv += [("sq1", "check", "BOh:1", "--box", "3", "3", "--model", model_path)]
+    return argv
+
+
+def test_shuffled_runs_equal_runs_on_fresh_caches(ab4_path, monkeypatch, capsys):
+    # one process answers the block requests of many commands from one build
+    # cache, in any order; each output equals the command's run with the
+    # build cache and the Ann(alpha) cache emptied first
+    from subtle import milnor, rings
+
+    def outcome(argv):
+        code, out = run_cli(*argv)
+        return code, out, capsys.readouterr().err
+
+    runs = _sweep_commands(ab4_path)
+    random.Random(25).shuffle(runs)
+    in_a_row = {argv: outcome(argv) for argv in runs}
+    for argv in runs:
+        monkeypatch.setattr(rings, "_BUILT", {})
+        monkeypatch.setattr(milnor, "_ANN", {})
+        assert outcome(argv) == in_a_row[argv], argv
+    assert all(code == 0 for code, _, _ in in_a_row.values())
+    for block in ("BOh:1", "BOp:1"):
+        out = in_a_row[("sq1", "check", block, "--box", "4", "4")][1]
+        assert out.startswith(f"Sq1 check {block} on box (4,4)\n")
+
+
 def test_model_dir_env(tmp_path, monkeypatch):
     (tmp_path / "mymodel.json").write_text(
         '{"generators": ["a"], "relations": [], "alpha": "a"}', encoding="utf-8"
@@ -471,6 +509,9 @@ def test_bad_model_file_exits_2(tmp_path, monkeypatch, capsys, text, via):
         ("relations", "a^$", "model relation 'a^$': unexpected character '$' at position 2"),
         ("alpha", "a^$", "model alpha 'a^$': unexpected character '$'"),
         ("minus_one", "a+", "model minus_one 'a+': unexpected end of expression"),
+        ("relations", "b^2", "model relation 'b^2': no generator named 'b'"),
+        ("alpha", "z", "model alpha 'z': no generator named 'z'"),
+        ("minus_one", "q", "model minus_one 'q': no generator named 'q'"),
     ],
 )
 def test_model_parse_error_names_field_and_text(tmp_path, capsys, field, text, expected):
@@ -524,6 +565,27 @@ def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
     )
     assert code == 2 and out == ""
     assert "derivation descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, descriptor, expected",
+    [
+        (("hom", "verify"), {"source": "BOh:1", "target": "BU:1", "images": {"u1": "c1^$"}},
+         "map descriptor images: image of u1 'c1^$': unexpected character '$' at position 3"),
+        (("hom", "verify"), {"source": "BOh:1", "target": "BU:1", "images": {"u1": "zz"}},
+         "map descriptor images: image of u1 'zz': no generator named 'zz'"),
+        (("sq1", "check", "BOp:1", "--values"), {"values": {"v3": "q^$"}},
+         "derivation descriptor values: value of v3 'q^$': unexpected character '$'"),
+        (("sq1", "check", "BOp:1", "--values"), {"values": {"v3": "qq"}},
+         "derivation descriptor values: value of v3 'qq': no generator named 'qq'"),
+    ],
+)
+def test_bad_image_or_value_names_generator_and_text(tmp_path, capsys, argv, descriptor, expected):
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    code, out = run_cli(*argv, str(path), "--model", "real", "--box", "3", "3")
+    assert code == 2 and out == ""
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

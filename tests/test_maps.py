@@ -13,6 +13,7 @@ from subtle.bigraded import (
     standard_monomials,
 )
 from subtle.errors import BidegreeMismatch, SubtleError, UnknownGenerator
+from subtle.parse import ParseError
 from subtle.gf2 import RowSpace
 from subtle.maps import (
     Homomorphism,
@@ -217,6 +218,18 @@ def test_missing_image_rejected(real):
     bo2 = build_BO(real, 2, 10)
     with pytest.raises(UnknownGenerator):
         hom_define(bo2, bo2, {"rho": "rho", "tau": "tau", "u1": "u1"})
+
+
+@pytest.mark.parametrize("image, error, message", [
+    ("c1^$", ParseError, "image of u2 'c1^$': unexpected character '$' at position 3"),
+    ("zz", UnknownGenerator, "image of u2 'zz': no generator named 'zz'"),
+])
+def test_unreadable_image_names_generator_and_text(real, image, error, message):
+    bo2 = build_BO(real, 2, 10)
+    bu2 = build_BUn(real, 2, 10)
+    with pytest.raises(error) as info:
+        hom_define(bo2, bu2, {"rho": "rho", "tau": "tau", "u1": "0", "u2": image})
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("n,expected", [

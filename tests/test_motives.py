@@ -138,11 +138,12 @@ def test_parser_errors():
     ],
 )
 def test_parser_error_paths(text, message):
-    # motive errors are parse errors, so one except clause catches both grammars
+    # motive errors are parse errors, so one except clause catches both
+    # grammars; the message names the expression
     with pytest.raises(ParseError) as info:
         parse_motive(text)
     assert isinstance(info.value, MotiveParseError)
-    assert str(info.value) == message
+    assert str(info.value) == f"bad motive expression {text!r}: {message}"
 
 
 def test_cohomology_shift(real):

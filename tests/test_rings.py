@@ -106,7 +106,8 @@ def test_bohtilde_parity(real):
 
 
 def test_bohtilde_leaves_cached_blocks_labelled(real):
-    # BOh:n is a relabelled copy; the cached BOp:n / BO:2n keep their ids
+    # BOh:n is built under its own id from BOp:n's / BO:2n's content; the
+    # cached BOp:n / BO:2n keep their ids
     odd = build_BOhtilde(real, 1, 8)
     bop = build_BOpn(real, 1, 8)
     assert odd.block_id == "BOh:1" and bop.block_id == "BOp:1"
@@ -118,21 +119,50 @@ def test_bohtilde_leaves_cached_blocks_labelled(real):
     assert "BOh:1" not in report.render_text()
 
 
-def test_ids_differing_in_leading_zeros_share_one_request(real, monkeypatch):
-    monkeypatch.setattr(rings, "_REQUESTS", {})
-    assert block_presentation(real, "BU:01", 8) is block_presentation(real, "BU:1", 8)
-    assert list(rings._REQUESTS) == [(real, "BU:1", 8)]
+def _counting_builds(monkeypatch) -> list:
+    """The presentations ``rings`` completes from here on, in order."""
+    made = []
+    new = rings.presentation_new
+
+    def counted(*args, **kwargs):
+        made.append(new(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(rings, "presentation_new", counted)
+    return made
+
+
+def test_ids_differing_in_leading_zeros_share_one_build(real):
+    got = block_presentation(real, "BU:01", 8)
+    assert got is block_presentation(real, "BU:1", 8)
+    assert got.block_id == "BU:1"
     assert rings.canonical_block_id("NpowBU:01:002") == "NpowBU:1:2"
 
 
-def test_bohtilde_relabels_each_build_once(ab4, monkeypatch):
-    # on ab4 every BOp:1 request states bound 12, so the 13 requests share
-    # one build and one relabelled copy of it
-    for cache in ("_BUILT", "_REQUESTS", "_RELABELS"):
-        monkeypatch.setattr(rings, cache, {})
+def test_bohtilde_requests_share_one_build(ab4, monkeypatch):
+    # on ab4 every BOh:1 request states bound 12, so the 13 requests give
+    # one object and one completion
+    monkeypatch.setattr(rings, "_BUILT", {})
+    made = _counting_builds(monkeypatch)
     got = {id(block_presentation(ab4, "BOh:1", b)) for b in range(13)}
-    assert len(got) == 1 and len(rings._RELABELS) == 1
+    assert len(got) == 1
     assert build_BOhtilde(ab4, 1, 5) is block_presentation(ab4, "BOh:1", 0)
+    assert [p.block_id for p in made] == ["BOh:1"]
+
+
+@pytest.mark.parametrize("block", ["BU:3", "BOh:1", "BOh:2", "Xtilde", "Npow:2"])
+def test_repeated_request_is_answered_by_its_arguments(block, real, ab4, monkeypatch):
+    # a call with the arguments of an earlier one fits no bound and
+    # completes nothing: it returns the earlier build
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a repeated {block} request fitted or completed a build")
+
+    for model in (real, ab4):
+        first = block_presentation(model, block, 5)
+        with monkeypatch.context() as patch:
+            patch.setattr(rings, "_fit_bound", refuse)
+            patch.setattr(rings, "presentation_new", refuse)
+            assert block_presentation(model, block, 5) is first
 
 
 @pytest.mark.parametrize("attr", ["block_id", "groebner", "model", "truncation_bound"])
@@ -251,28 +281,16 @@ def test_requests_share_one_build_per_content(model_name, monkeypatch, ab4):
         model = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
     else:
         model = build_field_model(model_name)
-    made = []
     new = rings.presentation_new
-
-    def counted(*args, **kwargs):
-        pres = new(*args, **kwargs)
-        made.append(pres)
-        return pres
-
-    def fresh_caches():
-        monkeypatch.setattr(rings, "_BUILT", {})
-        monkeypatch.setattr(rings, "_REQUESTS", {})
-
-    for block in _BOUND_RULE_BLOCKS + ("BOh:1", "Xtilde"):
+    for block in _BOUND_RULE_BLOCKS + ("BOh:1", "BOh:2", "Xtilde"):
         kind, args = parse_block_id(block)
         want = {}
         for b in range(13):
-            fresh_caches()
+            monkeypatch.setattr(rings, "_BUILT", {})
             want[b] = _content(rings.BLOCKS[kind][1](model, *args, b))
         for name, order in _BOUND_ORDERS.items():
-            fresh_caches()
-            monkeypatch.setattr(rings, "presentation_new", counted)
-            made.clear()
+            monkeypatch.setattr(rings, "_BUILT", {})
+            made = _counting_builds(monkeypatch)
             got = {b: block_presentation(model, block, b) for b in order}
             assert all(block_presentation(model, block, b) is got[b] for b in order)
             monkeypatch.setattr(rings, "presentation_new", new)

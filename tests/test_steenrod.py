@@ -22,6 +22,7 @@ from subtle.errors import (
 )
 from subtle.gf2 import solve
 from subtle.milnor import build_field_model
+from subtle.parse import ParseError
 from subtle.rings import (
     block_presentation,
     build_BO,
@@ -306,6 +307,16 @@ def test_unknown_override_key_raises(real):
     bop1 = build_BOpn(real, 1, 12)
     with pytest.raises(UnknownGenerator, match="'zz'"):
         sq1_define(bop1, {"zz": "0"})
+
+
+@pytest.mark.parametrize("value, error, message", [
+    ("q^$", ParseError, "value of v3 'q^$': unexpected character '$' at position 2"),
+    ("qq", UnknownGenerator, "value of v3 'qq': no generator named 'qq'"),
+])
+def test_unreadable_override_names_generator_and_text(real, value, error, message):
+    with pytest.raises(error) as info:
+        sq1_define(build_BOpn(real, 1, 12), {"v3": value})
+    assert str(info.value).startswith(message)
 
 
 def test_derivation_refuses_assignment(real):
