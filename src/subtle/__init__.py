@@ -19,6 +19,7 @@ from .bigraded import (
     poincare_table,
     presentation_new,
     quotient,
+    shared_tables,
     standard_monomials,
     table_tensor,
 )

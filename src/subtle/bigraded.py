@@ -21,6 +21,8 @@ tau, then class generators, so e.g. tau*d1 + alpha*c1 is d1-leading.
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from operator import add, itemgetter, mul, sub
 from types import MappingProxyType
@@ -849,15 +851,56 @@ def cell_maps(
         yield (w, d, basis, *cell_images(basis, tgt, image))
 
 
+# the tables of the open ``shared_tables`` scope by staircase, or None
+_TABLES: ContextVar[dict | None] = ContextVar("subtle_tables", default=None)
+
+
+@contextmanager
+def shared_tables():
+    """A scope in which ``poincare_table`` counts each staircase once.
+
+    The outermost scope installs a fresh dict of tables and drops it on
+    exit, an exception included; a nested scope shares the outer one's.  It
+    is a context variable, so each thread (or task) sees only its own."""
+    if _TABLES.get() is not None:
+        yield
+        return
+    token = _TABLES.set({})
+    try:
+        yield
+    finally:
+        _TABLES.reset(token)
+
+
+def _staircase(pres: AlgebraPresentation) -> tuple:
+    """All that the cell counts of ``pres`` depend on: the generator
+    bidegrees, the module structure and the leading monomials of the basis
+    (Macaulay), not the truncation bound, model or block id."""
+    lms = frozenset(t[4] for t in pres._gb_tests)
+    return pres.gen_w, pres.gen_d, pres.module_idx, pres.has_unit, lms
+
+
 def poincare_table(
     pres: AlgebraPresentation, wmax: int, dmax: int
 ) -> PoincareTable:
-    """Standard-monomial counts over the box, truncation permitting."""
+    """Standard-monomial counts over the box, truncation permitting.
+
+    Outside a ``shared_tables`` scope every call counts afresh.  Inside one, a
+    table of a staircase (``_staircase``) already counted over a box holding
+    (wmax, dmax) is cut to the box; otherwise the count is kept when its box
+    holds the kept one's."""
     if wmax + dmax > pres.truncation_bound:
         raise ExceedsBound(
             f"box ({wmax},{dmax}) needs bound >= {wmax + dmax}, "
             f"presentation certifies {pres.truncation_bound}"
         )
+    held, kept = _TABLES.get(), None
+    if held is not None:
+        key = _staircase(pres)
+        kept = held.get(key)
+        if kept is not None and wmax <= kept.wmax and dmax <= kept.dmax:
+            rows = kept.counts[: max(wmax + 1, 0)]
+            return PoincareTable(wmax, dmax, tuple(r[: max(dmax + 1, 0)] for r in rows))
     store: dict = {}
     counts = tuple(
         tuple(
@@ -866,7 +909,10 @@ def poincare_table(
         )
         for w in range(wmax + 1)
     )
-    return PoincareTable(wmax, dmax, counts)
+    table = PoincareTable(wmax, dmax, counts)
+    if held is not None and (kept is None or (wmax >= kept.wmax and dmax >= kept.dmax)):
+        held[key] = table
+    return table
 
 
 def quotient(pres: AlgebraPresentation, ideal: IdealGens | Sequence) -> AlgebraPresentation:

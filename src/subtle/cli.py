@@ -314,12 +314,44 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# the flags whose values are integers, with their value counts: argparse
+# takes a value such as "-+3" or "-0x1" for an unknown flag, so ``run`` sets
+# these aside for ``parse_int`` to judge
+_INT_FLAGS = {"--box": 2, "--seed": 1}
+
+
+def _set_aside_int_flags(argv: list[str]) -> tuple[list[str], dict]:
+    """``argv`` without the integer flags and their values, and the values
+    by flag name.  A value may start with one ``-`` but not two, so a flag
+    short of values stays for argparse to report; nothing after ``--`` is
+    a flag."""
+    rest: list[str] = []
+    values: dict = {}
+    i = 0
+    while i < len(argv):
+        if argv[i] == "--":
+            rest += argv[i:]
+            break
+        n = _INT_FLAGS.get(argv[i], 0)
+        taken = argv[i + 1 : i + 1 + n]
+        if n and len(taken) == n and not any(t.startswith("--") for t in taken):
+            values[argv[i][2:]] = taken if n > 1 else taken[0]
+        else:
+            rest.append(argv[i])
+            n = 0
+        i += 1 + n
+    return rest, values
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    rest, int_values = _set_aside_int_flags(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(rest)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
+    for name, value in int_values.items():
+        setattr(args, name, value)
     try:
         _apply_config(args)
         if args.command == "field":

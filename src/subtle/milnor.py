@@ -171,20 +171,20 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
 
     gens = [GenSpec(name, Bidegree(1, 1), MILNOR) for name in generators]
     shell = AlgebraPresentation(gens, (), (), 2 * degree_bound)  # reads relations only
-    rel_polys = [_read_field(shell, "relation", r) for r in relations]
+    rel_polys = [_read_field(shell, "relation", r).monomials for r in relations]
     pres = presentation_new(gens, rel_polys, 2 * degree_bound)
 
     if alpha is None:
         if tag != "quadratically_closed":
             raise AlphaIsSquare("descriptor must designate alpha")
     else:
-        alpha_el = pres.el(_read_field(pres, "alpha", alpha))
+        alpha_el = _read_field(pres, "alpha", alpha)
         if alpha_el.is_zero():
             raise AlphaIsSquare(f"alpha = {alpha!r} reduces to 0 in the model")
         if alpha_el.bidegree() != Bidegree(1, 1):
             raise AlphaIsSquare(f"alpha = {alpha!r} is not homogeneous of degree 1")
     if minus_one is not None:
-        pres.el(_read_field(pres, "minus_one", minus_one))  # validates
+        _read_field(pres, "minus_one", minus_one)  # validates
 
     return FieldModel(
         tag=tag,
@@ -197,11 +197,12 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     )
 
 
-def _read_field(pres: AlgebraPresentation, field: str, text: str):
-    """The monomials of a model field's element string over the generators of
-    ``pres``; an error in reading it names the field and the text."""
+def _read_field(pres: AlgebraPresentation, field: str, text: str) -> Element:
+    """The normal form in ``pres`` of a model field's element string; an
+    error in reading it or a monomial beyond the bound names the field and
+    the text."""
     with naming(f"model {field}", text):
-        return pres.raw_to_poly(text)
+        return pres.el(text)
 
 
 def _resolve_descriptor(spec) -> dict:

@@ -21,7 +21,7 @@ import re
 from contextlib import contextmanager
 from operator import xor
 
-from .errors import SubtleError, UnknownGenerator
+from .errors import ExceedsBound, SubtleError, UnknownGenerator
 
 # A parsed polynomial: set of monomials, each a sorted tuple of
 # (name, exponent) pairs.  The empty tuple is the monomial 1.
@@ -46,12 +46,12 @@ class ParseError(SubtleError):
 
 @contextmanager
 def naming(what: str, text=None):
-    """Raise a ParseError or UnknownGenerator from the block again, of its own
-    class, its message after ``what`` and, when it is a string, ``text``: so
-    it says which field, image or expression it is about."""
+    """Raise a ParseError, UnknownGenerator or ExceedsBound from the block
+    again, of its own class, its message after ``what`` and, when it is a
+    string, ``text``: so it says which field, image or expression it is about."""
     try:
         yield
-    except (ParseError, UnknownGenerator) as exc:
+    except (ParseError, UnknownGenerator, ExceedsBound) as exc:
         where = f"{what} {text!r}" if isinstance(text, str) else what
         raise type(exc)(f"{where}: {exc}") from None
 

@@ -410,7 +410,8 @@ def block_table(
 
     The one route from a block to its table: a (wmax, dmax) table reads the
     block built at bound wmax + dmax.  Presentations come from the build
-    cache; the table itself is computed afresh on every call."""
+    cache; the counts are ``poincare_table``'s, fresh on every call outside
+    a ``bigraded.shared_tables`` scope and shared by staircase inside one."""
     kind, args = parse_block_id(block)
     if kind == "nbar":
         return nbar_table(model, wmax, dmax)

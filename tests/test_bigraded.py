@@ -24,6 +24,7 @@ from subtle.bigraded import (
     poincare_table,
     presentation_new,
     quotient,
+    shared_tables,
     standard_monomials,
     table_tensor,
 )
@@ -318,6 +319,44 @@ def test_poincare_matches_dense_oracle_random():
     for trial in range(40):
         p = _random_presentation(rng, 10)
         assert poincare_table(p, 5, 5) == oracle_table(p, 5, 5), (trial, p.gens, p.relations)
+
+
+def _bound_30_presentation(rng):
+    """A random ring or module, with or without a unit component, at bound
+    30, with 2 to 4 relations: each a few monomials of the cell a product of
+    2 to 4 generators lands in, of one kind (module monomials or monomials
+    free of them) in a module without a unit component."""
+    gens = _random_gens(rng, rng.choice([0, 0, 1]))
+    shell = presentation_new(gens, [], 30)
+    has_unit = not shell.is_module or rng.random() < 0.5
+    rels, wanted = [], rng.randint(2, 4)
+    while len(rels) < wanted:
+        cell = Bidegree(0, 0)
+        for _ in range(rng.randint(2, 4)):
+            cell = cell + rng.choice(gens).bidegree
+        monos = _monomials_of_bidegree(shell, cell.w, cell.d)
+        if not monos:
+            continue  # a product of a module generator with itself
+        if not has_unit:
+            kind = rng.choice(sorted({bool(shell.module_count(m)) for m in monos}))
+            monos = [m for m in monos if bool(shell.module_count(m)) == kind]
+        rels.append(frozenset(rng.sample(monos, rng.randint(1, min(3, len(monos))))))
+    return presentation_new(gens, rels, 30, has_unit=has_unit)
+
+
+def test_engine_matches_the_oracle_up_to_bound_30_random():
+    # 200 draws, 8 cells each in (0..15)^2: cells of total degree up to 30
+    # need the S-pairs of high total degree, which smaller boxes never read
+    rng = random.Random(20250801)
+    kinds = Counter()
+    for trial in range(200):
+        p = _bound_30_presentation(rng)
+        for _ in range(8):
+            w, d = rng.randint(0, 15), rng.randint(0, 15)
+            got = len(standard_monomials(p, w, d))
+            assert got == oracle_entry(p, w, d), (trial, p.gens, p.relations, p.has_unit, w, d)
+        kinds[p.is_module, p.has_unit] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 20, kinds
 
 
 def _oracle_presentations(rng):
@@ -919,6 +958,111 @@ def test_coprime_criterion_skips_no_pair_with_a_module_tail():
     p = presentation_new(gens, ["x0*x3 + m0*x0*x1^2", "x1*x2 + m0*x1*x3", "x1^2"], 12)
     assert standard_monomials(p, 5, 6) == [] and oracle_entry(p, 5, 6) == 0
     assert poincare_table(p, 6, 6) == oracle_table(p, 6, 6)
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """A list that each ``standard_monomials`` call appends its cell to."""
+    calls = []
+
+    def counted(pres, w, d, *rest):
+        calls.append((w, d))
+        return standard_monomials(pres, w, d, *rest)
+
+    monkeypatch.setattr(bigraded, "standard_monomials", counted)
+    return calls
+
+
+def _assert_shared_tables_are_fresh(requests, basis_calls):
+    """Inside one ``shared_tables`` scope, each (presentation, wmax, dmax) of
+    ``requests``, in order, gets a table equal field for field to a count
+    outside any scope.  Returns how many were served without a cell walked."""
+    fresh = [poincare_table(p, w, d) for p, w, d in requests]
+    served = 0
+    with shared_tables():
+        for (p, w, d), want in zip(requests, fresh):
+            basis_calls.clear()
+            got = poincare_table(p, w, d)
+            assert got == want and got.class_gens is None and not got.clipped, (p.gens, p.groebner, p.has_unit, w, d)
+            served += not basis_calls
+    return served
+
+
+def test_shared_tables_serve_repeats_smaller_boxes_and_other_bounds(real, fq, basis_calls):
+    from subtle.rings import block_presentation
+
+    bu2 = block_presentation(real, "BU:2", 11)
+    at_16 = block_presentation(real, "BU:2", 16)  # the same staircase at another bound
+    other_model = block_presentation(fq, "BU:2", 11)
+    requests = [
+        (bu2, 4, 7), (bu2, 4, 7),  # a repeat
+        (bu2, 4, 5), (bu2, 0, 0), (bu2, 4, 0), (bu2, 0, 7),  # smaller boxes
+        (bu2, 7, 3), (bu2, 3, 3), (bu2, 7, 3),  # a box not nested in the held one
+        (at_16, 8, 8), (bu2, 5, 6), (at_16, 4, 7),
+        (other_model, 4, 7), (other_model, 2, 2),
+    ]
+    assert _assert_shared_tables_are_fresh(requests, basis_calls) == 9
+
+
+def test_shared_tables_keep_unit_and_module_structure_apart(basis_calls):
+    # a module and its variant without a unit component, and generators equal
+    # but for which is a module generator, share leading monomials (none
+    # here) but not their counts
+    gens = h_real() + [GenSpec("mu", Bidegree(0, 1), MODULE_GEN)]
+    module = presentation_new(gens, ["tau*mu"], 10)
+    ring = presentation_new([replace(g, origin=CLASS) for g in gens], ["tau*mu"], 10)
+    for a, b in [(module, replace(module, has_unit=False)), (module, ring), (ring, module)]:
+        assert poincare_table(a, 4, 4) != poincare_table(b, 4, 4)
+        assert _assert_shared_tables_are_fresh([(a, 4, 4), (b, 4, 4), (b, 3, 2)], basis_calls) == 1
+
+
+def test_shared_tables_serve_random_presentations(basis_calls):
+    # seeded draws, their variants without a unit component and their twins
+    # with a ring generator for the module one, asked for in shuffled boxes
+    # inside one scope: every served table equals a fresh count
+    rng = random.Random(61)
+    requests = []
+    for _ in range(30):
+        p = _random_presentation(rng, 10, max_rels=4)
+        variants = [p, presentation_new(p.gens, p.relations, 12, has_unit=p.has_unit)]
+        if p.is_module:
+            variants.append(_without_unit(p))
+            ring_gens = [replace(g, origin=CLASS) for g in p.gens]
+            variants.append(presentation_new(ring_gens, p.relations, 10))
+        for q in filter(None, variants):
+            for _ in range(3):
+                w = rng.randint(0, q.truncation_bound)
+                requests.append((q, w, rng.randint(0, q.truncation_bound - w)))
+    rng.shuffle(requests)
+    assert _assert_shared_tables_are_fresh(requests, basis_calls) >= 40
+
+
+def test_tables_outside_a_scope_are_counted_afresh(basis_calls):
+    p = bu1_real()
+    for _ in range(2):
+        basis_calls.clear()
+        poincare_table(p, 4, 4)
+        assert len(basis_calls) == 25
+    with shared_tables():
+        with shared_tables():  # a nested scope shares the outer one's tables
+            poincare_table(p, 4, 4)
+        basis_calls.clear()
+        poincare_table(p, 3, 4)
+        assert basis_calls == []
+    poincare_table(p, 3, 4)
+    assert len(basis_calls) == 20
+
+
+def test_shared_tables_are_dropped_after_an_exception(basis_calls):
+    p = bu1_real()
+    with pytest.raises(ExceedsBound):
+        with shared_tables():
+            poincare_table(p, 4, 4)
+            poincare_table(p, 8, 8)  # past the bound, checked before any lookup
+    assert bigraded._TABLES.get() is None
+    basis_calls.clear()
+    poincare_table(p, 4, 4)
+    assert len(basis_calls) == 25
 
 
 def test_normal_form_and_printing_helpers():

@@ -285,7 +285,7 @@ def test_valid_ids_keep_their_output():
 def _near_miss_integers(digit: str, signed: bool) -> list[str]:
     """Integers one edit away from the ASCII ``digit`` that the integer rule
     (ASCII digits, after one optional sign when ``signed``) refuses; none
-    starts with ``-``, which argparse would take for a flag."""
+    starts with ``-`` (``test_dash_led_integers_reach_the_integer_rule``)."""
     misses = [
         chr(ord(digit) + 0xFEE0), chr(ord(digit) + 0x0630), chr(ord(digit) + 0x0936),
         "\u00b9", f"{digit}_0", f"0_{digit}", f" {digit}", f"{digit} ", f"{digit}\n",
@@ -337,6 +337,39 @@ def test_valid_integers_keep_their_output():
     for seed in ("+5", "-5", "05"):
         code, out = run_cli("motive", "eval", "N^01 * N^-1", "--seed", seed)
         assert (code, out) == (0, "T\n"), seed
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["verify", "all", "--seed", "-+3"], "-+3"),
+        (["verify", "all", "--seed", "-0x1"], "-0x1"),
+        (["ring", "table", "BU:1", "--model", "real", "--box", "-0x1", "2"], "-0x1"),
+        (["ring", "table", "BU:1", "--box", "2", "-+2", "--model", "real"], "-+2"),
+        (["ring", "table", "BU:1", "--box", "-2e0", "-1"], "-2e0"),
+        (["motive", "eval", "N^1", "--seed", "-3_0"], "-3_0"),
+    ],
+)
+def test_dash_led_integers_reach_the_integer_rule(argv, bad, capsys):
+    # argparse would take these values for unknown flags and name neither
+    # the value nor the rule
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, ""), argv
+    flag = "--seed" if "--seed" in argv else "--box"
+    assert f"bad {flag}: {bad!r} is not an integer" in capsys.readouterr().err, argv
+
+
+def test_integer_flags_short_of_values_are_reported_by_argparse(capsys):
+    for argv in (["ring", "table", "BU:1", "--box", "2"], ["ring", "table", "BU:1", "--box", "2", "--format", "json"]):
+        assert run_cli(*argv) == (2, ""), argv
+        assert "argument --box: expected 2 arguments" in capsys.readouterr().err, argv
+    assert run_cli("verify", "all", "--seed") == (2, "")
+    assert "argument --seed: expected one argument" in capsys.readouterr().err
+    # flags and values are read wherever they stand, in either form
+    golden = run_cli(*dict(GOLDEN_COMMANDS)["table_bu1_real.txt"])
+    assert run_cli("ring", "table", "--box", "4", "4", "BU:1", "--model", "real", "--seed", "-5") == golden
+    code, out = run_cli("motive", "eval", "N^1 * N^-1", "--seed=-5")
+    assert (code, out) == (0, "T\n")
 
 
 def test_negative_box_exits_2(capsys):
@@ -578,6 +611,10 @@ def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
          "derivation descriptor values: value of v3 'q^$': unexpected character '$'"),
         (("sq1", "check", "BOp:1", "--values"), {"values": {"v3": "qq"}},
          "derivation descriptor values: value of v3 'qq': no generator named 'qq'"),
+        (("hom", "verify"), {"source": "BU:1", "target": "BU:1", "images": {"c1": "c1^40"}},
+         "map descriptor images: image of c1 'c1^40': monomial of total degree 120 exceeds bound 6"),
+        (("sq1", "check", "BOp:1", "--values"), {"values": {"v3": "u1^40"}},
+         "derivation descriptor values: value of v3 'u1^40': monomial of total degree 40 exceeds bound 8"),
     ],
 )
 def test_bad_image_or_value_names_generator_and_text(tmp_path, capsys, argv, descriptor, expected):
@@ -586,6 +623,21 @@ def test_bad_image_or_value_names_generator_and_text(tmp_path, capsys, argv, des
     code, out = run_cli(*argv, str(path), "--model", "real", "--box", "3", "3")
     assert code == 2 and out == ""
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["relations", "alpha", "minus_one"])
+def test_model_field_past_the_bound_names_field_and_text(tmp_path, capsys, field):
+    text = "a^40" if field == "relations" else "a + a^40"
+    descriptor = {"generators": ["a"], "relations": [], "alpha": "a"}
+    descriptor[field] = [text] if field == "relations" else text
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    name = "relation" if field == "relations" else field
+    expected = f"model {name} {text!r}: monomial of total degree 80 exceeds bound 32"
+    for argv in (("field", "show"), ("ring", "table", "H")):
+        code, out = run_cli(*argv, "--model", str(path))
+        assert code == 2 and out == "", argv
+        assert expected in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize(
