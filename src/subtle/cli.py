@@ -320,11 +320,23 @@ def _cmd_verify(args) -> int:
 _INT_FLAGS = {"--box": 2, "--seed": 1}
 
 
+def _long_flags(command: str) -> tuple[str, ...]:
+    """The long flags of ``command``'s parser, or none for an unknown one."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+    commands = sub.choices
+    if command not in commands:
+        return ()
+    return tuple(f for a in commands[command]._actions for f in a.option_strings if f[:2] == "--")
+
+
 def _set_aside_int_flags(argv: list[str]) -> tuple[list[str], dict]:
     """``argv`` without the integer flags and their values, and the values
-    by flag name.  A value may start with one ``-`` but not two, so a flag
-    short of values stays for argparse to report; nothing after ``--`` is
-    a flag."""
+    by flag name.  A flag may be written as argparse reads it: in full, or
+    as a prefix that starts no other long flag of the command.  A value may
+    start with one ``-`` but not two, so a flag short of values stays for
+    argparse to report; nothing after ``--`` is a flag."""
+    flags = _long_flags(argv[0]) if argv else ()
     rest: list[str] = []
     values: dict = {}
     i = 0
@@ -332,10 +344,14 @@ def _set_aside_int_flags(argv: list[str]) -> tuple[list[str], dict]:
         if argv[i] == "--":
             rest += argv[i:]
             break
-        n = _INT_FLAGS.get(argv[i], 0)
+        flag = argv[i]
+        named = [f for f in flags if f.startswith(flag)] if flag[:2] == "--" else []
+        if flag not in _INT_FLAGS and len(named) == 1:
+            flag = named[0]
+        n = _INT_FLAGS.get(flag, 0)
         taken = argv[i + 1 : i + 1 + n]
         if n and len(taken) == n and not any(t.startswith("--") for t in taken):
-            values[argv[i][2:]] = taken if n > 1 else taken[0]
+            values[flag[2:]] = taken if n > 1 else taken[0]
         else:
             rest.append(argv[i])
             n = 0

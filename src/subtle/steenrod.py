@@ -22,6 +22,7 @@ from .bigraded import (
     AlgebraPresentation,
     Bidegree,
     Element,
+    Poly,
     cell_images,
     standard_monomials,
 )
@@ -184,7 +185,11 @@ def leibniz_offender(
         total(x) + total(c) + 1 <= truncation bound.
 
     One w-major pass over the cells of c, each with the generators whose
-    region covers it, computes Sq1(x) and Sq1(c) once each.  None certifies Leibniz
+    region covers it.  Normal form and the Leibniz expansion are GF(2)-linear,
+    so Sq1(x*c) is the sum of Sq1(m) over the monomials m of nf(x*c), and the
+    right side the sum of nf(m) over the monomials of the unreduced product:
+    the call takes each monomial's normal form, and each standard monomial's
+    Sq1, once, in two dicts that end with it.  None certifies Leibniz
     Sq1(a*b) = Sq1(a)*b + a*Sq1(b) for all standard monomials a, b of the box
     with total(a) + total(b) + 1 <= bound, by induction on the degree of a.
     Degree 0 is a = 1, where Sq1(1) = 0.  Otherwise write a = x*a' for a
@@ -212,6 +217,19 @@ def leibniz_offender(
             x = pres.gen(gen.name)
             limits = (2 * wmax - gb.w, 2 * dmax - gb.d, bound - 1 - gb.total)
             xs.append((limits, x, sq1_apply(der, x)))
+    nf: dict = {}  # monomial -> its normal form
+    sq: dict = {}  # standard monomial -> its Sq1, in normal form
+
+    def normal(m) -> Poly:
+        if m not in nf:
+            nf[m] = pres.reduce_poly((m,))
+        return nf[m]
+
+    def sq1(m) -> Poly:
+        if m not in sq:
+            sq[m] = pres.reduce_poly(_leibniz(pres, (m,), der.value))
+        return sq[m]
+
     store: dict = {}
     for w in range(2 * wmax + 1):
         for d in range(2 * dmax + 1):
@@ -220,13 +238,21 @@ def leibniz_offender(
                 continue
             for m in standard_monomials(pres, w, d, store):
                 c = Element(pres, frozenset([m]))
-                sc = sq1_apply(der, c)
+                sc = Element(pres, sq1(m))
                 for x, sx in pairs:
-                    # normal form is GF(2)-linear: one reduction for the right side
-                    right = pres.reduce_poly(sx.product_monomials(c) ^ x.product_monomials(sc))
-                    if sq1_apply(der, x * c).monomials != right:
+                    right = _xor_all(map(normal, sx.product_monomials(c) ^ x.product_monomials(sc)))
+                    xc = _xor_all(map(normal, x.product_monomials(c)))
+                    if _xor_all(map(sq1, xc)) != right:
                         return x, c
     return None
+
+
+def _xor_all(polys) -> set:
+    """The GF(2) sum of monomial sets."""
+    acc: set = set()
+    for p in polys:
+        acc ^= p
+    return acc
 
 
 @dataclass(frozen=True)

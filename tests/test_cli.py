@@ -348,6 +348,9 @@ def test_valid_integers_keep_their_output():
         (["ring", "table", "BU:1", "--box", "2", "-+2", "--model", "real"], "-+2"),
         (["ring", "table", "BU:1", "--box", "-2e0", "-1"], "-2e0"),
         (["motive", "eval", "N^1", "--seed", "-3_0"], "-3_0"),
+        # argparse reads a unique prefix as the flag itself
+        (["verify", "all", "--se", "-+3"], "-+3"),
+        (["ring", "table", "BU:1", "--bo", "-0x1", "2"], "-0x1"),
     ],
 )
 def test_dash_led_integers_reach_the_integer_rule(argv, bad, capsys):
@@ -355,7 +358,7 @@ def test_dash_led_integers_reach_the_integer_rule(argv, bad, capsys):
     # the value nor the rule
     code, out = run_cli(*argv)
     assert (code, out) == (2, ""), argv
-    flag = "--seed" if "--seed" in argv else "--box"
+    flag = "--seed" if any(a[:4] == "--se" for a in argv) else "--box"
     assert f"bad {flag}: {bad!r} is not an integer" in capsys.readouterr().err, argv
 
 
@@ -368,6 +371,9 @@ def test_integer_flags_short_of_values_are_reported_by_argparse(capsys):
     # flags and values are read wherever they stand, in either form
     golden = run_cli(*dict(GOLDEN_COMMANDS)["table_bu1_real.txt"])
     assert run_cli("ring", "table", "--box", "4", "4", "BU:1", "--model", "real", "--seed", "-5") == golden
+    assert run_cli("ring", "table", "--b", "4", "4", "BU:1", "--model", "real", "--se", "-5") == golden
+    assert run_cli("ring", "table", "BU:1", "--bo", "2") == (2, "")
+    assert "argument --box: expected 2 arguments" in capsys.readouterr().err
     code, out = run_cli("motive", "eval", "N^1 * N^-1", "--seed=-5")
     assert (code, out) == (0, "T\n")
 

@@ -566,6 +566,24 @@ def test_npow_bu_consistency(real, fq):
         assert t0.same_entries(block_table(model, "Npow:1", 5, 5))
 
 
+def test_decomposition_and_diagonal_split_at_box_20(real, fq):
+    # criteria 1 and 3 at a box far above the acceptance suite's (8,8), where
+    # completions of total degree up to 40 decide the counts
+    w = d = 20
+    for model in (real, fq):
+        for n in range(1, 6):
+            engine = block_table(model, f"BU:{n}", w, d)
+            conv = npow_bu_table(model, 0, n, w, d)
+            assert engine.same_entries(conv), (model.tag, n)
+        mt = block_table(model, "Mtilde", w, d + 1)
+        tabs = [block_table(model, f"Npow:{n}", w, d) for n in range(6)]
+        for n in range(1, 6):
+            for ww in range(w + 1):
+                for dd in range(d + 1):
+                    want = tabs[n - 1].entry(ww, dd) if dd <= ww + n - 1 else mt.entry(ww, dd - n + 1)
+                    assert tabs[n].entry(ww, dd) == want, (model.tag, n, ww, dd)
+
+
 def test_xbu_zero_is_xalpha(real):
     from subtle.rings import build_X_BU
 

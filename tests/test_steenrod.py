@@ -542,3 +542,77 @@ def test_generator_leibniz_implies_all_pairs_random():
         else:
             failed += 1
     assert passed >= 20 and failed >= 5
+
+
+def _leibniz_offender_reference(der, wmax, dmax):
+    # the per-pair formulation: for every generator x of the box and standard
+    # monomial c, Sq1 of the reduced product x*c against the right side
+    # reduced once, each taken afresh
+    pres = der.pres
+    bound = pres.truncation_bound
+    xs = []
+    for gen in pres.gens:
+        gb = gen.bidegree
+        if gb.w <= wmax and gb.d <= dmax and gb.total + 1 <= bound:
+            x = pres.gen(gen.name)
+            limits = (2 * wmax - gb.w, 2 * dmax - gb.d, bound - 1 - gb.total)
+            xs.append((limits, x, sq1_apply(der, x)))
+    for w in range(2 * wmax + 1):
+        for d in range(2 * dmax + 1):
+            pairs = [(x, sx) for (mw, md, mt), x, sx in xs if w <= mw and d <= md and w + d <= mt]
+            if not pairs:
+                continue
+            for m in standard_monomials(pres, w, d):
+                c = Element(pres, frozenset([m]))
+                sc = sq1_apply(der, c)
+                for x, sx in pairs:
+                    right = pres.reduce_poly(sx.product_monomials(c) ^ x.product_monomials(sc))
+                    if sq1_apply(der, x * c).monomials != right:
+                        return x, c
+    return None
+
+
+def _offender_or_error(check, der, wmax, dmax):
+    try:
+        return check(der, wmax, dmax)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+def _random_overrides(rng, pres):
+    # a random value for every generator in half of the draws and for about
+    # half of them in the other; tau always gets one on a model that names
+    # no {-1} class, where its default is undefined
+    share = rng.choice([0.5, 1.0])
+    forced = () if pres.model is None or pres.model.minus_one_string else ("tau",)
+    values = {}
+    for gen in pres.gens:
+        if gen.name in forced or rng.random() < share:
+            basis = _value_candidates(pres, gen)
+            picked = rng.sample(basis, min(rng.randint(1, 3), len(basis)))
+            values[gen.name] = Element(pres, frozenset(picked))
+    return values
+
+
+def test_leibniz_offender_matches_the_per_pair_reference_random(real, fq):
+    # the first offender, or the exception, of leibniz_offender is the per-pair
+    # formulation's, on derivations of the blocks with random generator values
+    # and of random presentations, solved or with unknowns left
+    rng = random.Random(20250827)
+    blocks = ["BO:4", "BOp:1", "BU:2", "BOp:2", "XBO:2", "Npow:2"]
+    outcomes = {"offender": 0, "none": 0, "error": 0}
+    for trial in range(400):
+        if trial % 4 == 3:
+            pres = _random_solver_presentation(rng, 10, rng.choice([0, 0, 1]), True)
+        else:
+            pres = sq1_presentation(rng.choice([real, fq]), rng.choice(blocks), 3, 3)
+        der = sq1_define(pres, _random_overrides(rng, pres))
+        if rng.random() < 0.25:
+            der = sq1_solve(der)[0]
+        wmax, dmax = rng.randint(2, 3), rng.randint(2, 3)
+        got = _offender_or_error(leibniz_offender, der, wmax, dmax)
+        want = _offender_or_error(_leibniz_offender_reference, der, wmax, dmax)
+        assert got == want, (trial, pres.block_id, pres.gens, dict(der.values), wmax, dmax)
+        kind = "none" if got is None else "error" if isinstance(got[0], type) else "offender"
+        outcomes[kind] += 1
+    assert outcomes["offender"] >= 100 and outcomes["none"] >= 30 and outcomes["error"] >= 10, outcomes
