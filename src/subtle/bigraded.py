@@ -85,7 +85,8 @@ class AlgebraPresentation:
     every field, the ``model`` and ``block_id`` labels included, and any later
     assignment or deletion raises ``FrozenInstanceError``, an
     ``AttributeError``; ``index`` is a read-only mapping.  It is a module
-    exactly when a generator is a ``MODULE_GEN``.
+    exactly when a generator is a ``MODULE_GEN``.  However it is built, by
+    ``presentation_new`` or not, it passes ``_check_presentation``.
     """
 
     gens: Sequence[GenSpec]
@@ -119,6 +120,7 @@ class AlgebraPresentation:
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "is_module", bool(self.module_idx))
+        _check_presentation(self, self.relations)
         tests = tuple(_divisor_test(self, g) for g in self.groebner)
         object.__setattr__(self, "_gb_tests", tests)
         object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
@@ -514,6 +516,40 @@ def _buchberger(
 # ----- public operations -------------------------------------------------------
 
 
+def _check_presentation(pres: AlgebraPresentation, relations) -> None:
+    """Refuse an empty or repeated generator name, a Milnor generator off
+    w = d, a negative generator bidegree (zero is allowed; cell enumeration
+    and the generator cone rely on it), and nonzero ``relations`` over the
+    generators of ``pres`` that mix bidegrees, exceed its bound or, in a
+    module without a unit component, mix module monomials with monomials
+    free of module generators, which reduction would carry out of the
+    module."""
+    seen = set()
+    for g in pres.gens:
+        if not g.name:
+            raise EmptyGeneratorNameClash("empty generator name")
+        if g.name in seen:
+            raise EmptyGeneratorNameClash(f"duplicate generator name {g.name!r}")
+        seen.add(g.name)
+        if g.bidegree.w < 0 or g.bidegree.d < 0:
+            raise NegativeBidegree(f"generator {g} has negative weight or degree")
+        if g.origin == MILNOR and g.bidegree.w != g.bidegree.d:
+            raise NonHomogeneousRelation(f"milnor generator {g.name} must have w = d")
+    for poly in filter(None, relations):
+        b = pres.poly_bidegree(poly)
+        if b is None:
+            raise NonHomogeneousRelation(f"relation {str(Element(pres, poly))!r} mixes bidegrees")
+        if b.total > pres.truncation_bound:
+            raise BoundTooSmall(
+                f"relation of total degree {b.total} exceeds bound {pres.truncation_bound}"
+            )
+        if not pres.has_unit and {bool(pres.module_count(m)) for m in poly} == {True, False}:
+            raise RelationLeavesModule(
+                f"relation {str(Element(pres, poly))!r} of a module without a unit "
+                "component mixes module monomials with monomials free of module generators"
+            )
+
+
 def presentation_new(
     gens: Sequence[GenSpec],
     rels: Sequence,
@@ -524,53 +560,15 @@ def presentation_new(
 ) -> AlgebraPresentation:
     """Build a presentation and compute its truncated Groebner basis.
 
-    Generator bidegrees must be non-negative (zero is allowed): cell
-    enumeration and the generator cone of ``standard_monomials`` rely on it.
     ``rels`` entries may be element strings, parsed raw polys, monomial sets
     over these generators, or Elements of a presentation with the same
-    generator names.  In a module without a unit component (``has_unit``
-    false), a relation must not mix module monomials with monomials free of
-    module generators: reduction would carry module elements out of the
-    module.  A relation wholly free of module generators is a coefficient-ring
-    relation and acts on each module generator.
+    generator names; ``_check_presentation`` vets them before completion.  A
+    relation wholly free of module generators is a coefficient-ring relation
+    and acts on each module generator.
     """
-    seen = set()
-    for g in gens:
-        if not g.name:
-            raise EmptyGeneratorNameClash("empty generator name")
-        if g.name in seen:
-            raise EmptyGeneratorNameClash(f"duplicate generator name {g.name!r}")
-        seen.add(g.name)
-        if g.bidegree.w < 0 or g.bidegree.d < 0:
-            raise NegativeBidegree(
-                f"generator {g} has negative weight or degree"
-            )
-        if g.origin == MILNOR and g.bidegree.w != g.bidegree.d:
-            raise NonHomogeneousRelation(
-                f"milnor generator {g.name} must have w = d"
-            )
-
     shell = AlgebraPresentation(gens, (), (), bound, has_unit)
-    rel_polys: list[Poly] = []
-    for r in rels:
-        poly = shell.raw_to_poly(r)
-        if not poly:
-            continue
-        b = shell.poly_bidegree(poly)
-        if b is None:
-            raise NonHomogeneousRelation(
-                f"relation {str(Element(shell, poly))!r} mixes bidegrees"
-            )
-        if b.total > bound:
-            raise BoundTooSmall(
-                f"relation of total degree {b.total} exceeds bound {bound}"
-            )
-        if not has_unit and {bool(shell.module_count(m)) for m in poly} == {True, False}:
-            raise RelationLeavesModule(
-                f"relation {str(Element(shell, poly))!r} of a module without a unit "
-                "component mixes module monomials with monomials free of module generators"
-            )
-        rel_polys.append(poly)
+    rel_polys = [poly for poly in map(shell.raw_to_poly, rels) if poly]
+    _check_presentation(shell, rel_polys)
 
     # module presentations: the coefficient-ring relations act on every
     # module component, so multiply each module-free relation into each

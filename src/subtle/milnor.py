@@ -11,6 +11,8 @@ Built-in models:
 * ``finite_field``        one generator ``s``, relation s^2 = 0, alpha = s
 * ``quadratically_closed`` no generators; carries no valid alpha, so every
   alpha-consuming operation rejects it
+
+The module keeps no state: blocks read Ann(alpha) through ``rings``' cache.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ MODEL_FIELDS = {
 }
 
 
-# Ann({alpha}) per (model, bound), for the life of the process: models equal
-# by content share one entry.
-_ANN: dict[tuple[FieldModel, int], IdealGens] = {}
-
-
 @dataclass(frozen=True)
 class FieldModel:
     """Immutable Milnor K-theory mod 2 model with a designated symbol.  Equality
@@ -110,41 +107,9 @@ class FieldModel:
         pres, store = self.presentation, {}
         return [len(standard_monomials(pres, n, n, store)) for n in range(max_degree + 1)]
 
-    def annihilator(self, degree_bound: int | None = None) -> IdealGens:
-        """Generators of Ann({alpha}) of degree below the bound, cached per
-        model content and bound in ``_ANN``.
-
-        When ``_ANN`` holds an entry for this model at a larger bound, the
-        generators of degree below this bound are read off it instead of
-        running the colon sweep again.  They are the ones a fresh
-        ``km_annihilator`` returns, because:
-
-        * the sweep's candidate sequence for the smaller bound is a prefix of
-          the larger bound's: candidates come degree by degree, and those of
-          degree k depend only on the cells of degrees k and k + 1;
-        * truncated normal forms are exact below their bound, so those cells,
-          their kernels and each membership test agree at both bounds;
-        * a generator of higher degree cannot make one of lower degree
-          redundant, since a homogeneous ideal's generators of degree above k
-          contain nothing of degree k.
-
-        The result carries the bound asked for (as ``degree_bound``, twice
-        it, like ``km_annihilator``) but the larger entry's presentation.
-        """
-        bound = degree_bound if degree_bound is not None else self.degree_bound
-        key = (self, bound)
-        if key not in _ANN:
-            larger = [b for m, b in _ANN if b > bound and m == self]
-            if larger:
-                big = _ANN[self, min(larger)]
-                _ANN[key] = IdealGens(
-                    big.pres,
-                    tuple(g for g in big.gens if g.bidegree().d < bound),
-                    2 * bound,
-                )
-            else:
-                _ANN[key] = km_annihilator(self, self.alpha, bound)
-        return _ANN[key]
+    def annihilator(self, degree_bound: int) -> IdealGens:
+        """Generators of Ann({alpha}) of degree below the bound, afresh."""
+        return km_annihilator(self, self.alpha, degree_bound)
 
     def __str__(self) -> str:
         rels = ", ".join(self.relation_strings) if self.relation_strings else "none"

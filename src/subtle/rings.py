@@ -16,17 +16,19 @@ Block identifiers (CLI-facing; ``parse.parse_id`` reads them):
     nbar         dimension table only: Ann part plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
-``_present`` holds the package's one build cache, and every block, ``BOh:n``
-included, is built through it under its own id.  It looks a request up by
-its arguments, then by what the build is made from, so requests that come to
-the same content share one completion, whatever order their bounds come in.
+``_BUILT`` holds all the package's state that outlives a call, the builds
+and one Ann(alpha) per model (``_ann_strings``), and ``clear()`` empties it.
+Every block, ``BOh:n`` included, is built through ``_present`` under its
+own id.  It looks a request up by its arguments, then by what the build is
+made from, so requests that come to the same content share one completion,
+whatever order their bounds come in.
 ``block_presentation`` only dispatches an id to its builder, and
 ``block_table`` is the one route from a block to its Poincare table.
 
-The bound rule, applied by ``_present`` alone, the one reader of Ann(alpha)
-for a block: a block asked for at bound B is built at the first bound >= B
-that holds its relations, with Ann(alpha) read there, so it holds every
-relation of total degree up to the bound it states, which may exceed B.
+The bound rule, applied by ``_present`` alone: a block asked for at bound B
+is built at the first bound >= B that holds its relations, with Ann(alpha)
+read there, so it holds every relation of total degree up to the bound it
+states, which may exceed B.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .bigraded import (
     Bidegree,
     Element,
     GenSpec,
+    IdealGens,
     PoincareTable,
     cell_maps,
     poincare_table,
@@ -48,7 +51,7 @@ from .bigraded import (
 )
 from .errors import UnsupportedBlock
 from .gf2 import RowSpace
-from .milnor import FieldModel
+from .milnor import FieldModel, km_annihilator
 from .parse import parse_id
 
 
@@ -117,7 +120,26 @@ def _present(
 
 
 def _ann_strings(model: FieldModel, bound: int) -> list[str]:
-    return [str(g) for g in model.annihilator(bound).gens]
+    """The generators of Ann({alpha}) of degree below the bound, as strings;
+    the one reader of Ann(alpha), for blocks and kernel ideals.  ``_BUILT``
+    keeps the ideal read at the largest bound asked so far per model, and a
+    smaller bound takes its generators of degree below that bound: the ones
+    a fresh ``km_annihilator`` returns, because:
+
+    * the sweep's candidate sequence for the smaller bound is a prefix of
+      the larger bound's: candidates come degree by degree, and those of
+      degree k depend only on the cells of degrees k and k + 1;
+    * truncated normal forms are exact below their bound, so those cells,
+      their kernels and each membership test agree at both bounds;
+    * a generator of higher degree cannot make one of lower degree
+      redundant, since a homogeneous ideal's generators of degree above k
+      contain nothing of degree k.
+    """
+    key = (model, "Ann(alpha)")
+    held = _BUILT.get(key)
+    if held is None or held.degree_bound < 2 * bound:
+        held = _BUILT[key] = km_annihilator(model, model.alpha, bound)
+    return [str(g) for g in held.gens if g.bidegree().d < bound]
 
 
 def build_H(model: FieldModel, bound: int = 16) -> AlgebraPresentation:
@@ -373,9 +395,13 @@ BLOCKS = {
     "NpowBU": (2, None),
 }
 
-# the one build cache, keyed by a request's arguments and by what a build is
-# made from (see ``_present``)
-_BUILT: dict[tuple, AlgebraPresentation] = {}
+# the package's one process-wide cache (see the module docstring)
+_BUILT: dict[tuple, AlgebraPresentation | IdealGens] = {}
+
+
+def clear() -> None:
+    """Empty the process-wide cache: every build and every Ann(alpha)."""
+    _BUILT.clear()
 
 
 def parse_block_id(block: str) -> tuple[str, tuple[int, ...]]:

@@ -29,6 +29,7 @@ from .bigraded import (
 from .errors import (
     BidegreeMismatch,
     ExceedsBound,
+    InvalidModuleProduct,
     MissingRhoDesignation,
     UnknownDerivationValue,
     UnknownGenerator,
@@ -99,8 +100,9 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
     """Derivation with default values, optionally overridden per generator.
 
     Generators with neither default nor override are recorded as unknown; an
-    override for a name that is no generator raises UnknownGenerator, and an
-    override string that does not read names its generator and the text.
+    override for a name that is no generator raises UnknownGenerator, an
+    override string that does not read names its generator and the text, and
+    so does a module element given to a ring generator (InvalidModuleProduct).
     """
     resolved: dict[str, Element] = {}
     unknown: list[str] = []
@@ -112,6 +114,11 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
         if gen.name in overrides:
             with naming(f"value of {gen.name}", overrides[gen.name]):
                 val = pres.el(overrides[gen.name])
+            if gen.origin != MODULE_GEN and any(map(pres.module_count, val.monomials)):
+                raise InvalidModuleProduct(
+                    f"value of {gen.name} {overrides[gen.name]!r}: a module element, "
+                    f"but {gen.name} is a ring generator"
+                )
         else:
             val = _default_value(pres, gen, pres.model)
         if val is None:

@@ -106,6 +106,51 @@ def test_milnor_generator_must_sit_on_diagonal():
         presentation_new([GenSpec("x", Bidegree(1, 2), MILNOR)], [], 4)
 
 
+_MODULE_GENS = [
+    GenSpec("x0", Bidegree(0, 1)),
+    GenSpec("x1", Bidegree(1, 1)),
+    GenSpec("m1", Bidegree(0, 1), MODULE_GEN),
+]
+
+
+@pytest.mark.parametrize(
+    "gens, rels, bound, has_unit, error",
+    [
+        ([GenSpec("", Bidegree(1, 1), MILNOR)], [], 4, True, EmptyGeneratorNameClash),
+        (h_real() + h_real(), [], 4, True, EmptyGeneratorNameClash),
+        (h_real() + [GenSpec("x", Bidegree(-1, 2))], [], 6, True, NegativeBidegree),
+        ([GenSpec("x", Bidegree(1, 2), MILNOR)], [], 4, True, NonHomogeneousRelation),
+        (h_real(), ["tau + rho"], 8, True, NonHomogeneousRelation),
+        (h_real(), ["rho^6"], 8, True, BoundTooSmall),
+        (_MODULE_GENS, ["x1*m1 + x1*x0"], 8, False, RelationLeavesModule),
+    ],
+    ids=["empty-name", "duplicate-name", "negative", "milnor-off-diagonal",
+         "inhomogeneous", "past-the-bound", "leaves-the-module"],
+)
+def test_a_presentation_is_checked_however_it_is_built(gens, rels, bound, has_unit, error, monkeypatch):
+    # presentation_new, the constructor and dataclasses.replace of a valid
+    # presentation refuse the same input with the same error, and
+    # presentation_new refuses it before any completion
+    def no_completion(*args):
+        raise AssertionError("completion began before the checks")
+
+    monkeypatch.setattr(bigraded, "_buchberger", no_completion)
+    with pytest.raises(error) as new:
+        presentation_new(gens, rels, bound, has_unit)
+    monkeypatch.undo()
+    valid_gens = gens if rels else h_real()
+    polys = [presentation_new(valid_gens, [], 100).raw_to_poly(r) for r in rels]
+    valid = presentation_new(valid_gens, [], bound)
+    builds = [
+        lambda: bigraded.AlgebraPresentation(gens, polys, (), bound, has_unit),
+        lambda: replace(valid, gens=gens, relations=polys, has_unit=has_unit),
+    ]
+    for build in builds:
+        with pytest.raises(error) as direct:
+            build()
+        assert str(direct.value) == str(new.value)
+
+
 def test_normal_form_relation(fq):
     p = bu1_real()
     assert p.el("tau*d1 + rho*c1").is_zero()
@@ -564,8 +609,8 @@ def test_divisor_tests_match_the_dense_rule_random():
         variants = [p]
         if p.is_module:
             modules += 1
-            variants.append(replace(p, has_unit=False))
-        for q in variants:
+            variants.append(_without_unit(p))
+        for q in filter(None, variants):
             assert [t[4:] for t in q._gb_tests] == [(q.lead_monomial(g), g) for g in q.groebner]
             for w in range(6):
                 for d in range(6):
@@ -596,12 +641,15 @@ def _assert_unique_reduced_basis(rng, q):
 
 def _without_unit(p):
     """p without its unit component, or None when a relation of p mixes
-    module monomials with monomials free of module generators, which
-    ``presentation_new`` refuses for a module without a unit component."""
+    module monomials with monomials free of module generators, which a
+    module without a unit component refuses, from ``presentation_new`` and
+    from ``dataclasses.replace`` alike."""
     for r in p.relations:
         if 0 < sum(1 for m in r if p.module_count(m)) < len(r):
             with pytest.raises(RelationLeavesModule):
                 presentation_new(p.gens, p.relations, p.truncation_bound, has_unit=False)
+            with pytest.raises(RelationLeavesModule):
+                replace(p, has_unit=False)
             return None
     return replace(p, has_unit=False)
 

@@ -437,11 +437,11 @@ def _sweep_commands(model_path):
     return argv
 
 
-def test_shuffled_runs_equal_runs_on_fresh_caches(ab4_path, monkeypatch, capsys):
+def test_shuffled_runs_equal_runs_on_fresh_caches(ab4_path, capsys):
     # one process answers the block requests of many commands from one build
     # cache, in any order; each output equals the command's run with the
-    # build cache and the Ann(alpha) cache emptied first
-    from subtle import milnor, rings
+    # process-wide cache (builds and Ann(alpha)) emptied first
+    from subtle import rings
 
     def outcome(argv):
         code, out = run_cli(*argv)
@@ -451,8 +451,7 @@ def test_shuffled_runs_equal_runs_on_fresh_caches(ab4_path, monkeypatch, capsys)
     random.Random(25).shuffle(runs)
     in_a_row = {argv: outcome(argv) for argv in runs}
     for argv in runs:
-        monkeypatch.setattr(rings, "_BUILT", {})
-        monkeypatch.setattr(milnor, "_ANN", {})
+        rings.clear()
         assert outcome(argv) == in_a_row[argv], argv
     assert all(code == 0 for code, _, _ in in_a_row.values())
     for block in ("BOh:1", "BOp:1"):
@@ -621,6 +620,8 @@ def test_bad_derivation_file_exits_2(tmp_path, capsys, text):
          "map descriptor images: image of c1 'c1^40': monomial of total degree 120 exceeds bound 6"),
         (("sq1", "check", "BOp:1", "--values"), {"values": {"v3": "u1^40"}},
          "derivation descriptor values: value of v3 'u1^40': monomial of total degree 40 exceeds bound 8"),
+        (("sq1", "check", "Npow:2", "--values"), {"values": {"rho": "rho*mu1"}},
+         "error: value of rho 'rho*mu1': a module element, but rho is a ring generator"),
     ],
 )
 def test_bad_image_or_value_names_generator_and_text(tmp_path, capsys, argv, descriptor, expected):

@@ -1,11 +1,15 @@
 import ast
+import copy
+import importlib
 import json
 import math
+import pkgutil
 import statistics
 import sys
 from pathlib import Path
 
 import subtle
+from subtle import bigraded, rings, verify
 
 
 def test_runtime_imports_are_standard_library():
@@ -65,3 +69,32 @@ def test_user_input_enters_through_parse():
                 if methods & {"peek", "take"}:
                     scanners.append((path.name, node.name))
     assert scanners == [("parse.py", "Parser")]
+
+
+def _module_containers() -> dict:
+    """Every module-level dict, list and set of every ``subtle`` module."""
+    for info in pkgutil.iter_modules(subtle.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            importlib.import_module(f"subtle.{info.name}")
+    return {
+        (name, key): value
+        for name, module in sorted(sys.modules.items())
+        if name == "subtle" or name.startswith("subtle.")
+        for key, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and key != "__builtins__"
+    }
+
+
+def test_process_state_has_one_owner():
+    # all state that outlives a call lives in the one cache rings.clear()
+    # empties: a verify all run changes no other module-level container of
+    # the package, and leaves no shared-tables scope open behind it
+    rings.clear()
+    before = copy.deepcopy(_module_containers())
+    assert all(result.passed for result in verify.run_all(box=(2, 2)))
+    after = _module_containers()
+    changed = [k for k in before.keys() | after.keys() if before.get(k) != after.get(k)]
+    assert len(changed) == 1 and changed[0][0] == "subtle.rings", changed
+    rings.clear()
+    assert _module_containers()[changed[0]] == before[changed[0]]
+    assert bigraded._TABLES.get() is None

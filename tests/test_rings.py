@@ -142,7 +142,7 @@ def test_ids_differing_in_leading_zeros_share_one_build(real):
 def test_bohtilde_requests_share_one_build(ab4, monkeypatch):
     # on ab4 every BOh:1 request states bound 12, so the 13 requests give
     # one object and one completion
-    monkeypatch.setattr(rings, "_BUILT", {})
+    rings.clear()
     made = _counting_builds(monkeypatch)
     got = {id(block_presentation(ab4, "BOh:1", b)) for b in range(13)}
     assert len(got) == 1
@@ -286,10 +286,10 @@ def test_requests_share_one_build_per_content(model_name, monkeypatch, ab4):
         kind, args = parse_block_id(block)
         want = {}
         for b in range(13):
-            monkeypatch.setattr(rings, "_BUILT", {})
+            rings.clear()
             want[b] = _content(rings.BLOCKS[kind][1](model, *args, b))
         for name, order in _BOUND_ORDERS.items():
-            monkeypatch.setattr(rings, "_BUILT", {})
+            rings.clear()
             made = _counting_builds(monkeypatch)
             got = {b: block_presentation(model, block, b) for b in order}
             assert all(block_presentation(model, block, b) is got[b] for b in order)
@@ -300,6 +300,56 @@ def test_requests_share_one_build_per_content(model_name, monkeypatch, ab4):
                 assert len(made) == 12, name
             if model_name == "ab4" and block == "BOp:1":
                 assert [p.truncation_bound for p in made] == [12], name
+
+
+def _counting_ann_runs(monkeypatch) -> list:
+    """The bounds ``rings`` runs the colon sweep for Ann(alpha) at from here
+    on, in order."""
+    runs = []
+
+    def counted(model, f=None, degree_bound=8):
+        runs.append(degree_bound)
+        return km_annihilator(model, f, degree_bound)
+
+    monkeypatch.setattr(rings, "km_annihilator", counted)
+    return runs
+
+
+def test_ann_alpha_shared_by_content_equal_models(monkeypatch):
+    # models equal by content share one Ann(alpha) entry; the model's own
+    # annihilator computes afresh and agrees with it
+    rings.clear()
+    runs = _counting_ann_runs(monkeypatch)
+    ann = rings._ann_strings(build_field_model("finite_field"), 8)
+    assert rings._ann_strings(build_field_model("finite_field"), 8) == ann == ["s"]
+    assert runs == [8]
+    model = build_field_model("finite_field")
+    assert model.annihilator(8) is not model.annihilator(8)
+    assert [str(g) for g in model.annihilator(8).gens] == ann
+
+
+_ANN_ORDERS = {
+    "rising": list(range(18)),
+    "falling": list(range(17, -1, -1)),
+    "shuffled": random.Random(28).sample(range(18), 18),
+}
+
+
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "three"])
+def test_ann_alpha_read_off_the_largest_bound_asked(model_name, monkeypatch):
+    # bounds 0..17 in rising, falling and shuffled order: each answer is what
+    # a fresh colon run gives, and the colon runs only for a bound above
+    # every bound asked before
+    if model_name == "three":
+        model_name = str(Path(__file__).resolve().parents[1] / "bench" / "three.json")
+    model = build_field_model(model_name)
+    fresh = {n: [str(g) for g in km_annihilator(model, model.alpha, n).gens] for n in range(18)}
+    runs = _counting_ann_runs(monkeypatch)
+    for name, order in _ANN_ORDERS.items():
+        rings.clear()
+        runs.clear()
+        assert {n: rings._ann_strings(model, n) for n in order} == fresh, name
+        assert runs == [n for i, n in enumerate(order) if n > max(order[:i], default=-1)], name
 
 
 def test_npow_tables(real, fq):
@@ -582,6 +632,21 @@ def test_decomposition_and_diagonal_split_at_box_20(real, fq):
                 for dd in range(d + 1):
                     want = tabs[n - 1].entry(ww, dd) if dd <= ww + n - 1 else mt.entry(ww, dd - n + 1)
                     assert tabs[n].entry(ww, dd) == want, (model.tag, n, ww, dd)
+
+
+def test_oracle_spot_checks_on_the_blocks_at_boxes_16_to_20(real, fq):
+    # every oracle block at a seeded box in (16..20)^2, the boxes the CLI is
+    # asked for, built as block_table builds it: three seeded cells in
+    # (16..20)^2 each, engine basis against the dense count
+    rng = random.Random(28)
+    for model in (real, fq):
+        for block in ORACLE_BLOCKS:
+            wmax, dmax = rng.randint(16, 20), rng.randint(16, 20)
+            pres = block_presentation(model, block, wmax + dmax)
+            for _ in range(3):
+                w, d = rng.randint(16, wmax), rng.randint(16, dmax)
+                want = oracle_entry(pres, w, d)
+                assert len(standard_monomials(pres, w, d)) == want, (model.tag, block, w, d)
 
 
 def test_xbu_zero_is_xalpha(real):

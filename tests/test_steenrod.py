@@ -122,12 +122,30 @@ def test_leibniz_random_elements(real, block):
 
 
 def test_module_product_guard(real):
-    # Sq1(rho) set to a module monomial: rest * Sq1(rho) for mu1*rho is the
-    # product mu1 * rho*mu1 of two module elements
+    # Sq1(rho) set to a module monomial past sq1_define: rest * Sq1(rho) for
+    # mu1*rho is the product mu1 * rho*mu1 of two module elements
     npow = build_Npow(real, 2, 8)
-    der = sq1_define(npow, {"rho": "rho*mu1", "mu1": "0", "mu2": "0"})
+    der = sq1_define(npow, {"mu1": "0", "mu2": "0"}).with_values({"rho": npow.el("rho*mu1")})
     with pytest.raises(InvalidModuleProduct):
         sq1_apply(der, npow.el("mu1*rho"))
+
+
+@pytest.mark.parametrize(
+    "model_name, block, name, value",
+    [
+        ("real", "Npow:2", "rho", "rho*mu1"),
+        ("real", "Npow:2", "tau", "tau*mu2"),
+        ("finite_field", "Npow:2", "s", "mu1"),
+        ("real", "Mtilde", "rho", "rho*mu"),
+    ],
+)
+def test_module_value_for_a_ring_generator_is_named(model_name, block, name, value):
+    # a ring generator takes ring values only: a module value is refused when
+    # the derivation is defined, naming the generator and the value
+    pres = block_presentation(build_field_model(model_name), block, 8)
+    with pytest.raises(InvalidModuleProduct) as err:
+        sq1_define(pres, {name: value})
+    assert str(err.value) == f"value of {name} {value!r}: a module element, but {name} is a ring generator"
 
 
 def test_value_bidegree_guard(real):
