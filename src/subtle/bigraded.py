@@ -373,24 +373,23 @@ def _divisor_test(pres: AlgebraPresentation, g: Poly) -> tuple:
 def _walk_rules(pres: AlgebraPresentation) -> tuple:
     """What ``_walk`` reads of a presentation: ``(seeds, steps, wide, tall)``.
 
-    ``seeds[w, d, keep_unit]`` holds the standard monomials of ring part 1 in
-    (w)[d]: each module generator's, and the unit's with ``keep_unit``.
-    ``steps`` holds, per ring generator k of nonzero bidegree in index order,
-    ``(k, w_k, d_k, reads)``: ``reads`` maps an exponent e to the divisor
-    records whose leading monomial's last generator is k, with exponent e + 1
-    there, each cut to ``(w, d, ge, eq)`` without that pair.  ``wide`` and
-    ``tall`` are the largest weight and total of a step."""
+    ``seeds[w, d]`` holds the standard monomials of ring part 1 in (w)[d]:
+    each module generator's, and the unit's unless ``pres`` is a module
+    without a unit component.  ``steps`` holds, per ring generator k in index
+    order, ``(k, w_k, d_k, reads)``: ``reads`` maps an exponent e to the
+    divisor records whose leading monomial's last generator is k, with
+    exponent e + 1 there, each cut to ``(w, d, ge, eq)`` without that pair.
+    ``wide`` and ``tall`` are the largest weight and total of a step."""
     n, tests = len(pres.gens), pres._gb_tests
     seeds: dict[tuple, tuple] = {}
-    for i in (None,) + pres.module_idx:
+    for i in (None,) * (pres.has_unit or not pres.is_module) + pres.module_idx:
         m = tuple(int(j == i) for j in range(n))
         if _reducer(m, tests) is None:
             b = pres.mono_bidegree(m)
-            for keep in (False, True)[i is None:]:
-                seeds[b.w, b.d, keep] = seeds.get((b.w, b.d, keep), ()) + (m,)
+            seeds[b.w, b.d] = seeds.get((b.w, b.d), ()) + (m,)
     steps = []
     for k, (w, d) in enumerate(zip(pres.gen_w, pres.gen_d)):
-        if (w or d) and k not in pres.module_idx:
+        if k not in pres.module_idx:
             reads: dict[int, tuple] = {}
             for t in tests:
                 ge = dict(t[2])
@@ -404,15 +403,14 @@ def _walk_rules(pres: AlgebraPresentation) -> tuple:
 
 
 def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """The nonzero generator bidegrees ``((lw, ld), (hw, hd))`` of lowest and
-    highest slope d/w, or None when no generator has a nonzero bidegree.
-    Slopes are compared exactly: d1/w1 < d2/w2 iff d1*w2 < d2*w1, which holds
-    for non-negative bidegrees with w = 0 as the steepest slope."""
-    nonzero = [(w, d) for w, d in zip(gen_w, gen_d) if w or d]
-    if not nonzero:
+    """The generator bidegrees ``((lw, ld), (hw, hd))`` of lowest and highest
+    slope d/w, or None when there is no generator.  Slopes are compared
+    exactly: d1/w1 < d2/w2 iff d1*w2 < d2*w1, which holds for bidegrees
+    neither negative nor (0)[0], with w = 0 as the steepest slope."""
+    if not gen_w:
         return None
-    low = high = nonzero[0]
-    for w, d in nonzero[1:]:
+    low = high = (gen_w[0], gen_d[0])
+    for w, d in zip(gen_w[1:], gen_d[1:]):
         if d * low[0] < low[1] * w:
             low = (w, d)
         if d * high[0] > high[1] * w:
@@ -518,12 +516,11 @@ def _buchberger(
 
 def _check_presentation(pres: AlgebraPresentation, relations) -> None:
     """Refuse an empty or repeated generator name, a Milnor generator off
-    w = d, a negative generator bidegree (zero is allowed; cell enumeration
-    and the generator cone rely on it), and nonzero ``relations`` over the
-    generators of ``pres`` that mix bidegrees, exceed its bound or, in a
-    module without a unit component, mix module monomials with monomials
-    free of module generators, which reduction would carry out of the
-    module."""
+    w = d, a generator bidegree that is negative or (0)[0] (either can make a
+    cell infinite), and nonzero ``relations`` over the generators of ``pres``
+    that mix bidegrees, exceed its bound or, in a module without a unit
+    component, mix module monomials with monomials free of module
+    generators, which reduction would carry out of the module."""
     seen = set()
     for g in pres.gens:
         if not g.name:
@@ -533,6 +530,8 @@ def _check_presentation(pres: AlgebraPresentation, relations) -> None:
         seen.add(g.name)
         if g.bidegree.w < 0 or g.bidegree.d < 0:
             raise NegativeBidegree(f"generator {g} has negative weight or degree")
+        if not (g.bidegree.w or g.bidegree.d):
+            raise NegativeBidegree(f"generator {g} has bidegree (0)[0], so a cell could be infinite")
         if g.origin == MILNOR and g.bidegree.w != g.bidegree.d:
             raise NonHomogeneousRelation(f"milnor generator {g.name} must have w = d")
     for poly in filter(None, relations):
@@ -603,35 +602,25 @@ def groebner(pres: AlgebraPresentation, bound: int | None = None):
     return p, [Element(p, g) for g in p.groebner]
 
 
-def _monomials_of_bidegree(
+def _dense_monomials(
     pres: AlgebraPresentation,
     w: int,
     d: int,
     include_unit_component: bool = True,
-    prune: bool = False,
     store: dict | None = None,
 ) -> list[Monomial]:
-    """All valid monomials of bidegree exactly (w)[d]; with ``prune``, only
-    those that no leading monomial of ``pres`` divides, walked (``_walk``) in
-    no fixed order from the cells of the sweep's dict ``store``.
-
-    Without ``prune``, as the dense oracle calls it, they come in
-    lexicographic order of exponent vectors: exponents are chosen generator by
-    generator, keeping one only when the later generators can use up what it
-    leaves (the last one is forced).  The tails of each remainder are kept in
-    ``store[keep_unit]``, so the calls of one oracle table list each once (an
-    empty list when none is left); such a ``store`` serves one presentation
-    and no walk.  Generator bidegrees are taken to be non-negative, as every
-    builder's are."""
+    """All valid monomials of bidegree exactly (w)[d], whatever the leading
+    monomials, in lexicographic order of exponent vectors: the dense oracle's
+    enumerator, sharing no code with the walk.  A module's monomials free of
+    module generators count only with ``include_unit_component``.  Exponents
+    are chosen generator by generator, keeping one only when the later
+    generators can use up what it leaves (the last one is forced; none sits
+    in (0)[0]).  The tails of each remainder are kept in ``store[keep_unit]``,
+    so the calls of one oracle table list each once (an empty list when none
+    is left)."""
     keep_unit = include_unit_component or not pres.is_module
     if w < 0 or d < 0:
         return []
-    if prune:
-        if store is None:
-            store = {}
-        else:
-            _reach(pres, store, w, d)
-        return list(_walk(pres, w, d, keep_unit, store)[0])
     n = len(pres.gens)
     if n == 0:
         return [()] if w == 0 and d == 0 and keep_unit else []
@@ -643,7 +632,7 @@ def _monomials_of_bidegree(
 
     def closing(rw: int, rd: int, mods: int) -> int | None:
         """The last generator's exponent that leaves nothing, if valid."""
-        e = rw // lw if lw > 0 else rd // ld if ld > 0 else 0
+        e = rw // lw if lw else rd // ld
         if e < 0 or e * lw != rw or e * ld != rd:
             return None
         if last_limited:
@@ -667,10 +656,8 @@ def _monomials_of_bidegree(
                 cap = rw // gw
                 if gd > 0 and rd // gd < cap:
                     cap = rd // gd
-            elif gd > 0:
-                cap = rd // gd
             else:
-                cap = 0
+                cap = rd // gd
             limited = i in module_idx
             if limited and cap > 1 - mods:
                 cap = 1 - mods
@@ -693,7 +680,20 @@ def _monomials_of_bidegree(
     return out
 
 
-def _walk(pres: AlgebraPresentation, w: int, d: int, keep_unit: bool, store: dict):
+def _monomials_of_bidegree(
+    pres: AlgebraPresentation, w: int, d: int, store: dict | None = None
+) -> list[Monomial]:
+    """The standard monomials of (w)[d] in no fixed order, walked (``_walk``)
+    from the sweep's dict ``store`` after it notes the cell reached
+    (``_reach``); without a store, from a fresh dict."""
+    if store is None:
+        store = {}
+    else:
+        _reach(pres, store, w, d)
+    return list(_walk(pres, w, d, store)[0])
+
+
+def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
     """The cell (w)[d] of standard monomials as ``(monos, ends)``, held in
     ``store``; the missing cells it reads are built first, iteratively, in
     rising total degree.
@@ -715,14 +715,14 @@ def _walk(pres: AlgebraPresentation, w: int, d: int, keep_unit: bool, store: dic
         if cell in store:
             continue
         cw, cd = cell
-        if cw < 0 or cd < 0 or not _in_cone(pres, cw, cd):
+        if not _in_cone(pres, cw, cd):
             continue
         store[cell] = None  # filled below, before any cell that reads it
         need.append(cell)
         stack += [(cw - sw, cd - sd) for _, sw, sd, _ in steps]
     need.sort(key=sum)
     for cw, cd in need:
-        out = list(seeds.get((cw, cd, keep_unit), ()))
+        out = list(seeds.get((cw, cd), ()))
         ends = []
         for j, (k, sw, sd, reads) in enumerate(steps):
             below = store.get((cw - sw, cd - sd))
@@ -772,15 +772,15 @@ def _in_cone(pres: AlgebraPresentation, w: int, d: int) -> bool:
     """Whether the (w)[d] cell can hold a monomial at all.
 
     A monomial's bidegree is a non-negative combination of generator
-    bidegrees (``presentation_new`` rejects negative ones), so it lies in the
-    cone between the nonzero generator bidegrees of lowest and highest slope
-    d/w (``_cone``).  A cell strictly outside that cone, or any cell but
-    (0)[0] when no generator has a nonzero bidegree, is empty."""
+    bidegrees (none negative), so it lies in the quadrant w, d >= 0 and in
+    the cone between the generator bidegrees of lowest and highest slope d/w
+    (``_cone``).  A cell outside them, or any cell but (0)[0] when there is
+    no generator, is empty."""
     cone = pres._cone
     if cone is None:
         return not (w or d)
     (lw, ld), (hw, hd) = cone
-    return w * ld <= d * lw and d * hw <= w * hd
+    return w >= 0 <= d and w * ld <= d * lw and d * hw <= w * hd
 
 
 def standard_monomials(
@@ -799,7 +799,7 @@ def standard_monomials(
     out the monomials free of module generators."""
     if not _in_cone(pres, w, d):
         return []
-    out = _monomials_of_bidegree(pres, w, d, pres.has_unit, True, store)
+    out = _monomials_of_bidegree(pres, w, d, store)
     out.sort(key=_REVERSED)
     return out
 

@@ -22,7 +22,7 @@ class EmptyGeneratorNameClash(SubtleError):
 
 
 class NegativeBidegree(SubtleError):
-    """A generator has negative weight or degree, so a cell could be infinite."""
+    """A generator's bidegree is negative or (0)[0], so a cell could be infinite."""
 
 
 class UnknownGenerator(SubtleError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 from .bigraded import (
     MILNOR,
@@ -82,7 +83,7 @@ class FieldModel:
     alpha_string: str | None
     minus_one_string: str | None
     presentation: AlgebraPresentation = field(compare=False)
-    degree_bound: int
+    degree_bound: ClassVar[int] = 16  # the presentation is completed to total 2 * degree_bound
 
     @property
     def alpha(self) -> KMElement:
@@ -119,7 +120,7 @@ class FieldModel:
         )
 
 
-def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
+def build_field_model(spec) -> FieldModel:
     """Validate a model descriptor (builtin name, dict, or JSON path).
 
     A dict and a file follow the same rules (``MODEL_FIELDS``, null meaning
@@ -135,9 +136,10 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
     tag = descriptor.get("builtin") or descriptor.get("name") or "custom"
 
     gens = [GenSpec(name, Bidegree(1, 1), MILNOR) for name in generators]
-    shell = AlgebraPresentation(gens, (), (), 2 * degree_bound)  # reads relations only
+    bound = 2 * FieldModel.degree_bound
+    shell = AlgebraPresentation(gens, (), (), bound)  # reads relations only
     rel_polys = [_read_field(shell, "relation", r).monomials for r in relations]
-    pres = presentation_new(gens, rel_polys, 2 * degree_bound)
+    pres = presentation_new(gens, rel_polys, bound)
 
     if alpha is None:
         if tag != "quadratically_closed":
@@ -158,7 +160,6 @@ def build_field_model(spec, degree_bound: int = 16) -> FieldModel:
         alpha_string=alpha,
         minus_one_string=minus_one,
         presentation=pres,
-        degree_bound=degree_bound,
     )
 
 

@@ -1,11 +1,12 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
 from subtle.bigraded import quotient, standard_monomials
 from subtle.errors import AlphaIsSquare, SubtleError, UnknownGenerator, ZeroElement
-from subtle.milnor import build_field_model, km_annihilator, km_normal_form
+from subtle.milnor import FieldModel, build_field_model, km_annihilator, km_normal_form
 from subtle.oracle import oracle_entry
 
 
@@ -155,6 +156,13 @@ def test_model_dict_follows_the_file_rules(tmp_path, descriptor):
     from_dict = build_field_model(descriptor)
     assert from_dict == build_field_model(str(path))
     assert from_dict == build_field_model(descriptor["builtin"])
+
+
+def test_degree_bound_is_one_constant_outside_equality(real):
+    # every model is completed at the one bound, which equality ignores
+    assert "degree_bound" not in {f.name for f in fields(FieldModel)}
+    assert real.degree_bound == FieldModel.degree_bound == 16
+    assert real.presentation.truncation_bound == 2 * FieldModel.degree_bound
 
 
 def test_model_dict_unknown_key_raises():

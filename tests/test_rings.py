@@ -486,7 +486,7 @@ def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
     enumerate_cell = bigraded._monomials_of_bidegree
 
     def counted(pres, w, d, *rest):
-        calls.append((pres, rest[2] if len(rest) > 2 else None))
+        calls.append((pres, rest[0] if rest else None))
         return enumerate_cell(pres, w, d, *rest)
 
     monkeypatch.setattr(bigraded, "_monomials_of_bidegree", counted)

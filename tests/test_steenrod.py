@@ -9,7 +9,7 @@ from subtle.bigraded import (
     Bidegree,
     Element,
     GenSpec,
-    _monomials_of_bidegree,
+    _dense_monomials,
     presentation_new,
     standard_monomials,
 )
@@ -455,7 +455,7 @@ def _random_solver_presentation(rng, bound, module_gens, has_unit):
     rels = []
     for _ in range(rng.randint(1, 3)):
         a, b = rng.choice(gens).bidegree, rng.choice(gens).bidegree
-        cell = _monomials_of_bidegree(shell, a.w + b.w, a.d + b.d, has_unit)
+        cell = _dense_monomials(shell, a.w + b.w, a.d + b.d, has_unit)
         if cell and (a + b).total < bound:
             rels.append(frozenset(rng.sample(cell, rng.randint(1, min(3, len(cell))))))
     return presentation_new(gens, rels, bound, has_unit=has_unit)
