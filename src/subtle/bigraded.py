@@ -371,7 +371,7 @@ def _divisor_test(pres: AlgebraPresentation, g: Poly) -> tuple:
 
 
 def _walk_rules(pres: AlgebraPresentation) -> tuple:
-    """What ``_walk`` reads of a presentation: ``(seeds, steps, wide, tall)``.
+    """What ``_walk`` reads of a presentation: ``(seeds, steps, wide)``.
 
     ``seeds[w, d]`` holds the standard monomials of ring part 1 in (w)[d]:
     each module generator's, and the unit's unless ``pres`` is a module
@@ -379,7 +379,8 @@ def _walk_rules(pres: AlgebraPresentation) -> tuple:
     order, ``(k, w_k, d_k, reads)``: ``reads`` maps an exponent e to the
     divisor records whose leading monomial's last generator is k, with
     exponent e + 1 there, each cut to ``(w, d, ge, eq)`` without that pair.
-    ``wide`` and ``tall`` are the largest weight and total of a step."""
+    ``wide`` is the largest weight of a step: how far below its own weight a
+    cell's walk reads (``_reach``)."""
     n, tests = len(pres.gens), pres._gb_tests
     seeds: dict[tuple, tuple] = {}
     for i in (None,) * (pres.has_unit or not pres.is_module) + pres.module_idx:
@@ -398,8 +399,7 @@ def _walk_rules(pres: AlgebraPresentation) -> tuple:
                     reads[e] = reads.get(e, ()) + (t[:2] + (tuple(ge.items()), t[3]),)
             steps.append((k, w, d, reads or None))
     wide = max((s[1] for s in steps), default=0)
-    tall = max((s[1] + s[2] for s in steps), default=0)
-    return seeds, tuple(steps), wide, tall
+    return seeds, tuple(steps), wide
 
 
 def _generator_cone(gen_w, gen_d) -> tuple[tuple[int, int], tuple[int, int]] | None:
@@ -689,14 +689,15 @@ def _monomials_of_bidegree(
     if store is None:
         store = {}
     else:
-        _reach(pres, store, w, d)
+        _reach(pres, store, w)
     return list(_walk(pres, w, d, store)[0])
 
 
 def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
     """The cell (w)[d] of standard monomials as ``(monos, ends)``, held in
     ``store``; the missing cells it reads are built first, iteratively, in
-    rising total degree.
+    rising weight, then degree: a cell reads only lighter cells and, over a
+    step of weight 0, cells of its own weight and lower degree.
 
     A standard monomial whose last ring generator is x_k is s * x_k, with s
     standard in the cell below by the bidegree of x_k and its own last at most
@@ -707,7 +708,7 @@ def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
     the j-th step's.  Each module component grows from its own seed: the ring
     part of a standard module monomial need not be standard.  A cell outside
     the generator cone is empty and not held."""
-    seeds, steps, _, _ = pres._walk
+    seeds, steps, _ = pres._walk
     need = []
     stack = [(w, d)]
     while stack:
@@ -720,7 +721,7 @@ def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
         store[cell] = None  # filled below, before any cell that reads it
         need.append(cell)
         stack += [(cw - sw, cd - sd) for _, sw, sd, _ in steps]
-    need.sort(key=sum)
+    need.sort()
     for cw, cd in need:
         out = list(seeds.get((cw, cd), ()))
         ends = []
@@ -738,30 +739,26 @@ def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
     return store.get((w, d)) or ((), ())
 
 
-def _reach(pres: AlgebraPresentation, store: dict, w: int, d: int) -> None:
-    """Note that the sweep of ``store`` has reached cell (w)[d], and drop the
-    cells that no later cell of the sweep can read.
+def _reach(pres: AlgebraPresentation, store: dict, w: int) -> None:
+    """Note that the sweep of ``store`` has reached a cell of weight w, and
+    drop the cells that no later cell of the sweep can read.
 
-    ``store[None]`` holds the last two cells reached, whether the sweep still
-    runs in rising weight and in rising total degree, and the reaches of the
-    last drop.  A cell breaks an order only below both of the last two, as a
-    map's sweep reaches a target cell after each source cell.  A later cell
-    reads cells down to the largest step weight (``wide``) and step total
-    (``tall``) below it; a cell is dropped when it lies below the reach of
-    every order the sweep still runs in, so a sweep in neither drops none."""
-    t = w + d
-    rec = store.get(None)
-    if rec is None:
-        rec = store[None] = [w, t, w, t, True, True, None, None]
-    pw, pt, qw, qt, by_w, by_t, last_w, last_t = rec
-    by_w = by_w and w >= min(pw, qw)
-    by_t = by_t and t >= min(pt, qt)
-    _, _, wide, tall = pres._walk
-    low_w = min(qw, w) - wide if by_w else 1 << 62
-    low_t = min(qt, t) - tall if by_t else 1 << 62
-    rec[:] = qw, qt, w, t, by_w, by_t, low_w, low_t
-    if (by_w or by_t) and (low_w, low_t) != (last_w, last_t):
-        for cell in [c for c in store if c and c[0] < low_w and c[0] + c[1] < low_t]:
+    Every sweep of the package runs in rising weight.  ``store[None]`` holds
+    the last two weights reached and the reach of the last drop, or False
+    once a cell lighter than both of the last two breaks the order (a map's
+    sweep reaches a target cell after each source cell).  A later cell reads
+    cells down to the largest step weight (``wide``) below it, so the cells
+    lighter than the lesser of the last two weights by more are dropped.  A
+    dict handed cells in another order stays correct, but drops none once
+    the order breaks and may walk a dropped cell again."""
+    pw, qw, last = rec = store.setdefault(None, [w, w, None])
+    if last is False or w < min(pw, qw):
+        rec[2] = False
+        return
+    low = min(qw, w) - pres._walk[2]
+    rec[:] = qw, w, low
+    if low != last:
+        for cell in [c for c in store if c and c[0] < low]:
             del store[cell]
 
 
@@ -791,9 +788,10 @@ def standard_monomials(
     A cell outside the generator cone (``_in_cone``) is returned empty at
     once.  A cell inside it is walked (``_monomials_of_bidegree``, ``_walk``)
     from the cells below it, which a sweep holds in its dict ``store``: one
-    dict per presentation, passed to every cell of the sweep, holds the cells
-    a later cell of the sweep can read (``_reach``).  Without one, each call
-    walks every cell below its own afresh.  The basis is sorted by
+    dict per presentation, passed to every cell of a sweep in rising weight,
+    holds the cells a later cell of the sweep can read (``_reach``); handed
+    cells in another order, it may walk a cell again.  Without one, each
+    call walks every cell below its own afresh.  The basis is sorted by
     ``mono_key``, which inside one bidegree is the order of reversed exponent
     vectors.  A module without a unit component (``has_unit`` false) leaves
     out the monomials free of module generators."""
@@ -839,7 +837,7 @@ def cell_maps(
         if basis is None:
             basis = standard_monomials(source, w, d, source_store)
         else:
-            _reach(source, source_store, w, d)
+            _reach(source, source_store, w)
         cell = (w + shift[0], d + shift[1])
         tgt = basis if same and cell == (w, d) else ahead.get(cell)
         if tgt is None:
@@ -936,9 +934,11 @@ def colon_ideal(
     """Generators of {x : x*f in (ideal)}, certified per graded piece.
 
     Per-bidegree kernels of multiplication by f, from one ``cell_maps``
-    sweep in increasing total degree over the cells inside the generator cone
-    (only those can be non-empty; generated, not listed, so that no list of
-    every cell is held), reduced to a generating set by a membership sweep.
+    sweep in rising weight over the cells inside the generator cone (only
+    those can be non-empty; generated, not listed, so that no list of every
+    cell is held), reduced to a generating set by a membership sweep in
+    rising total degree, then weight (a stable sort): the order the
+    generators print in.
     """
     if bound > pres.truncation_bound:
         raise ExceedsBound("colon bound exceeds presentation bound")
@@ -959,9 +959,9 @@ def colon_ideal(
     q = quotient(pres, [g.monomials for g in base_gens]) if base_gens else pres
 
     candidates: list[Element] = []
+    top = bound - fb.total
     cells = (
-        (w, t - w) for t in range(bound - fb.total + 1) for w in range(t + 1)
-        if _in_cone(q, w, t - w)
+        (w, d) for w in range(top + 1) for d in range(top - w + 1) if _in_cone(q, w, d)
     )
     for _, _, basis, _, images in cell_maps(
         q, q, (fb.w, fb.d), cells,
@@ -970,12 +970,11 @@ def colon_ideal(
         for combo in kernel_of_map(images):
             monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
             candidates.append(pres.element_from_monomials(monos))
+    candidates.sort(key=lambda c: c.bidegree().total)
 
     chosen: list[Element] = list(base_gens)
     current = q
     for cand in candidates:
-        if cand.is_zero():
-            continue
         if current.reduce_poly(cand.monomials):
             chosen.append(cand)
             current = quotient(pres, [g.monomials for g in chosen])

@@ -67,10 +67,10 @@ def _require_alpha(model: FieldModel) -> str:
     return model.alpha_string
 
 
-def _fit_bound(pres: AlgebraPresentation, raws, bound: int) -> int:
-    """The bound raised to the largest total degree among homogeneous raws."""
-    for r in raws:
-        b = pres.poly_bidegree(pres.raw_to_poly(r))
+def _fit_bound(pres: AlgebraPresentation, polys, bound: int) -> int:
+    """The bound raised to the largest total degree among homogeneous polys."""
+    for poly in polys:
+        b = pres.poly_bidegree(poly)
         if b is not None:
             bound = max(bound, b.total)
     return bound
@@ -108,13 +108,14 @@ def _present(
         expanded = list(model.relation_strings)
         for r in rels:
             expanded += [f"({a})*{r.name}" for a in anns] if isinstance(r, _Killed) else [r]
-        needed = _fit_bound(shell, expanded, bound)
+        polys = [shell.raw_to_poly(r) for r in expanded]
+        needed = _fit_bound(shell, polys, bound)
         if needed == bound:
             break
         bound = needed
     key = (model, block_id, tuple(gens), tuple(expanded), bound, has_unit)
     if key not in _BUILT:
-        _BUILT[key] = presentation_new(gens, expanded, bound, has_unit, model, block_id)
+        _BUILT[key] = presentation_new(gens, polys, bound, has_unit, model, block_id)
     _BUILT[asked] = _BUILT[key]
     return _BUILT[key]
 

@@ -543,6 +543,50 @@ def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
         assert not outside, (name, outside)
 
 
+def test_production_sweeps_hold_only_their_window(monkeypatch):
+    # every sweep of the package runs in rising weight, so after each walk
+    # its dict holds no cell lighter than the lesser of the last two weights
+    # reached, less the largest weight of a ring generator: no later cell of
+    # the sweep reads one
+    # reached: the weights each dict was told of, keyed by the id of the
+    # dict, which the entry holds so that no id is reused
+    reach, walk = bigraded._reach, bigraded._walk
+    reached: dict[int, tuple[dict, list[int]]] = {}
+    checked = Counter()
+
+    def noted(pres, store, w):
+        reached.setdefault(id(store), (store, []))[1].append(w)
+        reach(pres, store, w)
+
+    def held(pres, w, d, store):
+        out = walk(pres, w, d, store)
+        _, last = reached.get(id(store), (None, None))
+        if last:
+            wide = max((gw for k, gw in enumerate(pres.gen_w) if k not in pres.module_idx), default=0)
+            low = min(last[-2:]) - wide
+            stale = sorted(c for c in store if c and c[0] < low)
+            assert not stale, (name, last[-2:], wide, stale[:5])
+            checked[name] += 1
+        return out
+
+    three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    comp = comp_map(three, 3, 16)
+    solved, _ = sq1_solve(sq1_define(sq1_presentation(three, "BO:4", 4, 4)))
+    monkeypatch.setattr(bigraded, "_reach", noted)
+    monkeypatch.setattr(bigraded, "_walk", held)
+    sweeps = {
+        "poincare_table": lambda: poincare_table(block_presentation(three, "BU:4", 16), 8, 8),
+        "hom_verify": lambda: hom_verify(comp, 8, 8),
+        "leibniz_offender": lambda: leibniz_offender(solved, 4, 4),
+        "ann_dimensions": lambda: ann_dimensions(three, 8),
+        "km_annihilator": lambda: km_annihilator(three, three.alpha, 16),
+    }
+    for name, sweep in sweeps.items():
+        reached.clear()
+        sweep()
+        assert checked[name] >= 10, (name, checked[name])
+
+
 def test_nbar_direct_sum_convention(real, fq, two_gen):
     # Ann part on the Milnor diagonal plus a tau-shifted copy of H
     for model in (real, fq, two_gen):
