@@ -271,7 +271,11 @@ class Element:
         acc: set[Monomial] = set()
         for ma in self.monomials:
             for mb in other.monomials:
-                acc ^= {_mono_mul(ma, mb)}
+                m = _mono_mul(ma, mb)
+                if m in acc:
+                    acc.remove(m)
+                else:
+                    acc.add(m)
         return acc
 
     def __pow__(self, n: int) -> "Element":
@@ -667,7 +671,11 @@ def _dense_monomials(
                 cw, cd = rw - e * gw, rd - e * gd
                 cm = mods + e if limited else mods
                 if j < last:
-                    found += [(e,) + t for t in tails(j, cw, cd, cm)]
+                    sub = memo.get((j, cw, cd, cm))
+                    if sub is None:
+                        sub = tails(j, cw, cd, cm)
+                    if sub:
+                        found += [(e,) + t for t in sub]
                 else:
                     f = closing(cw, cd, cm)
                     if f is not None:

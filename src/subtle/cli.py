@@ -116,6 +116,7 @@ def _apply_config(args) -> None:
         for key, value in load_descriptor(args.config, "config", CONFIG_FIELDS).items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
+    args.explicit_model = args.model is not None
     if args.model is None:
         args.model = "real"
     args.explicit_box = args.box is not None
@@ -300,6 +301,11 @@ def _cmd_motive(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.explicit_model:
+        raise SubtleError(
+            "verify all reads no model (--model or a config's \"model\" key): "
+            "criteria 1-10 run on their built-in models"
+        )
     box = tuple(args.box) if args.explicit_box else None
     results = verify_mod.run_all(seed=args.seed, box=box)
     if args.format == "json":

@@ -38,7 +38,7 @@ _ATOM_BLOCKS = {"Mt": "Mtilde", "Xa": "Xalpha", "Xt": "Xtilde"}
 _BASE_RANK = {b: i for i, b in enumerate(BASES)}
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     base: str
     power: int = 0  # used by N only
@@ -82,7 +82,8 @@ def atom_tensor(a: Atom, b: Atom) -> Atom:
     """Product of two atoms under the rewrite table; twists/shifts add."""
     twist = a.twist + b.twist
     shift = a.shift + b.shift
-    x, y = sorted((a, b), key=lambda t: _BASE_RANK[t.base])
+    # the lower-ranked base first; equal ranks keep the argument order
+    x, y = (b, a) if _BASE_RANK[b.base] < _BASE_RANK[a.base] else (a, b)
     if x.base == "N" and y.base == "N":
         return Atom("N", x.power + y.power, twist, shift)
     if x.base == "N" and y.base == "Ma":

@@ -242,20 +242,24 @@ def _every_reduction(atoms: list[Atom]) -> set[Atom]:
     ``mask``: a product's last step joins the results of two disjoint nonempty
     parts, in either argument order, so each mask takes every split into a
     submask and its complement.  Both parts are smaller masks, already
-    filled; a mask of one bit has no split and keeps its atom.
+    filled; a mask of one bit has no split and keeps its atom.  Each result
+    is keyed by its four fields, whose tuple hashes and compares without the
+    dataclass's Python-level ``__hash__`` and ``__eq__``.
     """
-    reach: list[set[Atom]] = [set() for _ in range(1 << len(atoms))]
+    reach: list[dict[tuple, Atom]] = [{} for _ in range(1 << len(atoms))]
     for i, a in enumerate(atoms):
-        reach[1 << i].add(a)
+        reach[1 << i][a.base, a.power, a.twist, a.shift] = a
     for mask in range(len(reach)):
         out = reach[mask]
         part = (mask - 1) & mask
         while part:
-            for x in reach[part]:
-                for y in reach[mask ^ part]:
-                    out.add(atom_tensor(x, y))
+            ys = reach[mask ^ part].values()
+            for x in reach[part].values():
+                for y in ys:
+                    z = atom_tensor(x, y)
+                    out[z.base, z.power, z.twist, z.shift] = z
             part = (part - 1) & mask
-    return reach[-1]
+    return set(reach[-1].values())
 
 
 @_criterion(7, "motive rewrite suite")

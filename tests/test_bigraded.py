@@ -374,6 +374,28 @@ def _random_cell_poly(rng, p, factors):
     return cell, frozenset(rng.sample(monos, min(len(monos), rng.randint(1, 3))))
 
 
+def test_product_monomials_is_the_parity_of_products_random():
+    # the raw product keeps each monomial product that arises an odd number
+    # of times; small exponents over few generators make products coincide
+    rng = random.Random(31)
+    cancelled = 0
+    for _ in range(300):
+        p = presentation_new(_random_gens(rng), [], 12)
+
+        def draw():
+            n = rng.randint(0, 6)
+            return frozenset(tuple(rng.randint(0, 2) for _ in p.gens) for _ in range(n))
+
+        a, b = Element(p, draw()), Element(p, draw())
+        counts = Counter(
+            tuple(x + y for x, y in zip(ma, mb)) for ma in a.monomials for mb in b.monomials
+        )
+        odd = {m for m, c in counts.items() if c % 2}
+        assert a.product_monomials(b) == odd, (a.monomials, b.monomials)
+        cancelled += len(counts) - len(odd)
+    assert cancelled >= 100
+
+
 def test_poincare_matches_dense_oracle_random():
     # random homogeneous presentations, rings and modules alike
     rng = random.Random(7)

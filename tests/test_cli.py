@@ -185,6 +185,29 @@ def test_verify_all_small_box_exits_0():
     assert [CheckResult(**c).line() for c in checks] == out.splitlines()
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("model", ["file", "missing", "builtin"])
+def test_verify_all_refuses_a_model(tmp_path, capsys, given, model):
+    # verify all certifies its built-in models only: a model asked for, by
+    # flag or by config key, exits 2 before any criterion runs, never a PASS
+    # about other models
+    name = {
+        "file": str(Path(__file__).parent / "models" / "alpha_sum.json"),
+        "missing": str(tmp_path / "nonexistent.json"),
+        "builtin": "quadratically_closed",
+    }[model]
+    if given == "flag":
+        argv = ["verify", "all", "--model", name]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": name, "box": [0, 0]}), encoding="utf-8")
+        argv = ["verify", "all", "--config", str(cfg)]
+    assert run_cli(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify all reads no model")
+    assert "criteria 1-10 run on their built-in models" in err
+
+
 def _relations(out):
     return set(dict(line.split(": ", 1) for line in out.splitlines())["relations"].split(", "))
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 from subtle.errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from subtle.parse import ParseError
 from subtle.motives import (
+    BASES,
     Atom,
     ConeProduct,
     FormalMotive,
@@ -50,6 +53,77 @@ def test_unsupported_pairs_raise():
     for a, b in [("Ma", "Ma"), ("Mt", "Mt"), ("Ma", "Mt"), ("Mt", "Xa"), ("Xt", "T")]:
         with pytest.raises(UnsupportedTensor):
             motive_tensor(m(a), m(b))
+
+
+def _atom_tensor_reference(a, b):
+    """``atom_tensor`` with its pair put in order by a stable sort on base rank."""
+    twist = a.twist + b.twist
+    shift = a.shift + b.shift
+    x, y = sorted((a, b), key=lambda t: BASES.index(t.base))
+    if x.base == "N" and y.base == "N":
+        return Atom("N", x.power + y.power, twist, shift)
+    if x.base == "N" and y.base == "Ma":
+        return Atom("Ma", 0, twist, shift)
+    if x.base == "N" and y.base == "Mt":
+        return Atom("Mt", 0, twist, shift + x.power)
+    if x.base == "N" and y.base == "Xa":
+        return Atom("Xa", 0, twist, shift)
+    if x.base == "Ma" and y.base == "Xa":
+        return Atom("Ma", 0, twist, shift)
+    if x.base == "Xa" and y.base == "Xa":
+        return Atom("Xa", 0, twist, shift)
+    raise UnsupportedTensor(
+        f"no decomposition rule for {x.base} * {y.base}"
+    )
+
+
+def _tensor_outcome(tensor, a, b):
+    try:
+        return tensor(a, b)
+    except UnsupportedTensor as exc:
+        return str(exc)
+
+
+def test_atom_tensor_matches_the_sorted_reference_random():
+    # every ordered pair of bases, T (N^0) among the powers of N, with random
+    # twists and shifts: the same atom, or the same refusal text
+    rng = random.Random(25)
+    outcomes = []
+    for base_a, base_b in itertools.product(BASES, repeat=2):
+        for _ in range(40):
+            a, b = (
+                Atom(base, rng.randint(-3, 3) if base == "N" else 0, rng.randint(-2, 4), rng.randint(-3, 5))
+                for base in (base_a, base_b)
+            )
+            want = _tensor_outcome(_atom_tensor_reference, a, b)
+            assert _tensor_outcome(atom_tensor, a, b) == want, (a, b)
+            outcomes.append((base_a, base_b, isinstance(want, Atom), a.power == 0 or b.power == 0))
+    supported = {(x, y) for x, y, ok, _ in outcomes if ok}
+    assert len(supported) == 10
+    assert {(x, y) for x, y, ok, _ in outcomes if not ok} == set(itertools.product(BASES, repeat=2)) - supported
+    assert ("N", "N", True, True) in outcomes and ("Mt", "N", True, True) in outcomes
+
+
+def test_atom_is_a_frozen_ordered_value():
+    a = Atom("N", 2, 1, 3)
+    assert dataclasses.is_dataclass(a)
+    assert dataclasses.replace(a, shift=4) == Atom("N", 2, 1, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.shift = 0
+    twin = Atom("N", 2, 1, 3)
+    assert twin is not a and twin == a and hash(twin) == hash(a)
+    assert a != Atom("N", 2, 1, 4) and a != ("N", 2, 1, 3)
+    assert len({a, twin, Atom("Xa"), Atom("Xa", 0, 0, 0)}) == 2
+    # ordering compares the fields in turn, the base by name, not by rank
+    rng = random.Random(3)
+    atoms = [Atom(b, p, t, s) for b in BASES for p in (-1, 0, 2) for t in (0, 1) for s in (-1, 3)]
+    rng.shuffle(atoms)
+    assert sorted(atoms) == sorted(atoms, key=lambda x: (x.base, x.power, x.twist, x.shift))
+    assert Atom("Ma") < Atom("Mt") < Atom("N", -1) < Atom("N") <= Atom("N") < Atom("N", 0, 0, 1)
+    assert repr(a) == "Atom(base='N', power=2, twist=1, shift=3)"
+    assert [str(x) for x in (a, Atom("N"), Atom("N", -1), Atom("Xt", 0, 0, 1))] == [
+        "N^2(1)[3]", "T", "N^-1", "Xt(0)[1]",
+    ]
 
 
 def test_distribution_over_sums():

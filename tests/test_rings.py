@@ -739,7 +739,7 @@ def test_oracle_full_box(real, fq):
         assert poincare_table(pres, 8, 8).same_entries(oracle_table(pres, 8, 8))
 
 
-def _random_model(rng, trial):
+def _random_model(rng, trial, minus_one=None):
     """A field model on a, b, c: one to three relations, each a sum of one to
     three quadratic monomials, and alpha a random nonzero sum of generators."""
     names = ["a", "b", "c"]
@@ -747,7 +747,8 @@ def _random_model(rng, trial):
     rels = ["+".join(rng.sample(quads, rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
     alpha = "+".join(rng.sample(names, rng.randint(1, 3)))
     return build_field_model(
-        {"name": f"random{trial}", "generators": names, "relations": rels, "alpha": alpha}
+        {"name": f"random{trial}", "generators": names, "relations": rels, "alpha": alpha,
+         "minus_one": minus_one}
     )
 
 
@@ -758,6 +759,46 @@ def test_engine_matches_oracle_on_random_models():
         for block in ("BU:2", "BO:3", "Npow:2"):
             pres = block_presentation(model, block, 12)
             assert poincare_table(pres, 6, 6) == oracle_table(pres, 6, 6), (str(model), block)
+
+
+# alpha = b + c is neither the first generator nor minus_one (a): a block or
+# Sq1 value that reads the wrong class differs on it
+ALPHA_SUM_PATH = Path(__file__).parent / "models" / "alpha_sum.json"
+
+# each block's relation of the paper that carries alpha, as (left, right):
+# left + alpha * right is 0 in the block
+ALPHA_RELATIONS = {
+    "BU:2": ("tau*d1", "c1"),
+    "BOp:1": ("tau*v3", "u2"),
+    "Xalpha": ("tau*mu", "1"),
+    "Npow:2": ("tau*mu2", "mu1"),
+}
+
+
+def test_alpha_is_read_from_the_model_random():
+    # the blocks, Ann(alpha) and Sq1(tau) read alpha and minus_one from the
+    # model: an engine that took alpha's first term, Ann of the first
+    # generator or alpha for Sq1(tau) passes every oracle comparison, since
+    # both sides share the presentation, but fails here
+    rng = random.Random(19)
+    models = [build_field_model(str(ALPHA_SUM_PATH))]
+    while len(models) < 81:
+        minus_one = "+".join(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
+        models.append(_random_model(rng, len(models), minus_one))
+    assert models[0].alpha_string == "b+c" and models[0].minus_one_string == "a"
+    annihilated = 0
+    for model in models:
+        for block, (left, right) in ALPHA_RELATIONS.items():
+            pres = block_presentation(model, block, 6)
+            rel = pres.el(left) + pres.el(model.alpha_string) * pres.el(right)
+            assert rel.is_zero(), (str(model), block, str(rel))
+            tau = sq1_define(pres).value("tau")
+            assert tau == pres.el(model.minus_one_string), (str(model), block, str(tau))
+        ring = model.presentation
+        for gen in rings._ann_strings(model, 6):
+            assert (ring.el(gen) * model.alpha).is_zero(), (str(model), gen)
+            annihilated += 1
+    assert annihilated >= 40
 
 
 def _nbar_reference(model, wmax, dmax):
