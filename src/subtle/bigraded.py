@@ -37,6 +37,7 @@ from .errors import (
     NegativeBidegree,
     NonHomogeneousRelation,
     RelationLeavesModule,
+    SubtleError,
     UnknownGenerator,
     ZeroDivisorOfEverything,
 )
@@ -85,13 +86,18 @@ class AlgebraPresentation:
     every field, the ``model`` and ``block_id`` labels included, and any later
     assignment or deletion raises ``FrozenInstanceError``, an
     ``AttributeError``; ``index`` is a read-only mapping.  It is a module
-    exactly when a generator is a ``MODULE_GEN``.  However it is built, by
-    ``presentation_new`` or not, it passes ``_check_presentation``.
+    exactly when a generator is a ``MODULE_GEN``.
+
+    ``relations`` take any form ``raw_to_poly`` reads.  Construction reads
+    them and runs ``_check_presentation`` once, generators first, however the
+    presentation is built.  Handed ``groebner=None`` it then completes
+    itself at ``truncation_bound`` (``presentation_new``); a given basis, as
+    from ``dataclasses.replace``, is taken as it is.
     """
 
     gens: Sequence[GenSpec]
-    relations: Sequence[Poly]
-    groebner: Sequence[Poly]
+    relations: Sequence
+    groebner: Sequence[Poly] | None
     truncation_bound: int
     has_unit: bool = True
     model: object = None
@@ -110,8 +116,6 @@ class AlgebraPresentation:
         gens = tuple(self.gens)
         for name, value in dict(
             gens=gens,
-            relations=tuple(self.relations),
-            groebner=tuple(self.groebner),
             names=tuple(g.name for g in gens),
             index=MappingProxyType({g.name: i for i, g in enumerate(gens)}),
             gen_w=tuple(g.bidegree.w for g in gens),
@@ -120,9 +124,23 @@ class AlgebraPresentation:
         ).items():
             object.__setattr__(self, name, value)
         object.__setattr__(self, "is_module", bool(self.module_idx))
-        _check_presentation(self, self.relations)
-        tests = tuple(_divisor_test(self, g) for g in self.groebner)
-        object.__setattr__(self, "_gb_tests", tests)
+        relations = _check_presentation(self, self.relations)
+        gb = self.groebner
+        if gb is None:
+            # a relation free of module generators is a coefficient-ring
+            # relation and acts on every module component: it also enters
+            # times each module generator, within the bound
+            shifted = (
+                frozenset(m[:i] + (m[i] + 1,) + m[i + 1:] for m in poly)
+                for poly in relations if not any(map(self.module_count, poly))
+                for i in self.module_idx
+            )
+            bound = self.truncation_bound
+            work = [*relations, *(p for p in shifted if self.poly_bidegree(p).total <= bound)]
+            gb = _buchberger(self, work, bound)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "groebner", tuple(gb))
+        object.__setattr__(self, "_gb_tests", tuple(_divisor_test(self, g) for g in gb))
         object.__setattr__(self, "_cone", _generator_cone(self.gen_w, self.gen_d))
         object.__setattr__(self, "_walk", _walk_rules(self))
 
@@ -279,6 +297,8 @@ class Element:
         return acc
 
     def __pow__(self, n: int) -> "Element":
+        if n < 0:
+            raise SubtleError(f"exponent {n} is negative: an element has no inverse here")
         result = self.pres.one()
         for _ in range(n):
             result = result * self
@@ -518,13 +538,14 @@ def _buchberger(
 # ----- public operations -------------------------------------------------------
 
 
-def _check_presentation(pres: AlgebraPresentation, relations) -> None:
-    """Refuse an empty or repeated generator name, a Milnor generator off
-    w = d, a generator bidegree that is negative or (0)[0] (either can make a
-    cell infinite), and nonzero ``relations`` over the generators of ``pres``
-    that mix bidegrees, exceed its bound or, in a module without a unit
-    component, mix module monomials with monomials free of module
-    generators, which reduction would carry out of the module."""
+def _check_presentation(pres: AlgebraPresentation, relations) -> tuple[Poly, ...]:
+    """The nonzero ``relations`` of ``pres``, read by ``raw_to_poly`` after
+    its generators pass.  Refuse an empty or repeated generator name, a
+    Milnor generator off w = d, a generator bidegree that is negative or
+    (0)[0] (either can make a cell infinite), and relations that mix
+    bidegrees, exceed the bound or, in a module without a unit component,
+    mix module monomials with monomials free of module generators, which
+    reduction would carry out of the module."""
     seen = set()
     for g in pres.gens:
         if not g.name:
@@ -538,7 +559,8 @@ def _check_presentation(pres: AlgebraPresentation, relations) -> None:
             raise NegativeBidegree(f"generator {g} has bidegree (0)[0], so a cell could be infinite")
         if g.origin == MILNOR and g.bidegree.w != g.bidegree.d:
             raise NonHomogeneousRelation(f"milnor generator {g.name} must have w = d")
-    for poly in filter(None, relations):
+    polys = tuple(filter(None, map(pres.raw_to_poly, relations)))
+    for poly in polys:
         b = pres.poly_bidegree(poly)
         if b is None:
             raise NonHomogeneousRelation(f"relation {str(Element(pres, poly))!r} mixes bidegrees")
@@ -551,6 +573,7 @@ def _check_presentation(pres: AlgebraPresentation, relations) -> None:
                 f"relation {str(Element(pres, poly))!r} of a module without a unit "
                 "component mixes module monomials with monomials free of module generators"
             )
+    return polys
 
 
 def presentation_new(
@@ -561,35 +584,16 @@ def presentation_new(
     model=None,
     block_id: str | None = None,
 ) -> AlgebraPresentation:
-    """Build a presentation and compute its truncated Groebner basis.
+    """Build a presentation and compute its truncated Groebner basis: the
+    constructor handed no basis.
 
     ``rels`` entries may be element strings, parsed raw polys, monomial sets
     over these generators, or Elements of a presentation with the same
-    generator names; ``_check_presentation`` vets them before completion.  A
-    relation wholly free of module generators is a coefficient-ring relation
-    and acts on each module generator.
+    generator names; ``_check_presentation`` vets them, once, before
+    completion.  A relation wholly free of module generators is a
+    coefficient-ring relation and acts on each module generator.
     """
-    shell = AlgebraPresentation(gens, (), (), bound, has_unit)
-    rel_polys = [poly for poly in map(shell.raw_to_poly, rels) if poly]
-    _check_presentation(shell, rel_polys)
-
-    # module presentations: the coefficient-ring relations act on every
-    # module component, so multiply each module-free relation into each
-    # module generator before completion
-    work = list(rel_polys)
-    if shell.is_module:
-        for poly in rel_polys:
-            if any(shell.module_count(m) for m in poly):
-                continue
-            for idx in shell.module_idx:
-                unit = [0] * len(gens)
-                unit[idx] = 1
-                shifted = frozenset(_mono_mul(tuple(unit), m) for m in poly)
-                if shell.poly_bidegree(shifted).total <= bound:
-                    work.append(shifted)
-
-    gb = _buchberger(shell, work, bound)
-    return AlgebraPresentation(gens, rel_polys, gb, bound, has_unit, model, block_id)
+    return AlgebraPresentation(gens, rels, None, bound, has_unit, model, block_id)
 
 
 def normal_form(pres: AlgebraPresentation, raw) -> Element:
@@ -944,9 +948,11 @@ def colon_ideal(
     Per-bidegree kernels of multiplication by f, from one ``cell_maps``
     sweep in rising weight over the cells inside the generator cone (only
     those can be non-empty; generated, not listed, so that no list of every
-    cell is held), reduced to a generating set by a membership sweep in
-    rising total degree, then weight (a stable sort): the order the
-    generators print in.
+    cell is held).  The ideal's generators, then these kernel vectors, go
+    stably sorted by total degree through one membership sweep that keeps
+    each one the kept ones do not span: the order they print in.  None
+    lies in the ideal of the others, as a multiplier of total degree 0 is
+    a scalar.
     """
     if bound > pres.truncation_bound:
         raise ExceedsBound("colon bound exceeds presentation bound")
@@ -966,7 +972,7 @@ def colon_ideal(
 
     q = quotient(pres, [g.monomials for g in base_gens]) if base_gens else pres
 
-    candidates: list[Element] = []
+    candidates: list[Element] = list(base_gens)
     top = bound - fb.total
     cells = (
         (w, d) for w in range(top + 1) for d in range(top - w + 1) if _in_cone(q, w, d)
@@ -980,17 +986,10 @@ def colon_ideal(
             candidates.append(pres.element_from_monomials(monos))
     candidates.sort(key=lambda c: c.bidegree().total)
 
-    chosen: list[Element] = list(base_gens)
-    current = q
+    chosen: list[Element] = []
+    current = pres
     for cand in candidates:
         if current.reduce_poly(cand.monomials):
             chosen.append(cand)
             current = quotient(pres, [g.monomials for g in chosen])
-    # drop each generator that the kept earlier ones and the later ones span
-    reduced: list[Element] = []
-    for i, g in enumerate(chosen):
-        rest = [h.monomials for h in reduced + chosen[i + 1:]]
-        test = quotient(pres, rest) if rest else pres
-        if test.reduce_poly(g.monomials):
-            reduced.append(g)
-    return IdealGens(pres, tuple(reduced), bound)
+    return IdealGens(pres, tuple(chosen), bound)

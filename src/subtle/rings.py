@@ -52,7 +52,7 @@ from .bigraded import (
 from .errors import UnsupportedBlock
 from .gf2 import RowSpace
 from .milnor import FieldModel, km_annihilator
-from .parse import parse_id
+from .parse import parse_id, parse_poly
 
 
 def h_gens(model: FieldModel) -> list[GenSpec]:
@@ -67,13 +67,12 @@ def _require_alpha(model: FieldModel) -> str:
     return model.alpha_string
 
 
-def _fit_bound(pres: AlgebraPresentation, polys, bound: int) -> int:
-    """The bound raised to the largest total degree among homogeneous polys."""
-    for poly in polys:
-        b = pres.poly_bidegree(poly)
-        if b is not None:
-            bound = max(bound, b.total)
-    return bound
+def _fit_bound(gens, polys, bound: int) -> int:
+    """The bound raised to the largest total degree of a monomial of the
+    parsed ``polys``, read from the totals of the generators they name (an
+    unknown name is left for the presentation to refuse)."""
+    total = {g.name: g.bidegree.total for g in gens}
+    return max([bound] + [sum(total.get(n, 0) * e for n, e in m) for p in polys for m in p])
 
 
 @dataclass(frozen=True)
@@ -101,15 +100,14 @@ def _present(
     asked = (model, block_id, tuple(gens), tuple(rels), bound, has_unit)
     if asked in _BUILT:
         return _BUILT[asked]
-    shell = AlgebraPresentation(gens, (), (), bound)  # parses relations only
     killed = any(isinstance(r, _Killed) for r in rels)
     while True:
         anns = _ann_strings(model, bound) if killed else []
         expanded = list(model.relation_strings)
         for r in rels:
             expanded += [f"({a})*{r.name}" for a in anns] if isinstance(r, _Killed) else [r]
-        polys = [shell.raw_to_poly(r) for r in expanded]
-        needed = _fit_bound(shell, polys, bound)
+        polys = [parse_poly(r) for r in expanded]
+        needed = _fit_bound(gens, polys, bound)
         if needed == bound:
             break
         bound = needed
@@ -132,9 +130,8 @@ def _ann_strings(model: FieldModel, bound: int) -> list[str]:
       degree k depend only on the cells of degrees k and k + 1;
     * truncated normal forms are exact below their bound, so those cells,
       their kernels and each membership test agree at both bounds;
-    * a generator of higher degree cannot make one of lower degree
-      redundant, since a homogeneous ideal's generators of degree above k
-      contain nothing of degree k.
+    * the membership sweep keeps or drops a candidate by the ones before it
+      alone.
     """
     key = (model, "Ann(alpha)")
     held = _BUILT.get(key)

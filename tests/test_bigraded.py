@@ -11,6 +11,8 @@ import pytest
 from subtle import bigraded
 from subtle.bigraded import (
     _dense_monomials,
+    _in_cone,
+    _mul_mono_poly,
     _monomials_of_bidegree,
     CLASS,
     MILNOR,
@@ -41,10 +43,11 @@ from subtle.errors import (
     NonHomogeneousRelation,
     RelationLeavesModule,
     ShapeMismatch,
+    SubtleError,
     UnknownGenerator,
     ZeroDivisorOfEverything,
 )
-from subtle.gf2 import RowSpace
+from subtle.gf2 import RowSpace, kernel_of_map
 from subtle.oracle import oracle_entry, oracle_table
 from subtle.tables import PoincareTable
 from dataclasses import replace
@@ -165,6 +168,35 @@ def test_a_presentation_is_checked_however_it_is_built(gens, rels, bound, has_un
         with pytest.raises(error) as direct:
             build()
         assert str(direct.value) == str(new.value)
+
+
+@pytest.mark.parametrize(
+    "gens, error",
+    [
+        (h_real() + h_real(), EmptyGeneratorNameClash),
+        (h_real() + [GenSpec("x", Bidegree(-1, 2))], NegativeBidegree),
+        ([GenSpec("x", Bidegree(1, 2), MILNOR)], NonHomogeneousRelation),
+    ],
+    ids=["duplicate-name", "negative", "milnor-off-diagonal"],
+)
+def test_generators_are_checked_before_relations_are_read(gens, error):
+    # bad generators and a relation naming no generator: completion and a
+    # given basis both report the generators, not the unknown name
+    for build in (
+        lambda: presentation_new(gens, ["zz*rho"], 8),
+        lambda: bigraded.AlgebraPresentation(gens, ["zz*rho"], (), 8),
+    ):
+        with pytest.raises(error):
+            build()
+
+
+def test_negative_power_is_refused(real):
+    from subtle.rings import block_presentation
+
+    c1 = block_presentation(real, "BU:1", 8).gen("c1")
+    with pytest.raises(SubtleError, match="exponent -2"):
+        c1 ** -2
+    assert str(c1 ** 0) == "1" and c1 ** 2 == c1 * c1
 
 
 def test_normal_form_relation(fq):
@@ -896,6 +928,66 @@ def _colon_cases(rng, bound):
         p = presentation_new(gens, rels, bound)
         if f.bidegree.total <= 4 and not p.gen(f.name).is_zero():
             yield p, f.name
+
+
+def _two_pass_colon(pres, base_gens, f, bound):
+    """The colon ideal as computed before its membership sweeps were merged:
+    the base generators kept first, then the kernel vectors in rising total
+    degree, then a second pass dropping each generator that the kept earlier
+    ones and the later ones span.  A reference for ``colon_ideal``."""
+    f_el = pres.el(f)
+    fb = f_el.bidegree()
+    q = quotient(pres, [g.monomials for g in base_gens]) if base_gens else pres
+    candidates = []
+    top = bound - fb.total
+    cells = ((w, d) for w in range(top + 1) for d in range(top - w + 1) if _in_cone(q, w, d))
+    for _, _, basis, _, images in cell_maps(
+        q, q, (fb.w, fb.d), cells, lambda m: q.reduce_poly(_mul_mono_poly(m, f_el.monomials))
+    ):
+        for combo in kernel_of_map(images):
+            monos = {basis[i] for i in range(len(basis)) if combo >> i & 1}
+            candidates.append(pres.element_from_monomials(monos))
+    candidates.sort(key=lambda c: c.bidegree().total)
+    chosen, current = list(base_gens), q
+    for cand in candidates:
+        if current.reduce_poly(cand.monomials):
+            chosen.append(cand)
+            current = quotient(pres, [g.monomials for g in chosen])
+    reduced = []
+    for i, g in enumerate(chosen):
+        rest = [h.monomials for h in reduced + chosen[i + 1:]]
+        if (quotient(pres, rest) if rest else pres).reduce_poly(g.monomials):
+            reduced.append(g)
+    return reduced
+
+
+def test_colon_ideal_with_a_base_ideal_matches_two_passes_random():
+    # one membership sweep over the base generators and the kernel vectors
+    # together, in rising total degree, keeps the generators that the old
+    # two passes kept, one or two random base generators each, and gives
+    # them in rising total degree, base ones first within a degree; the old
+    # passes put every base generator first, out of that order in some draws
+    rng = random.Random(71)
+    unsorted = 0
+    for p, f in itertools.islice(_colon_cases(rng, 9), 150):
+        bound = p.truncation_bound
+        cells = [
+            (w, d) for w in range(bound + 1) for d in range(bound + 1 - w)
+            if (w or d) and standard_monomials(p, w, d)
+        ]
+        base = []
+        for _ in range(rng.randint(1, 2)):
+            basis = standard_monomials(p, *rng.choice(cells))
+            base.append(p.element_from_monomials(rng.sample(basis, rng.randint(1, len(basis)))))
+        got = colon_ideal(p, base, f, bound).gens
+        want = _two_pass_colon(p, base, f, bound)
+        where = (p.gens, p.groebner, f, [str(g) for g in base])
+        assert Counter(g.monomials for g in got) == Counter(g.monomials for g in want), where
+        totals = [g.bidegree().total for g in got]
+        assert totals == sorted(totals), where
+        order = [g.bidegree().total for g in want]
+        unsorted += order != sorted(order)
+    assert unsorted >= 10, unsorted
 
 
 def test_colon_ideal_of_zero_is_the_kernel_random():

@@ -731,6 +731,18 @@ def test_field_show_annihilator_up_to_degree_8(tmp_path, power, ann):
     assert json.loads(out)["annihilator_of_alpha"] == ann
 
 
+def test_field_show_prints_two_annihilator_generators_in_rising_degree():
+    # a*b = a*c^2 = 0 with alpha = a: Ann(a) = (b, c^2), generators of
+    # degrees 1 and 2, printed in rising degree
+    model = str(Path(__file__).parent / "models" / "ann_two.json")
+    code, out = run_cli("field", "show", "--model", model)
+    assert code == 0
+    assert "Ann(alpha) generators (degree <= 8): (b, c^2)" in out.splitlines()
+    code, out = run_cli("field", "show", "--model", model, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["annihilator_of_alpha"] == ["b", "c^2"]
+
+
 def test_ring_build_table_only_block_exits_2():
     code, _ = run_cli("ring", "build", "nbar", "--model", "real")
     assert code == 2

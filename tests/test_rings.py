@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from subtle import bigraded, rings
-from subtle.bigraded import Bidegree, Element, poincare_table, quotient, standard_monomials
+from subtle.bigraded import (
+    Bidegree, Element, _dense_monomials, poincare_table, quotient, standard_monomials,
+)
 from subtle.errors import UnknownGenerator, UnsupportedBlock
 from subtle.gf2 import RowSpace
 from subtle.milnor import build_field_model, km_annihilator
@@ -163,6 +165,32 @@ def test_repeated_request_is_answered_by_its_arguments(block, real, ab4, monkeyp
             patch.setattr(rings, "_fit_bound", refuse)
             patch.setattr(rings, "presentation_new", refuse)
             assert block_presentation(model, block, 5) is first
+
+
+@pytest.mark.parametrize("block", ["BU:3", "BOh:1", "Xalpha", "Npow:2", "Xtilde"])
+def test_a_fresh_build_constructs_once_per_completion(block, real, ab4, monkeypatch):
+    # a block built afresh completes the block and Ann(alpha)'s presentations:
+    # each completion is one construction that checks its input once, with
+    # no parse shell beside it and no second check of the same relations
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    pres_class = bigraded.AlgebraPresentation
+    monkeypatch.setattr(pres_class, "__post_init__", counting("built", pres_class.__post_init__))
+    check = bigraded._check_presentation
+    monkeypatch.setattr(bigraded, "_check_presentation", counting("checked", check))
+    monkeypatch.setattr(bigraded, "_buchberger", counting("completed", bigraded._buchberger))
+    for model in (real, ab4):
+        rings.clear()
+        counts.clear()
+        block_presentation(model, block, 6)
+        assert counts["completed"], (str(model), counts)
+        assert counts["built"] == counts["checked"] == counts["completed"], (str(model), counts)
 
 
 @pytest.mark.parametrize("attr", ["block_id", "groebner", "model", "truncation_bound"])
@@ -764,6 +792,8 @@ def test_engine_matches_oracle_on_random_models():
 # alpha = b + c is neither the first generator nor minus_one (a): a block or
 # Sq1 value that reads the wrong class differs on it
 ALPHA_SUM_PATH = Path(__file__).parent / "models" / "alpha_sum.json"
+# Ann(alpha) = (b, c^2): two generators of different degrees
+ANN_TWO_PATH = Path(__file__).parent / "models" / "ann_two.json"
 
 # each block's relation of the paper that carries alpha, as (left, right):
 # left + alpha * right is 0 in the block
@@ -799,6 +829,53 @@ def test_alpha_is_read_from_the_model_random():
             assert (ring.el(gen) * model.alpha).is_zero(), (str(model), gen)
             annihilated += 1
     assert annihilated >= 40
+
+
+def _dense_rank(ring, n, polys) -> int:
+    """GF(2) rank of raw polys over all monomials of degree n of a model ring."""
+    index = {m: j for j, m in enumerate(_dense_monomials(ring, n, n))}
+    return RowSpace([sum(1 << index[m] for m in poly) for poly in polys]).rank
+
+
+def _dense_multiples(ring, n, polys) -> list:
+    """Every monomial of degree n - deg p times p, for each raw poly p, unreduced."""
+    out = []
+    for p in polys:
+        k = n - ring.mono_bidegree(next(iter(p))).w
+        if k >= 0:
+            out += [bigraded._mul_mono_poly(m, p) for m in _dense_monomials(ring, k, k)]
+    return out
+
+
+def test_ann_alpha_has_the_dimension_of_the_kernel_of_alpha():
+    # per degree n <= 6, the ideal that the Ann(alpha) generators span has
+    # the dimension of the kernel of x -> alpha*x from R_n to R_{n+1}; both
+    # sides counted over dense cells, raw monomials modulo the multiples of
+    # the model's relations, with no engine normal form
+    rng = random.Random(61)
+    models = [
+        build_field_model(str(ALPHA_SUM_PATH)),
+        build_field_model(str(ANN_TWO_PATH)),
+        build_field_model(str(Path(__file__).parents[1] / "bench" / "three.json")),
+        build_field_model("finite_field"),
+    ]
+    models += [_random_model(rng, trial) for trial in range(40)]
+    nonzero = 0
+    for model in models:
+        ring = model.presentation
+        rels = [ring.raw_to_poly(r) for r in model.relation_strings]
+        alpha = ring.raw_to_poly(model.alpha_string)
+        anns = [ring.raw_to_poly(g) for g in rings._ann_strings(model, 7)]
+        for n in range(7):
+            rel_n, rel_up = _dense_multiples(ring, n, rels), _dense_multiples(ring, n + 1, rels)
+            zero_n, zero_up = _dense_rank(ring, n, rel_n), _dense_rank(ring, n + 1, rel_up)
+            dim = len(_dense_monomials(ring, n, n)) - zero_n
+            times_alpha = _dense_multiples(ring, n + 1, [alpha])
+            image = _dense_rank(ring, n + 1, rel_up + times_alpha) - zero_up
+            ideal = _dense_rank(ring, n, rel_n + _dense_multiples(ring, n, anns)) - zero_n
+            assert ideal == dim - image, (str(model), n)
+            nonzero += ideal > 0
+    assert nonzero >= 100, nonzero
 
 
 def _nbar_reference(model, wmax, dmax):
