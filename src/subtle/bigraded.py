@@ -752,24 +752,13 @@ def _walk(pres: AlgebraPresentation, w: int, d: int, store: dict):
 
 
 def _reach(pres: AlgebraPresentation, store: dict, w: int) -> None:
-    """Note that the sweep of ``store`` has reached a cell of weight w, and
-    drop the cells that no later cell of the sweep can read.
-
-    Every sweep of the package runs in rising weight.  ``store[None]`` holds
-    the last two weights reached and the reach of the last drop, or False
-    once a cell lighter than both of the last two breaks the order (a map's
-    sweep reaches a target cell after each source cell).  A later cell reads
-    cells down to the largest step weight (``wide``) below it, so the cells
-    lighter than the lesser of the last two weights by more are dropped.  A
-    dict handed cells in another order stays correct, but drops none once
-    the order breaks and may walk a dropped cell again."""
-    pw, qw, last = rec = store.setdefault(None, [w, w, None])
-    if last is False or w < min(pw, qw):
-        rec[2] = False
-        return
-    low = min(qw, w) - pres._walk[2]
-    rec[:] = qw, w, low
-    if low != last:
+    """Note that the sweep of ``store`` has reached weight w.  A later cell
+    of a sweep in rising weight reads cells down to the largest step weight
+    (``wide``) below its own, so the cells lighter than w less ``wide`` go.
+    ``store[None]`` holds that reach; a lighter weight drops nothing."""
+    low = w - pres._walk[2]
+    if low > store.setdefault(None, low):
+        store[None] = low
         for cell in [c for c in store if c and c[0] < low]:
             del store[cell]
 
@@ -800,13 +789,12 @@ def standard_monomials(
     A cell outside the generator cone (``_in_cone``) is returned empty at
     once.  A cell inside it is walked (``_monomials_of_bidegree``, ``_walk``)
     from the cells below it, which a sweep holds in its dict ``store``: one
-    dict per presentation, passed to every cell of a sweep in rising weight,
-    holds the cells a later cell of the sweep can read (``_reach``); handed
-    cells in another order, it may walk a cell again.  Without one, each
-    call walks every cell below its own afresh.  The basis is sorted by
-    ``mono_key``, which inside one bidegree is the order of reversed exponent
-    vectors.  A module without a unit component (``has_unit`` false) leaves
-    out the monomials free of module generators."""
+    dict per side of a sweep, handed its cells in rising weight, holds the
+    cells down to the heaviest weight reached less ``wide`` (``_reach``).
+    Without one, each call walks every cell below its own afresh.  The basis
+    is sorted by ``mono_key``, which inside one bidegree is the order of
+    reversed exponent vectors.  A module without a unit component
+    (``has_unit`` false) leaves out the monomials free of module generators."""
     if not _in_cone(pres, w, d):
         return []
     out = _monomials_of_bidegree(pres, w, d, store)
@@ -835,27 +823,18 @@ def cell_maps(
     """The one sweep of a linear map into cells.  For each (w, d) of
     ``cells``, in the order given, yields ``(w, d, basis, dim, rows)``: the
     source cell's ``standard_monomials`` and the ``cell_images`` of
-    ``image`` on it into the target cell (w, d) + ``shift``.  When ``source
-    is target``, a target basis is kept until the sweep reaches that cell as
-    a source, then dropped, and the sweep's dict is told that it was reached
-    (``_reach``); otherwise each basis is walked per use.  The sweep has one
-    dict of cells per presentation (``standard_monomials``)."""
-    same = source is target
-    ahead: dict[tuple[int, int], list[Monomial]] = {}
+    ``image`` on it into the target cell (w, d) + ``shift``.  Each side has
+    its own dict of cells (``standard_monomials``); a self-map with no
+    shift reads its target basis off the source's."""
     source_store: dict = {}
-    target_store = source_store if same else {}
+    target_store: dict = {}
     for w, d in cells:
-        basis = ahead.pop((w, d), None)
-        if basis is None:
-            basis = standard_monomials(source, w, d, source_store)
-        else:
-            _reach(source, source_store, w)
+        basis = standard_monomials(source, w, d, source_store)
         cell = (w + shift[0], d + shift[1])
-        tgt = basis if same and cell == (w, d) else ahead.get(cell)
-        if tgt is None:
+        if source is target and cell == (w, d):
+            tgt = basis
+        else:
             tgt = standard_monomials(target, *cell, target_store)
-            if same:
-                ahead[cell] = tgt
         yield (w, d, basis, *cell_images(basis, tgt, image))
 
 

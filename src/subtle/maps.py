@@ -361,10 +361,12 @@ def kernel_match(
 
 def twist_iso(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:
     """Self-map of the mu-extended free u-algebra on u_1..u_2n that fixes
-    even classes and sends u_{2i-1} to u_{2i-1} + mu*u_{2i-2} (u_0 = 1)."""
+    even classes and sends u_{2i-1} to u_{2i-1} + mu*u_{2i-2} (u_0 = 1).
+    It is built at a bound that holds every generator (u_2n has total 3n),
+    so that no image or composite is reduced above its bound."""
     if n < 1:
         raise SubtleError("twist needs n >= 1")
-    pres = block_presentation(model, f"XBO:{2 * n}", bound)
+    pres = block_presentation(model, f"XBO:{2 * n}", max(bound, 3 * n))
     images: dict[str, Element] = {}
     for gen in pres.gens:
         name = gen.name

@@ -7,11 +7,13 @@ import itertools
 import random
 from contextlib import redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from subtle import cli, verify
 from subtle.maps import hom_define
+from subtle.milnor import build_field_model
 from subtle.motives import Atom, FormalMotive, atom_tensor
 
 
@@ -50,6 +52,35 @@ def test_criterion_05_twist_isomorphism():
 def test_criterion_06_groebner_oracle():
     # every built ring matches dense row reduction on a (6,6) box
     _run(verify.check_groebner_oracle)
+
+
+CRITERIA_ON_MODELS = (
+    verify.check_decomposition,
+    verify.check_kernel,
+    verify.check_diagonal_recursion,
+    verify.check_colimit_stabilization,
+    verify.check_twist,
+    verify.check_groebner_oracle,
+)
+
+
+@pytest.mark.parametrize("model", ["alpha_sum", "ann_two"])
+def test_criteria_01_to_06_on_the_committed_models(monkeypatch, model):
+    # criteria 1-6 over a model whose alpha (b + c) is neither its first
+    # generator nor minus_one, and over one whose Ann(alpha) has two
+    # generators; criteria 7-10 read no model
+    path = str(Path(__file__).parent / "models" / f"{model}.json")
+    read = []
+
+    def models():
+        read.append(build_field_model(path))
+        return read[-1:]
+
+    monkeypatch.setattr(verify, "_models", models)
+    for check in CRITERIA_ON_MODELS:
+        _run(check)
+    assert len(read) == len(CRITERIA_ON_MODELS)
+    assert {m.tag for m in read} == {model}
 
 
 def test_criterion_07_motive_rewrites():

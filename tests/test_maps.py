@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from subtle import bigraded
 from subtle.bigraded import (
     Element,
     IdealGens,
@@ -29,6 +30,7 @@ from subtle.maps import (
     twist_iso,
 )
 from subtle.milnor import build_field_model
+from subtle.verify import check_twist
 from subtle.rings import (
     block_presentation,
     block_table,
@@ -352,6 +354,31 @@ def test_twist_bijective(real, fq):
     for model in (real, fq):
         rep = hom_verify(twist_iso(model, 1, 10), 4, 4)
         assert rep.well_defined and rep.surjective_on_box and rep.injective_on_box
+
+
+def test_twist_reduces_nothing_above_its_bound(monkeypatch, real, fq):
+    # pq:n is built at a bound that holds u_2n (total 3n), so criterion 5 and
+    # pq:n at small boxes reduce no monomial above the stated bound, where a
+    # truncated normal form is not exact
+    above = []
+    reduce_poly = bigraded.AlgebraPresentation.reduce_poly
+
+    def checked(pres, poly):
+        poly = set(poly)
+        bound = pres.truncation_bound
+        above.extend(m for m in poly if pres.mono_bidegree(m).total > bound)
+        return reduce_poly(pres, poly)
+
+    monkeypatch.setattr(bigraded.AlgebraPresentation, "reduce_poly", checked)
+    for box in [(0, 0), (1, 1), (0, 2), (6, 6)]:
+        assert check_twist(box).passed, box
+    for model in (real, fq):
+        for n in (1, 2, 3):
+            for w, d in [(0, 0), (1, 1), (2, 0)]:
+                t = twist_iso(model, n, w + d)
+                assert hom_verify(t, w, d).well_defined
+                hom_compose(t, t)
+    assert not above, len(above)
 
 
 def test_compose_well_defined(real):

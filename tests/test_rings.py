@@ -507,9 +507,11 @@ def _inside_generator_cone(pres, w, d):
     return (w, d) == (0, 0) or bool(rays) and min(rays) <= slope(w, d) <= max(rays)
 
 
-def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
+def test_each_sweep_keeps_one_states_dict_per_side(monkeypatch, real):
     # every enumeration of a sweep passes the sweep's dict of cells, one per
-    # presentation: a single one when a map's source is its target
+    # side: a map's source and target each have their own, also when they
+    # are one presentation, except a self-map with no shift, which reads its
+    # target bases off its source's
     calls = []
     enumerate_cell = bigraded._monomials_of_bidegree
 
@@ -521,35 +523,40 @@ def test_each_sweep_shares_one_states_dict_per_presentation(monkeypatch, real):
     three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
     comp = comp_map(three, 2, 8)
     assert comp.source is not comp.target
+    twist = twist_iso(real, 1, 12)
+    assert twist.source is twist.target
     solved, _ = sq1_solve(sq1_define(sq1_presentation(real, "BO:4", 3, 3)))
+    # name: (sweep, presentations, dicts)
     sweeps = {
-        "poincare_table": (lambda: poincare_table(block_presentation(three, "BU:2", 8), 4, 4), 1),
-        "cell_maps, one presentation": (lambda: ann_dimensions(three, 6), 1),
-        "cell_maps, two presentations": (lambda: hom_verify(comp, 4, 4), 2),
-        "leibniz_offender": (lambda: leibniz_offender(solved, 3, 3), 1),
-        "dimensions": (lambda: three.dimensions(6), 1),
+        "poincare_table": (lambda: poincare_table(block_presentation(three, "BU:2", 8), 4, 4), 1, 1),
+        "cell_maps, one presentation": (lambda: ann_dimensions(three, 6), 1, 2),
+        "cell_maps, two presentations": (lambda: hom_verify(comp, 4, 4), 2, 2),
+        "cell_maps, a self-map": (lambda: hom_verify(twist, 4, 4), 1, 1),
+        "leibniz_offender": (lambda: leibniz_offender(solved, 3, 3), 1, 1),
+        "dimensions": (lambda: three.dimensions(6), 1, 1),
     }
-    for name, (sweep, presentations) in sweeps.items():
+    for name, (sweep, presentations, dicts) in sweeps.items():
         calls.clear()
         sweep()
         assert len(calls) >= 5, name
         assert all(isinstance(states, dict) for _, states in calls), name
         pairs = {(id(pres), id(states)) for pres, states in calls}
-        assert len(pairs) == len({p for p, _ in pairs}) == len({s for _, s in pairs}) == presentations, name
+        assert len(pairs) == len({s for _, s in pairs}) == dicts, name
+        assert len({p for p, _ in pairs}) == presentations, name
 
 
 def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
-    # each cell is asked for once and built once, though the sweep's dict
+    # each cell is asked for once and built once per dict, though the dict
     # drops the cells no later cell reads
     from test_bigraded import count_builds
 
-    built = count_builds(monkeypatch)
+    built = count_builds(monkeypatch)  # holds every dict, so no id is reused
     calls = Counter()
     enumerate_cell = bigraded._monomials_of_bidegree
 
-    def counted(pres, w, d, *rest):
-        calls[pres, w, d] += 1
-        return enumerate_cell(pres, w, d, *rest)
+    def counted(pres, w, d, store):
+        calls[pres, id(store), w, d] += 1
+        return enumerate_cell(pres, w, d, store)
 
     monkeypatch.setattr(bigraded, "_monomials_of_bidegree", counted)
     three = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
@@ -565,17 +572,17 @@ def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
         built.clear()
         sweep()
         assert calls, name
-        assert max(calls.values()) == 1, (name, [k[1:] for k, n in calls.items() if n > 1])
+        assert max(calls.values()) == 1, (name, [k[2:] for k, n in calls.items() if n > 1])
         assert max(built.values()) == 1, (name, [c for c, n in built.items() if n > 1])
-        outside = [(w, d) for pres, w, d in calls if not _inside_generator_cone(pres, w, d)]
+        outside = [(w, d) for pres, _, w, d in calls if not _inside_generator_cone(pres, w, d)]
         assert not outside, (name, outside)
 
 
 def test_production_sweeps_hold_only_their_window(monkeypatch):
     # every sweep of the package runs in rising weight, so after each walk
-    # its dict holds no cell lighter than the lesser of the last two weights
-    # reached, less the largest weight of a ring generator: no later cell of
-    # the sweep reads one
+    # its dict holds no cell lighter than the heaviest weight reached, less
+    # the largest weight of a ring generator: no later cell of the sweep
+    # reads one
     # reached: the weights each dict was told of, keyed by the id of the
     # dict, which the entry holds so that no id is reused
     reach, walk = bigraded._reach, bigraded._walk
@@ -591,9 +598,9 @@ def test_production_sweeps_hold_only_their_window(monkeypatch):
         _, last = reached.get(id(store), (None, None))
         if last:
             wide = max((gw for k, gw in enumerate(pres.gen_w) if k not in pres.module_idx), default=0)
-            low = min(last[-2:]) - wide
+            low = max(last) - wide
             stale = sorted(c for c in store if c and c[0] < low)
-            assert not stale, (name, last[-2:], wide, stale[:5])
+            assert not stale, (name, max(last), wide, stale[:5])
             checked[name] += 1
         return out
 
