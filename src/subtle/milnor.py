@@ -29,8 +29,8 @@ from .bigraded import (
     GenSpec,
     IdealGens,
     colon_ideal,
+    poincare_table,
     presentation_new,
-    standard_monomials,
 )
 from .errors import AlphaIsSquare, SubtleError, ZeroElement
 from .parse import STRING, STRINGS, check_descriptor, load_descriptor, naming
@@ -104,9 +104,11 @@ class FieldModel:
         return self.presentation.el(self.minus_one_string)
 
     def dimensions(self, max_degree: int) -> list[int]:
-        """GF(2)-dimension of each graded piece up to max_degree."""
-        pres, store = self.presentation, {}
-        return [len(standard_monomials(pres, n, n, store)) for n in range(max_degree + 1)]
+        """GF(2)-dimension of each graded piece up to max_degree: the diagonal
+        of the presentation's Poincare table, so a degree the completion does
+        not certify raises ExceedsBound."""
+        table = poincare_table(self.presentation, max_degree, max_degree)
+        return [table.entry(n, n) for n in range(max_degree + 1)]
 
     def annihilator(self, degree_bound: int) -> IdealGens:
         """Generators of Ann({alpha}) of degree below the bound, afresh."""

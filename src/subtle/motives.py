@@ -25,12 +25,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bigraded import PoincareTable, cell_maps
+from .bigraded import PoincareTable
 from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
-from .gf2 import RowSpace
 from .milnor import FieldModel
 from .parse import ParseError, Parser, naming
-from .rings import block_presentation, block_table
+from .rings import block_table
 
 BASES = ("N", "Ma", "Mt", "Xa", "Xt")
 # bases whose table is a block's table
@@ -181,31 +180,29 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
 
     Long-exact-sequence bookkeeping over the triangle linking it to the unit
     and the invertible block: the connecting map is multiplication by the
-    unique nonzero class mu_1, whose per-cell ranks are computable, so every
-    cell is determined.  One ``cell_maps`` sweep, w-major, from H (w)[d] to
-    Npow:1 (w)[d+1], d = -1..dmax, gives both dimensions and the ranks; one
-    sweep, not one per weight, so that each cell is walked once.
+    unique nonzero class mu_1, so (w)[d] reads H(w)[d] + Npow:1(w)[d] less
+    r(w, d) and r(w, d - 1), r(w, d) the rank of mu_1 from H(w)[d] to
+    Npow:1(w)[d+1].  That rank reads off Mtilde:
+
+    * times mu_1 sends tau^k*m, m of Milnor degree d, to tau^(k-1)*alpha*m
+      when k >= 1 and to m*mu_1 when k = 0;
+    * both vanish exactly when m lies in Ann(alpha);
+    * so r(w, d) = Mtilde(d)[d+1] for 0 <= d <= w, and 0 otherwise.
     """
-    h_pres = block_presentation(model, "H", wmax + dmax + 1)
-    n1_pres = block_presentation(model, "Npow:1", wmax + dmax + 1)
-    # H's generators are Npow:1's without the last one, mu1, so an H monomial
-    # times mu1 is that monomial with a trailing exponent 1
-    assert n1_pres.names == h_pres.names + ("mu1",)
+    h = block_table(model, "H", wmax, dmax)
+    n1 = block_table(model, "Npow:1", wmax, dmax)
+    k = min(wmax, dmax)
+    mt = block_table(model, "Mtilde", k, k + 1)
 
-    def times_mu1(m):
-        return n1_pres.reduce_poly([m + (1,)])
+    def rank(w, d):
+        return mt.entry(d, d + 1) if d <= w else 0
 
-    # sweeps[w][d + 1] = (dim H(w)[d], dim Npow:1(w)[d+1], rank of mu_1 on (w)[d])
-    sweeps: list[list[tuple[int, int, int]]] = [[] for _ in range(wmax + 1)]
-    cells = [(w, d) for w in range(wmax + 1) for d in range(-1, dmax + 1)]
-    for w, _, basis, dim, rows in cell_maps(h_pres, n1_pres, (0, 1), cells, times_mu1):
-        sweeps[w].append((len(basis), dim, RowSpace(rows).rank))
     counts = tuple(
         tuple(
-            sweep[d + 1][0] + sweep[d][1] - sweep[d + 1][2] - sweep[d][2]
+            h.entry(w, d) + n1.entry(w, d) - rank(w, d) - rank(w, d - 1)
             for d in range(dmax + 1)
         )
-        for sweep in sweeps
+        for w in range(wmax + 1)
     )
     return PoincareTable(wmax, dmax, counts)
 

@@ -13,7 +13,7 @@ Block identifiers (CLI-facing; ``parse.parse_id`` reads them):
     Xalpha       ring with mu adjoined, tau*mu = alpha
     XBU:n        Xalpha freely extended by c_1..c_n
     XBO:n        Xalpha freely extended by u_1..u_n (both sides of the twist map)
-    nbar         dimension table only: Ann part plus a tau-shifted H part
+    nbar         dimension table only: Ann part (H less Mtilde) plus a tau-shifted H part
     NpowBU:m:n   dimension table only: the direct-sum convolution
 
 ``_BUILT`` holds all the package's state that outlives a call, the builds
@@ -23,7 +23,8 @@ own id.  It looks a request up by its arguments, then by what the build is
 made from, so requests that come to the same content share one completion,
 whatever order their bounds come in.
 ``block_presentation`` only dispatches an id to its builder, and
-``block_table`` is the one route from a block to its Poincare table.
+``block_table`` is the one route from a block to its Poincare table; the
+table-only blocks are sums and differences of block tables.
 
 The bound rule, applied by ``_present`` alone: a block asked for at bound B
 is built at the first bound >= B that holds its relations, with Ann(alpha)
@@ -41,16 +42,13 @@ from .bigraded import (
     TAU,
     AlgebraPresentation,
     Bidegree,
-    Element,
     GenSpec,
     IdealGens,
     PoincareTable,
-    cell_maps,
     poincare_table,
     presentation_new,
 )
 from .errors import UnsupportedBlock
-from .gf2 import RowSpace
 from .milnor import FieldModel, km_annihilator
 from .parse import parse_id, parse_poly
 
@@ -250,31 +248,17 @@ def build_xalpha_with_us(model: FieldModel, n_u: int, bound: int = 16) -> Algebr
 # ----- dimension-table-only blocks --------------------------------------------
 
 
-def ann_dimensions(model: FieldModel, max_degree: int) -> list[int]:
-    """dim Ann(alpha)_n for n <= max_degree: dim R_n less the rank of
-    x -> alpha*x from R_n to R_{n+1}, one ``cell_maps`` sweep along the
-    diagonal."""
-    pres = model.presentation.extend_bound(2 * max_degree + 2)
-    alpha = pres.el(model.alpha)
-
-    def times_alpha(m):
-        return (Element(pres, frozenset([m])) * alpha).monomials
-
-    diagonal = [(n, n) for n in range(max_degree + 1)]
-    return [
-        len(basis) - RowSpace(rows).rank
-        for _, _, basis, _, rows in cell_maps(pres, pres, (1, 1), diagonal, times_alpha)
-    ]
-
-
 def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     """Table of the inverse block: Ann part on the Milnor diagonal plus a
-    tau-shifted copy of H (the grading convention recorded in the design)."""
+    tau-shifted copy of H (the grading convention recorded in the design).
+    Mtilde is R/Ann(alpha) on mu at (0)[1], so dim Ann(alpha)_n reads
+    H(n)[n] less Mtilde(n)[n+1]."""
     h = block_table(model, "H", wmax, dmax)
-    ann = ann_dimensions(model, wmax)
+    k = min(wmax, dmax)
+    mt = block_table(model, "Mtilde", k, k + 1)
     counts = tuple(
         tuple(
-            (ann[w] if w == d else 0) + h.entry(w - 1, d)
+            (h.entry(w, w) - mt.entry(w, w + 1) if w == d else 0) + h.entry(w - 1, d)
             for d in range(dmax + 1)
         )
         for w in range(wmax + 1)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from subtle.bigraded import quotient, standard_monomials
-from subtle.errors import AlphaIsSquare, SubtleError, UnknownGenerator, ZeroElement
+from subtle.errors import AlphaIsSquare, ExceedsBound, SubtleError, UnknownGenerator, ZeroElement
 from subtle.milnor import FieldModel, build_field_model, km_annihilator, km_normal_form
 from subtle.oracle import oracle_entry
 
@@ -72,13 +72,28 @@ def test_normal_form_idempotent(real, fq, two_gen):
             assert once == again
 
 
-@pytest.mark.parametrize("name", ["real", "finite_field"])
+# degree-16 relations whose completion reaches past the presentation's
+# bound: degree 17 has 14 classes, and a basis walked there reads 15
+LATE_RELATIONS = {
+    "name": "late_relations",
+    "generators": ["a", "b"],
+    "relations": ["a^9*b^7 + b^16", "a^16 + a*b^15"],
+    "alpha": "a",
+}
+
+
+@pytest.mark.parametrize("name", ["real", "finite_field", "late_relations"])
 def test_dimension_oracle_equivalence(name):
-    # standard-monomial counts vs dense row reduction, degrees 0..6
-    model = build_field_model(name)
+    # standard-monomial counts vs dense row reduction, degrees 0..6 and the
+    # top certified degree; a degree above it is refused, not miscounted
+    model = build_field_model(LATE_RELATIONS if name == "late_relations" else name)
     dims = model.dimensions(6)
     for n in range(7):
         assert dims[n] == oracle_entry(model.presentation, n, n)
+    top = FieldModel.degree_bound
+    assert model.dimensions(top)[top] == oracle_entry(model.presentation, top, top)
+    with pytest.raises(ExceedsBound):
+        model.dimensions(top + 1)
 
 
 def test_annihilator_real(real):

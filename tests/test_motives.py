@@ -329,10 +329,22 @@ def _malpha_reference(model, wmax, dmax):
     return PoincareTable(wmax, dmax, counts)
 
 
-@pytest.mark.parametrize("model_name", ["real", "finite_field", "two_gen"])
-def test_malpha_matches_reference(model_name, two_gen):
-    model = two_gen if model_name == "two_gen" else build_field_model(model_name)
-    for wmax, dmax in ((4, 4), (5, 3), (2, 6)):
+MODEL_FILES = {
+    "three": Path(__file__).resolve().parents[1] / "bench" / "three.json",
+    "alpha_sum": Path(__file__).parent / "models" / "alpha_sum.json",
+    "ann_two": Path(__file__).parent / "models" / "ann_two.json",
+}
+
+
+@pytest.mark.parametrize(
+    "model_name", ["real", "finite_field", "two_gen", "three", "alpha_sum", "ann_two", "ab4"]
+)
+def test_malpha_matches_reference(model_name, two_gen, ab4):
+    if model_name in MODEL_FILES:
+        model = build_field_model(str(MODEL_FILES[model_name]))
+    else:
+        model = {"two_gen": two_gen, "ab4": ab4}.get(model_name) or build_field_model(model_name)
+    for wmax, dmax in ((4, 4), (5, 3), (2, 6), (0, 0), (8, 2), (2, 8)):
         assert malpha_table(model, wmax, dmax) == _malpha_reference(model, wmax, dmax)
 
 

@@ -29,7 +29,6 @@ from subtle.rings import (
     build_Xalpha,
     build_Xtilde,
     check_colimit,
-    ann_dimensions,
     nbar_table,
     npow_bu_table,
     parse_block_id,
@@ -485,16 +484,24 @@ def _ann_dimensions_reference(model, max_degree):
     return [f - len(standard_monomials(q, n, n)) for n, f in enumerate(full)]
 
 
-@pytest.mark.parametrize("model_name", ["real", "finite_field", "two_gen", "three"])
-def test_ann_dimensions_match_quotient_reference(model_name, two_gen):
+@pytest.mark.parametrize("model_name", ["real", "finite_field", "two_gen", "three", "ann_two", "ab4"])
+def test_ann_dimensions_match_quotient_reference(model_name, two_gen, ab4):
+    # the inverse block's (n)[n] less H's (n-1)[n] is dim Ann(alpha)_n
     if model_name == "two_gen":
         model = two_gen
+    elif model_name == "ab4":
+        model = ab4
     elif model_name == "three":
         model = build_field_model(str(Path(__file__).resolve().parents[1] / "bench" / "three.json"))
+    elif model_name == "ann_two":
+        model = build_field_model(str(ANN_TWO_PATH))
     else:
         model = build_field_model(model_name)
     for max_degree in (0, 1, 8):
-        assert ann_dimensions(model, max_degree) == _ann_dimensions_reference(model, max_degree)
+        nbar = nbar_table(model, max_degree, max_degree)
+        h = block_table(model, "H", max_degree, max_degree)
+        got = [nbar.entry(n, n) - h.entry(n - 1, n) for n in range(max_degree + 1)]
+        assert got == _ann_dimensions_reference(model, max_degree)
 
 
 def _inside_generator_cone(pres, w, d):
@@ -529,7 +536,7 @@ def test_each_sweep_keeps_one_states_dict_per_side(monkeypatch, real):
     # name: (sweep, presentations, dicts)
     sweeps = {
         "poincare_table": (lambda: poincare_table(block_presentation(three, "BU:2", 8), 4, 4), 1, 1),
-        "cell_maps, one presentation": (lambda: ann_dimensions(three, 6), 1, 2),
+        "cell_maps, one presentation": (lambda: km_annihilator(three, three.alpha, 8), 1, 2),
         "cell_maps, two presentations": (lambda: hom_verify(comp, 4, 4), 2, 2),
         "cell_maps, a self-map": (lambda: hom_verify(twist, 4, 4), 1, 1),
         "leibniz_offender": (lambda: leibniz_offender(solved, 3, 3), 1, 1),
@@ -564,7 +571,6 @@ def test_each_sweep_enumerates_each_cell_once(monkeypatch, real):
     assert twist.source is twist.target
     sweeps = {
         "colon": lambda: km_annihilator(three, three.alpha, 16),
-        "ann_dimensions": lambda: ann_dimensions(real, 8),
         "hom_verify": lambda: hom_verify(twist, 6, 6),
     }
     for name, sweep in sweeps.items():
@@ -613,7 +619,6 @@ def test_production_sweeps_hold_only_their_window(monkeypatch):
         "poincare_table": lambda: poincare_table(block_presentation(three, "BU:4", 16), 8, 8),
         "hom_verify": lambda: hom_verify(comp, 8, 8),
         "leibniz_offender": lambda: leibniz_offender(solved, 4, 4),
-        "ann_dimensions": lambda: ann_dimensions(three, 8),
         "km_annihilator": lambda: km_annihilator(three, three.alpha, 16),
     }
     for name, sweep in sweeps.items():
@@ -627,9 +632,7 @@ def test_nbar_direct_sum_convention(real, fq, two_gen):
     for model in (real, fq, two_gen):
         t = nbar_table(model, 5, 5)
         h = block_table(model, "H", 5, 5)
-        from subtle.rings import ann_dimensions
-
-        ann = ann_dimensions(model, 5)
+        ann = _ann_dimensions_reference(model, 5)
         for w in range(6):
             for d in range(6):
                 want = (ann[w] if w == d else 0) + h.entry(w - 1, d)
@@ -888,7 +891,7 @@ def test_ann_alpha_has_the_dimension_of_the_kernel_of_alpha():
 def _nbar_reference(model, wmax, dmax):
     # the inverse block's table from H built two degrees above the box
     h = poincare_table(block_presentation(model, "H", wmax + dmax + 2), wmax, dmax)
-    ann = ann_dimensions(model, wmax)
+    ann = _ann_dimensions_reference(model, wmax)
     return [
         [(ann[w] if w == d else 0) + h.entry(w - 1, d) for d in range(dmax + 1)]
         for w in range(wmax + 1)
