@@ -5,6 +5,11 @@ monomials of that bidegree minus the rank of all relation multiples landing
 there, computed by dense GF(2) row reduction on raw polynomial products.  No
 normal forms, no basis completion: this is the independent side of the
 engine/oracle pair, kept deliberately naive.
+
+A table holds its relations and the enumerator's tails memo for itself.  The
+finished cell lists depend only on the generator layout, so tables handed one
+``shared`` dict list each cell of a layout once; without one, each table
+keeps its own.  No enumeration state is process-wide.
 """
 
 from __future__ import annotations
@@ -15,16 +20,27 @@ from .bigraded import _dense_monomials as _monomials_of_bidegree
 from .gf2 import RowSpace
 
 
+def _cell(pres: AlgebraPresentation, w: int, d: int, unit: bool, store: dict) -> list:
+    """The enumerator's monomials of (w)[d], listed once per key in the
+    table's cell lists ``store["cells"]``; callers only read them."""
+    cells = store.setdefault("cells", {})
+    found = cells.get((w, d, unit))
+    if found is None:
+        found = cells[w, d, unit] = _monomials_of_bidegree(pres, w, d, unit, store=store)
+    return found
+
+
 def oracle_entry(pres: AlgebraPresentation, w: int, d: int, store: dict | None = None) -> int:
     """Dimension of the (w)[d] piece by exhaustive row reduction.  The cells of
     one table share its dict ``store``: the relations with their bidegrees and
-    module flags, and the enumeration memo; a call without one makes its own."""
+    module flags, the enumeration memo and the cell lists; a call without one
+    makes its own."""
     store = {} if store is None else store
     if "relations" not in store:
         store["relations"] = [
             (r, pres.poly_bidegree(r), any(map(pres.module_count, r))) for r in pres.relations
         ]
-    basis = _monomials_of_bidegree(pres, w, d, pres.has_unit, store=store)
+    basis = _cell(pres, w, d, pres.has_unit, store)
     if not basis:
         return 0
     index = {m: i for i, m in enumerate(basis)}
@@ -33,7 +49,7 @@ def oracle_entry(pres: AlgebraPresentation, w: int, d: int, store: dict | None =
         tw, td = w - rb.w, d - rb.d
         if tw < 0 or td < 0:
             continue
-        for t in _monomials_of_bidegree(pres, tw, td, True, store=store):
+        for t in _cell(pres, tw, td, True, store):
             if rel_has_module and pres.module_count(t):
                 continue  # module relations only take coefficient-ring multiples
             row = 0
@@ -47,8 +63,16 @@ def oracle_entry(pres: AlgebraPresentation, w: int, d: int, store: dict | None =
     return len(basis) - space.rank
 
 
-def oracle_table(pres: AlgebraPresentation, wmax: int, dmax: int) -> PoincareTable:
+def oracle_table(
+    pres: AlgebraPresentation, wmax: int, dmax: int, shared: dict | None = None
+) -> PoincareTable:
+    """The oracle's counts on the box (wmax, dmax).  ``shared`` keeps the cell
+    lists per generator layout ``(gen_w, gen_d, module_idx)`` across the
+    tables handed it, so each cell of a layout is enumerated once; the
+    relations and the tails memo stay with this table."""
     store: dict = {}
+    if shared is not None:
+        store["cells"] = shared.setdefault((pres.gen_w, pres.gen_d, pres.module_idx), {})
     counts = tuple(
         tuple(oracle_entry(pres, w, d, store) for d in range(dmax + 1))
         for w in range(wmax + 1)

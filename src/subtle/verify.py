@@ -198,10 +198,11 @@ def check_twist(box: tuple[int, int] | None = None) -> str:
 @_criterion(6, "Groebner vs dense oracle")
 def check_groebner_oracle(box: tuple[int, int] | None = None) -> str:
     w, d = _box((6, 6), box)
+    shared: dict = {}  # the oracle's cell lists per generator layout, for this run
     for model in _models():
         for block in ORACLE_BLOCKS:
             engine = block_table(model, block, w, d)
-            dense = oracle_table(block_presentation(model, block, w + d), w, d)
+            dense = oracle_table(block_presentation(model, block, w + d), w, d, shared)
             bad = _first_difference(engine, dense)
             if bad is not None:
                 raise _Failure(f"{block} over {model.tag} differs at {bad}")

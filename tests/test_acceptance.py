@@ -5,6 +5,7 @@ pass/fail line.  Everything is exact GF(2) combinatorics; no tolerances.
 import io
 import itertools
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -52,6 +53,23 @@ def test_criterion_05_twist_isomorphism():
 def test_criterion_06_groebner_oracle():
     # every built ring matches dense row reduction on a (6,6) box
     _run(verify.check_groebner_oracle)
+
+
+def test_criterion_06_enumerates_each_cell_once(monkeypatch):
+    # the criterion's tables share the oracle's cell lists per generator
+    # layout: no (layout, cell, unit flag) is listed twice in one run
+    from subtle import oracle
+
+    calls = Counter()
+    enumerate_cell = oracle._monomials_of_bidegree
+
+    def counted(pres, w, d, unit=True, store=None):
+        calls[pres.gen_w, pres.gen_d, pres.module_idx, w, d, unit] += 1
+        return enumerate_cell(pres, w, d, unit, store=store)
+
+    monkeypatch.setattr(oracle, "_monomials_of_bidegree", counted)
+    _run(verify.check_groebner_oracle)
+    assert calls and max(calls.values()) == 1, calls.most_common(1)
 
 
 CRITERIA_ON_MODELS = (

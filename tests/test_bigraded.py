@@ -381,10 +381,11 @@ def test_mono_key_and_poly_bidegree_match_naive_random():
             assert p.poly_bidegree(frozenset([m, bigger])) is None, (trial, gens, m)
 
 
-def _random_presentation(rng, bound, max_rels=3):
-    """A random homogeneous ring (two times in three) or module presentation."""
-    module_gens = rng.choice([0, 0, 1])
-    gens = _random_gens(rng, module_gens)
+def _random_presentation(rng, bound, max_rels=3, gens=None):
+    """A random homogeneous ring (two times in three) or module presentation,
+    on random generators or on ``gens``."""
+    if gens is None:
+        gens = _random_gens(rng, rng.choice([0, 0, 1]))
     shell = presentation_new(gens, [], bound)
     rels = []
     for _ in range(rng.randint(1, max_rels)):
@@ -494,6 +495,41 @@ def test_oracle_table_equals_fresh_per_cell_entries_random():
         modules += p.is_module
         no_unit += not p.has_unit
     assert modules >= 10 and no_unit >= 5, (modules, no_unit)
+
+
+def _layout_twins(rng, p):
+    """p and random presentations on p's generators, on them one step higher
+    in degree, and, for a module, on them as ring generators, each followed by
+    its variant without a unit component when it has one."""
+    layouts = [p.gens, [replace(g, bidegree=g.bidegree + Bidegree(0, 1)) for g in p.gens]]
+    if p.is_module:
+        layouts.append([replace(g, origin=CLASS) for g in p.gens])
+    for q in [p] + [_random_presentation(rng, 10, 6, gens) for gens in layouts]:
+        yield q
+        if q.is_module and _without_unit(q):
+            yield _without_unit(q)
+
+
+def test_shared_oracle_table_equals_a_fresh_one():
+    # tables handed one shared dict read each generator layout's cell lists
+    # from it; each must equal a table with lists of its own, whether its
+    # layout was met before or not, and in either visiting order
+    from subtle.rings import block_presentation
+    from subtle.verify import ORACLE_BLOCKS, _models
+
+    rng = random.Random(20250801)
+    shared, kinds = {}, Counter()
+    for _ in range(12):
+        for q in _layout_twins(rng, _random_presentation(rng, 10, max_rels=6)):
+            got = oracle_table(q, 6, 6, shared)
+            assert got == oracle_table(q, 6, 6), (q.gens, q.relations, q.has_unit)
+            kinds[q.is_module, q.has_unit] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
+    blocks = [block_presentation(m, b, 12) for m in _models() for b in ORACLE_BLOCKS]
+    for order in (blocks, blocks[::-1]):
+        shared = {}
+        for q in order:
+            assert oracle_table(q, 6, 6, shared) == oracle_table(q, 6, 6), q.gens
 
 
 def test_oracle_shares_no_code_with_the_walk():
