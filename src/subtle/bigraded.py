@@ -231,17 +231,20 @@ class AlgebraPresentation:
             return raw
         poly = self.raw_to_poly(raw)
         for m in poly:
-            b = self.mono_bidegree(m)
-            if b.total > self.truncation_bound:
-                raise ExceedsBound(
-                    f"monomial of total degree {b.total} exceeds bound "
-                    f"{self.truncation_bound}"
-                )
+            self._check_bound(m)
             if self.is_module and not self.mono_valid(m):
                 raise InvalidModuleProduct(
                     "monomial with more than one module-generator factor"
                 )
         return self.element_from_monomials(poly)
+
+    def _check_bound(self, m: Monomial) -> None:
+        """Refuse a monomial above the bound, where normal forms are not exact."""
+        total = self.mono_bidegree(m).total
+        if total > self.truncation_bound:
+            raise ExceedsBound(
+                f"monomial of total degree {total} exceeds bound {self.truncation_bound}"
+            )
 
     # ----- extension ---------------------------------------------------------
 
@@ -273,7 +276,12 @@ class Element:
         return Element(self.pres, self.monomials ^ other.monomials)
 
     def __mul__(self, other: "Element") -> "Element":
-        return self.pres.element_from_monomials(self.product_monomials(other))
+        """The product in normal form; ``ExceedsBound`` if a monomial of it
+        lies above the bound, as for ``el``."""
+        product = self.product_monomials(other)
+        for m in product:
+            self.pres._check_bound(m)
+        return self.pres.element_from_monomials(product)
 
     def product_monomials(self, other: "Element") -> set[Monomial]:
         """The product before normal form: monomial products summed over GF(2)."""
@@ -886,17 +894,9 @@ def poincare_table(
         key = _staircase(pres)
         kept = held.get(key)
         if kept is not None and wmax <= kept.wmax and dmax <= kept.dmax:
-            rows = kept.counts[: max(wmax + 1, 0)]
-            return PoincareTable(wmax, dmax, tuple(r[: max(dmax + 1, 0)] for r in rows))
+            return PoincareTable.of(wmax, dmax, kept.entry)
     store: dict = {}
-    counts = tuple(
-        tuple(
-            len(standard_monomials(pres, w, d, store))
-            for d in range(dmax + 1)
-        )
-        for w in range(wmax + 1)
-    )
-    table = PoincareTable(wmax, dmax, counts)
+    table = PoincareTable.of(wmax, dmax, lambda w, d: len(standard_monomials(pres, w, d, store)))
     if held is not None and (kept is None or (wmax >= kept.wmax and dmax >= kept.dmax)):
         held[key] = table
     return table

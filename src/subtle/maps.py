@@ -19,6 +19,7 @@ from .bigraded import (
     Element,
     IdealGens,
     Monomial,
+    PoincareTable,
     cell_maps,
     poincare_table,
     quotient,
@@ -344,19 +345,10 @@ def kernel_match(
             bad = str(g)
             break
     ranks = {(w, d): r for w, d, r, _, _ in report.per_bidegree}
-    q = quotient(h.source, ideal)
-    qtable = poincare_table(q, wmax, dmax)
-    match = True
-    mismatch = None
-    for w in range(wmax + 1):
-        for d in range(dmax + 1):
-            if qtable.entry(w, d) != ranks[(w, d)]:
-                match = False
-                mismatch = (w, d, qtable.entry(w, d), ranks[(w, d)])
-                break
-        if not match:
-            break
-    return KernelReport(h.label, wmax, dmax, vanish, bad, match, mismatch)
+    qtable = poincare_table(quotient(h.source, ideal), wmax, dmax)
+    cell = qtable.first_difference(PoincareTable.of(wmax, dmax, lambda w, d: ranks[w, d]))
+    mismatch = None if cell is None else (*cell, qtable.entry(*cell), ranks[cell])
+    return KernelReport(h.label, wmax, dmax, vanish, bad, cell is None, mismatch)
 
 
 def twist_iso(model: FieldModel, n: int, bound: int = 16) -> Homomorphism:

@@ -30,6 +30,7 @@ from .errors import SubtleError, UnsupportedAtom, UnsupportedTensor
 from .milnor import FieldModel
 from .parse import ParseError, Parser, naming
 from .rings import block_table
+from .tables import direct_sum
 
 BASES = ("N", "Ma", "Mt", "Xa", "Xt")
 # bases whose table is a block's table
@@ -197,17 +198,14 @@ def malpha_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     def rank(w, d):
         return mt.entry(d, d + 1) if d <= w else 0
 
-    counts = tuple(
-        tuple(
-            h.entry(w, d) + n1.entry(w, d) - rank(w, d) - rank(w, d - 1)
-            for d in range(dmax + 1)
-        )
-        for w in range(wmax + 1)
+    return PoincareTable.of(
+        wmax, dmax,
+        lambda w, d: h.entry(w, d) + n1.entry(w, d) - rank(w, d) - rank(w, d - 1),
     )
-    return PoincareTable(wmax, dmax, counts)
 
 
 def atom_table(model: FieldModel, atom: Atom, wmax: int, dmax: int) -> PoincareTable:
+    """The untwisted table of the atom's base; ``motive_cohomology`` twists it."""
     if atom.base == "N":
         if atom.power >= 0:
             # a cell of degree d <= dmax holds no mu_i with i > dmax, and every
@@ -226,7 +224,7 @@ def atom_table(model: FieldModel, atom: Atom, wmax: int, dmax: int) -> PoincareT
         base = block_table(model, _ATOM_BLOCKS[atom.base], wmax, dmax)
     else:
         raise UnsupportedAtom(f"unknown atom base {atom.base!r}")
-    return base.shift(atom.twist, atom.shift)
+    return base
 
 
 def motive_cohomology(
@@ -237,11 +235,10 @@ def motive_cohomology(
         raise UnsupportedAtom(
             "non-split torsor motives are symbolic; expand a split one instead"
         )
-    zero = tuple(tuple(0 for _ in range(dmax + 1)) for _ in range(wmax + 1))
-    total = PoincareTable(wmax, dmax, zero)
-    for atom in motive.atoms:
-        total = total + atom_table(model, atom, wmax, dmax)
-    return total
+    return direct_sum(
+        wmax, dmax,
+        ((atom_table(model, a, wmax, dmax), a.twist, a.shift) for a in motive.atoms),
+    )
 
 
 # ----- expression grammar -------------------------------------------------------

@@ -73,8 +73,4 @@ def oracle_table(
     store: dict = {}
     if shared is not None:
         store["cells"] = shared.setdefault((pres.gen_w, pres.gen_d, pres.module_idx), {})
-    counts = tuple(
-        tuple(oracle_entry(pres, w, d, store) for d in range(dmax + 1))
-        for w in range(wmax + 1)
-    )
-    return PoincareTable(wmax, dmax, counts)
+    return PoincareTable.of(wmax, dmax, lambda w, d: oracle_entry(pres, w, d, store))

@@ -51,6 +51,7 @@ from .bigraded import (
 from .errors import UnsupportedBlock
 from .milnor import FieldModel, km_annihilator
 from .parse import parse_id, parse_poly
+from .tables import class_monomials, direct_sum
 
 
 def h_gens(model: FieldModel) -> list[GenSpec]:
@@ -256,14 +257,10 @@ def nbar_table(model: FieldModel, wmax: int, dmax: int) -> PoincareTable:
     h = block_table(model, "H", wmax, dmax)
     k = min(wmax, dmax)
     mt = block_table(model, "Mtilde", k, k + 1)
-    counts = tuple(
-        tuple(
-            (h.entry(w, w) - mt.entry(w, w + 1) if w == d else 0) + h.entry(w - 1, d)
-            for d in range(dmax + 1)
-        )
-        for w in range(wmax + 1)
+    return PoincareTable.of(
+        wmax, dmax,
+        lambda w, d: (h.entry(w, w) - mt.entry(w, w + 1) if w == d else 0) + h.entry(w - 1, d),
     )
-    return PoincareTable(wmax, dmax, counts)
 
 
 def npow_bu_table(
@@ -272,32 +269,13 @@ def npow_bu_table(
     """Direct-sum convolution: one shifted power-block table per c-monomial.
 
     The summand for c_1^{i_1}..c_n^{i_n} is the table of the (m + sum of odd
-    i_l)-th power block, shifted by the monomial's bidegree.
+    i_l)-th power block, shifted by the monomial's bidegree; c_l sits at
+    (l)[2l], so the odd classes are every other one from c_1.
     """
-    shifts: dict[int, list[tuple[int, int]]] = {}  # power -> monomial bidegrees
-
-    def rec(l: int, shift_w: int, shift_d: int, odd_sum: int):
-        if l > n:
-            shifts.setdefault(m + odd_sum, []).append((shift_w, shift_d))
-            return
-        i = 0
-        while shift_w + i * l <= wmax and shift_d + i * 2 * l <= dmax:
-            rec(
-                l + 1,
-                shift_w + i * l,
-                shift_d + i * 2 * l,
-                odd_sum + (i if l % 2 == 1 else 0),
-            )
-            i += 1
-
-    rec(1, 0, 0, 0)
-    zero = tuple(tuple(0 for _ in range(dmax + 1)) for _ in range(wmax + 1))
-    total = PoincareTable(wmax, dmax, zero)
-    for k, at in shifts.items():
-        table = block_table(model, f"Npow:{k}", wmax, dmax)
-        for i, j in at:
-            total = total + table.shift(i, j)
-    return total
+    monomials = class_monomials([Bidegree(l, 2 * l) for l in range(1, n + 1)], wmax, dmax)
+    powers = [m + sum(e[0::2]) for e, _, _ in monomials]
+    tables = {k: block_table(model, f"Npow:{k}", wmax, dmax) for k in dict.fromkeys(powers)}
+    return direct_sum(wmax, dmax, ((tables[k], w, d) for k, (_, w, d) in zip(powers, monomials)))
 
 
 # ----- colimit stabilization ---------------------------------------------------

@@ -6,7 +6,9 @@ follow Sq1(u_{2i}) = u_{2i+1} + u_1*u_{2i} and Sq1(u_{2i+1}) = u_1*u_{2i+1},
 reading the odd-index class as the v generator when that is the one present.
 Generators without a default (v, c, d, module mu_i) stay unknown; sq1_check
 solves the descent constraints for them per graded piece and reports the
-solution space instead of inventing a value.
+solution space instead of inventing a value.  A default value above the
+presentation's bound is refused, not reduced: ``sq1_presentation`` builds a
+block at a bound that holds every generator's value.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ def _default_value(pres: AlgebraPresentation, gen, model) -> Element | None:
 def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivation:
     """Derivation with default values, optionally overridden per generator.
 
-    Generators with neither default nor override are recorded as unknown; an
+    Generators with neither default nor override are recorded as unknown; a
+    default value above the bound raises ExceedsBound naming its generator, an
     override for a name that is no generator raises UnknownGenerator, an
     override string that does not read names its generator and the text, and
     so does a module element given to a ring generator (InvalidModuleProduct).
@@ -120,7 +123,8 @@ def sq1_define(pres: AlgebraPresentation, values: dict | None = None) -> Derivat
                     f"but {gen.name} is a ring generator"
                 )
         else:
-            val = _default_value(pres, gen, pres.model)
+            with naming(f"default value of {gen.name}"):
+                val = _default_value(pres, gen, pres.model)
         if val is None:
             unknown.append(gen.name)
             continue

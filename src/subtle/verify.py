@@ -17,7 +17,7 @@ from contextlib import redirect_stdout
 from dataclasses import dataclass
 from importlib import resources
 
-from .bigraded import PoincareTable, shared_tables
+from .bigraded import shared_tables
 from .maps import (
     comp_kernel_ideal,
     comp_map,
@@ -106,11 +106,6 @@ def _criterion(number: int, name: str):
     return decorate
 
 
-def _first_difference(a: PoincareTable, b: PoincareTable) -> tuple[int, int] | None:
-    """The first cell (w, d) of ``a`` whose entry ``b`` does not share."""
-    return next(((w, d) for w, d, c in a.cells() if b.entry(w, d) != c), None)
-
-
 @_criterion(1, "presentation vs decomposition")
 def check_decomposition(box: tuple[int, int] | None = None) -> str:
     """Presentation tables equal the direct-sum convolution tables."""
@@ -118,7 +113,7 @@ def check_decomposition(box: tuple[int, int] | None = None) -> str:
     for model in _models():
         for n in (1, 2, 3):
             engine = block_table(model, f"BU:{n}", w, d)
-            bad = _first_difference(engine, npow_bu_table(model, 0, n, w, d))
+            bad = engine.first_difference(npow_bu_table(model, 0, n, w, d))
             if bad is not None:
                 raise _Failure(f"BU:{n} over {model.tag} differs at {bad}, box ({w},{d})")
     return f"BU:1..3 equal convolution tables, both models, box ({w},{d})"
@@ -203,7 +198,7 @@ def check_groebner_oracle(box: tuple[int, int] | None = None) -> str:
         for block in ORACLE_BLOCKS:
             engine = block_table(model, block, w, d)
             dense = oracle_table(block_presentation(model, block, w + d), w, d, shared)
-            bad = _first_difference(engine, dense)
+            bad = engine.first_difference(dense)
             if bad is not None:
                 raise _Failure(f"{block} over {model.tag} differs at {bad}")
     return f"{len(ORACLE_BLOCKS)} blocks x both models match on box ({w},{d})"

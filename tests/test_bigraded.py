@@ -876,6 +876,35 @@ def test_extend_bound_keeps_the_smaller_box_random():
                 assert big.reduce_poly(a) == p.reduce_poly(a), (trial, p.gens, p.relations, a)
 
 
+def test_products_inside_the_bound_are_exact_and_above_it_refused_random():
+    # a product of two elements of a bound-8 ring equals the product taken at
+    # bound 14 and read back while it stays inside 8; above 8 it raises, as
+    # el() does, since the truncated normal form there can be wrong: some
+    # draws find a product whose reduction at bound 8 differs from the one at 14
+    rng = random.Random(2)
+    bound, k = 8, 6
+    inside = above = wrong = 0
+    for trial in range(200):
+        p = _random_presentation(rng, bound, max_rels=6, gens=_random_gens(rng))
+        big = p.extend_bound(bound + k)
+        for _ in range(20):
+            (ca, a), (cb, b) = (_random_cell_poly(rng, p, rng.randint(1, 3)) for _ in range(2))
+            if max(ca.total, cb.total) > bound or ca.total + cb.total > bound + k:
+                continue
+            x, y = p.el(a), p.el(b)
+            exact = big.el(a) * big.el(b)
+            if ca.total + cb.total <= bound:
+                inside += 1
+                assert x * y == p.el(exact.monomials), (trial, p.gens, p.relations, a, b)
+            elif x.product_monomials(y):
+                above += 1
+                with pytest.raises(ExceedsBound, match=f"exceeds bound {bound}"):
+                    x * y
+                truncated = p.element_from_monomials(x.product_monomials(y))
+                wrong += truncated.monomials != exact.monomials
+    assert inside >= 500 and above >= 200 and wrong >= 1, (inside, above, wrong)
+
+
 def test_normal_form_soundness_random():
     # nf(e*f) == nf(nf(e)*nf(f)) on random raw mixtures
     p = bu1_real(bound=22)

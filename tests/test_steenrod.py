@@ -15,6 +15,7 @@ from subtle.bigraded import (
 )
 from subtle.errors import (
     BidegreeMismatch,
+    ExceedsBound,
     InvalidModuleProduct,
     MissingRhoDesignation,
     UnknownDerivationValue,
@@ -245,9 +246,13 @@ def test_square_zero_on_boxes(real):
 
 
 def test_square_zero_skips_generators_too_high_for_the_bound(real):
-    # u6 has total 9 > bound 8 - 2: its Sq1(Sq1) is out of reach and not needed,
-    # since no monomial it divides has total + 2 <= 8
-    pres = block_presentation(real, "BO:6", 8)
+    # at bound 8 the default Sq1(u6) = u1*u6 (total 10) lies above the bound,
+    # so the presentation is refused; at bound 10, u6 has total 9 > 10 - 2: its
+    # Sq1(Sq1) is out of reach and not needed, since no monomial it divides
+    # has total + 2 <= 10
+    with pytest.raises(ExceedsBound, match="default value of u6"):
+        sq1_define(block_presentation(real, "BO:6", 8))
+    pres = block_presentation(real, "BO:6", 10)
     report, solved = sq1_check(sq1_define(pres), 3, 3)
     assert report.descends and report.square_zero
     assert _square_zero_on_box(solved, 3, 3)
@@ -388,8 +393,13 @@ def cell_coordinates(basis):
 
 def _sq1_solve_reference(der):
     # the system built from formal partial derivatives of each relation and
-    # products multiplied out by hand, beside sq1_apply's own expansion
+    # products multiplied out by hand, beside sq1_apply's own expansion.  A
+    # relation at the bound has its rows one above it, where sq1_solve reads
+    # them too, so the products are reduced without the bound check of `*`
     pres = der.pres
+
+    def product(a, b):
+        return pres.element_from_monomials(a.product_monomials(b))
 
     def partial(poly, idx):
         out = set()
@@ -416,12 +426,14 @@ def _sq1_solve_reference(der):
         for idx, gname in enumerate(pres.names):
             part = partial(rel, idx)
             if part and gname not in der.unknown and not der.values[gname].is_zero():
-                known = known + pres.element_from_monomials(part) * der.values[gname]
+                known = known + product(pres.element_from_monomials(part), der.values[gname])
         target_bits |= coords(known.monomials) << row_offset
         for ci, (gname, bmono) in enumerate(col_meta):
             part = partial(rel, pres.index[gname])
             if part:
-                contrib = pres.element_from_monomials(part) * Element(pres, frozenset([bmono]))
+                contrib = product(
+                    pres.element_from_monomials(part), Element(pres, frozenset([bmono]))
+                )
                 col_bits[ci] ^= coords(contrib.monomials) << row_offset
         row_offset += len(cell_basis)
     particular, kernel = solve(col_bits, target_bits)
