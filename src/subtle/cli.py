@@ -10,6 +10,8 @@
     subtle motive eval "N^1 * N^-1"
     subtle verify all              --seed 20250801
 
+Each command returns (exit code, JSON object, text) and prints nothing;
+``run`` prints one of the two forms once, per --format, to stdout or --out.
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or configuration error.  Reports always state the certification box.
 """
@@ -137,102 +139,77 @@ def _resolve_model(name: str):
     return build_field_model(name)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _report(rep, code: int) -> tuple[int, dict, str]:
+    return code, rep.to_json_obj(), rep.render_text()
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2)
+# ----- subcommands: each returns (exit code, JSON object, text) ------------------
 
 
-def _report(args, rep) -> None:
-    """Emit a report as JSON or as its text rendering, per ``--format``."""
-    _emit(args, _json(rep.to_json_obj()) if args.format == "json" else rep.render_text())
-
-
-# ----- subcommands --------------------------------------------------------------
-
-
-def _cmd_field(args) -> int:
+def _cmd_field(args) -> tuple[int, dict, str]:
     model = _resolve_model(args.model)
     dims = model.dimensions(8)
     # annihilator(9) finds the generators of degree below 9, so up to 8
     ann = model.annihilator(9) if model.has_alpha else None
-    if args.format == "json":
-        payload = {
-            "model": model.tag,
-            "generators": list(model.generators),
-            "relations": list(model.relation_strings),
-            "alpha": model.alpha_string,
-            "minus_one": model.minus_one_string,
-            "dimensions_to_degree_8": dims,
-            "annihilator_of_alpha": [str(g) for g in ann.gens] if ann else None,
-        }
-        _emit(args, _json(payload))
-    else:
-        lines = [str(model)]
-        lines.append(f"minus_one designation: {model.minus_one_string}")
-        lines.append(f"graded dimensions (degrees 0..8): {dims}")
-        if ann is not None:
-            lines.append(f"Ann(alpha) generators (degree <= 8): {ann}")
-        else:
-            lines.append("Ann(alpha): model carries no alpha")
-        _emit(args, "\n".join(lines))
-    return 0
+    payload = {
+        "model": model.tag,
+        "generators": list(model.generators),
+        "relations": list(model.relation_strings),
+        "alpha": model.alpha_string,
+        "minus_one": model.minus_one_string,
+        "dimensions_to_degree_8": dims,
+        "annihilator_of_alpha": [str(g) for g in ann.gens] if ann else None,
+    }
+    lines = [
+        str(model),
+        f"minus_one designation: {model.minus_one_string}",
+        f"graded dimensions (degrees 0..8): {dims}",
+        f"Ann(alpha) generators (degree <= 8): {ann}"
+        if ann is not None
+        else "Ann(alpha): model carries no alpha",
+    ]
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_ring(args) -> int:
+def _cmd_ring(args) -> tuple[int, dict, str]:
     model = _resolve_model(args.model)
     w, d = args.box
     block = canonical_block_id(args.block)
     if args.action == "table":
         table = block_table(model, block, w, d)
-        if args.format == "json":
-            _emit(args, _json(table.to_json_obj()))
-        else:
-            head = f"block: {block}\nmodel: {model.tag}\nbox: {w} {d}"
-            _emit(args, head + "\n" + table.render_text())
-        return 0
+        head = f"block: {block}\nmodel: {model.tag}\nbox: {w} {d}"
+        return 0, table.to_json_obj(), head + "\n" + table.render_text()
     pres = block_presentation(model, block, w + d)
-    if args.format == "json":
-        payload = {
-            "block": block,
-            "model": model.tag,
-            "bound": pres.truncation_bound,
-            "is_module": pres.is_module,
-            "generators": [
-                {
-                    "name": g.name,
-                    "bidegree": [g.bidegree.w, g.bidegree.d],
-                    "origin": g.origin,
-                }
-                for g in pres.gens
-            ],
-            "relations": [str(Element(pres, r)) for r in pres.relations],
-            "groebner": [str(Element(pres, g)) for g in pres.groebner],
-        }
-        _emit(args, _json(payload))
-    else:
-        lines = [
-            f"block: {block}",
-            f"model: {model.tag}",
-            f"bound: {pres.truncation_bound}",
-            "generators: "
-            + ", ".join(f"{g.name}{g.bidegree}" for g in pres.gens),
-            "relations: "
-            + (", ".join(str(Element(pres, r)) for r in pres.relations) or "none"),
-            "groebner basis: "
-            + (", ".join(str(Element(pres, g)) for g in pres.groebner) or "empty"),
-        ]
-        _emit(args, "\n".join(lines))
-    return 0
+    relations = [str(Element(pres, r)) for r in pres.relations]
+    groebner = [str(Element(pres, g)) for g in pres.groebner]
+    payload = {
+        "block": block,
+        "model": model.tag,
+        "bound": pres.truncation_bound,
+        "is_module": pres.is_module,
+        "generators": [
+            {
+                "name": g.name,
+                "bidegree": [g.bidegree.w, g.bidegree.d],
+                "origin": g.origin,
+            }
+            for g in pres.gens
+        ],
+        "relations": relations,
+        "groebner": groebner,
+    }
+    lines = [
+        f"block: {block}",
+        f"model: {model.tag}",
+        f"bound: {pres.truncation_bound}",
+        "generators: " + ", ".join(f"{g.name}{g.bidegree}" for g in pres.gens),
+        "relations: " + (", ".join(relations) or "none"),
+        "groebner basis: " + (", ".join(groebner) or "empty"),
+    ]
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom(args) -> tuple[int, dict, str]:
     model = _resolve_model(args.model)
     w, d = args.box
     bound = w + d
@@ -250,14 +227,12 @@ def _cmd_hom(args) -> int:
         if not map_arg.startswith("comp:"):
             raise SubtleError("kernel checking is defined for comp:n maps")
         rep = kernel_match(h, comp_kernel_ideal(model, n, bound), w, d)
-        _report(args, rep)
-        return 0 if rep.ok else 1
+        return _report(rep, 0 if rep.ok else 1)
     rep = hom_verify(h, w, d)
-    _report(args, rep)
-    return 0 if rep.well_defined else 1
+    return _report(rep, 0 if rep.well_defined else 1)
 
 
-def _cmd_sq1(args) -> int:
+def _cmd_sq1(args) -> tuple[int, dict, str]:
     model = _resolve_model(args.model)
     w, d = args.box
     pres = sq1_presentation(model, args.block, w, d)
@@ -268,39 +243,27 @@ def _cmd_sq1(args) -> int:
     else:
         der = sq1_define(pres)
     report, _ = sq1_check(der, w, d)
-    _report(args, report)
-    return 0 if report.ok else 1
+    return _report(report, 0 if report.ok else 1)
 
 
-def _cmd_motive(args) -> int:
+def _cmd_motive(args) -> tuple[int, dict, str]:
     motive = parse_motive(args.expr)
-    if args.explicit_box:
-        model = _resolve_model(args.model)
-        w, d = args.box
-        table = motive_cohomology(model, motive, w, d)
-        if args.format == "json":
-            payload = {
-                "normal_form": str(motive),
-                "model": model.tag,
-                "clipped": table.clipped,
-            }
-            payload.update(table.to_json_obj())
-            _emit(args, _json(payload))
-        else:
-            lines = [f"normal form: {motive}", f"model: {model.tag}"]
-            if table.clipped:
-                lines.append("warning: negative twists clipped at the box edge")
-            lines.append(table.render_text())
-            _emit(args, "\n".join(lines))
-        return 0
-    if args.format == "json":
-        _emit(args, _json({"normal_form": str(motive)}))
-    else:
-        _emit(args, str(motive))
-    return 0
+    # a named model is checked even when no box asks for a table
+    model = _resolve_model(args.model) if args.explicit_model or args.explicit_box else None
+    if not args.explicit_box:
+        return 0, {"normal_form": str(motive)}, str(motive)
+    w, d = args.box
+    table = motive_cohomology(model, motive, w, d)
+    payload = {"normal_form": str(motive), "model": model.tag, "clipped": table.clipped}
+    payload.update(table.to_json_obj())
+    lines = [f"normal form: {motive}", f"model: {model.tag}"]
+    if table.clipped:
+        lines.append("warning: negative twists clipped at the box edge")
+    lines.append(table.render_text())
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, str]:
     if args.explicit_model:
         raise SubtleError(
             "verify all reads no model (--model or a config's \"model\" key): "
@@ -308,16 +271,23 @@ def _cmd_verify(args) -> int:
         )
     box = tuple(args.box) if args.explicit_box else None
     results = verify_mod.run_all(seed=args.seed, box=box)
-    if args.format == "json":
-        payload = {
-            "seed": args.seed,
-            "checks": [asdict(r) for r in results],
-            "all_pass": all(r.passed for r in results),
-        }
-        _emit(args, _json(payload))
-    else:
-        _emit(args, "\n".join(r.line() for r in results))
-    return 0 if all(r.passed for r in results) else 1
+    all_pass = all(r.passed for r in results)
+    payload = {
+        "seed": args.seed,
+        "checks": [asdict(r) for r in results],
+        "all_pass": all_pass,
+    }
+    return 0 if all_pass else 1, payload, "\n".join(r.line() for r in results)
+
+
+_COMMANDS = {
+    "field": _cmd_field,
+    "ring": _cmd_ring,
+    "hom": _cmd_hom,
+    "sq1": _cmd_sq1,
+    "motive": _cmd_motive,
+    "verify": _cmd_verify,
+}
 
 
 # the flags whose values are integers, with their value counts: argparse
@@ -376,23 +346,15 @@ def run(argv: list[str] | None = None) -> int:
         setattr(args, name, value)
     try:
         _apply_config(args)
-        if args.command == "field":
-            return _cmd_field(args)
-        if args.command == "ring":
-            return _cmd_ring(args)
-        if args.command == "hom":
-            return _cmd_hom(args)
-        if args.command == "sq1":
-            return _cmd_sq1(args)
-        if args.command == "motive":
-            return _cmd_motive(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return 2
-    except SubtleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+        code, payload, text = _COMMANDS[args.command](args)
+        report = json.dumps(payload, indent=2) if args.format == "json" else text
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report + "\n")
+        else:
+            print(report)
+        return code
+    except (SubtleError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -97,6 +97,22 @@ def test_motive_eval_bad_expression_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_motive_eval_checks_a_named_model_without_a_box(tmp_path, capsys, given):
+    # a named model is resolved even when no box asks for a table
+    missing = str(tmp_path / "nonexistent.json")
+    if given == "flag":
+        argv = ["motive", "eval", "T", "--model", missing]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": missing}), encoding="utf-8")
+        argv = ["motive", "eval", "T", "--config", str(cfg)]
+    assert run_cli(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: unknown model {missing!r} (not builtin, not a file)\n"
+    # a valid one leaves the output as it was
+    assert run_cli("motive", "eval", "T", "--model", "quadratically_closed") == (0, "T\n")
+
+
 def test_hom_verify_exit_codes(tmp_path):
     code, out = run_cli("hom", "verify", "comp:2", "--model", "real", "--box", "4", "4")
     assert code == 0
@@ -696,14 +712,40 @@ def test_help_keeps_example_lines():
     assert "\n    subtle ring table BU:1         --model real --box 4 4\n" in out
 
 
-def test_out_flag_writes_file(tmp_path):
-    target = tmp_path / "report.txt"
-    code, out = run_cli(
-        "motive", "eval", "T", "--out", str(target)
-    )
-    assert code == 0
-    assert out == ""
-    assert target.read_text(encoding="utf-8").strip() == "T"
+def _without_format(argv):
+    i = argv.index("--format") if "--format" in argv else len(argv)
+    return [*argv[:i], *argv[i + 2:]]
+
+
+# every golden command (table_bu1_real once for its two formats), verify all
+# at the smallest box, a twist isomorphism and the shortest motive
+OUT_COMMANDS = {
+    **{name.split(".")[0]: _without_format(argv) for name, argv in GOLDEN_COMMANDS},
+    "verify_all_box_0": ["verify", "all", "--box", "0", "0"],
+    "hom_verify_pq1": ["hom", "verify", "pq:1", "--box", "3", "3"],
+    "motive_eval_T": ["motive", "eval", "T"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_flag_writes_file(tmp_path, command, fmt):
+    # --out writes exactly what the command prints without it, and prints nothing
+    argv = [*OUT_COMMANDS[command], "--format", fmt]
+    code, printed = run_cli(*argv)
+    target = tmp_path / "report"
+    assert run_cli(*argv, "--out", str(target)) == (code, "")
+    written = target.read_text(encoding="utf-8")
+    assert written == printed
+    if fmt == "json":
+        json.loads(written)
+
+
+def test_out_flag_on_error_writes_no_file(tmp_path, capsys):
+    target = tmp_path / "f"
+    assert run_cli("ring", "table", "XX:1", "--out", str(target)) == (2, "")
+    assert not target.exists()
+    assert capsys.readouterr().err == "error: unknown block id 'XX:1'\n"
 
 
 def test_field_show_json(qc):
